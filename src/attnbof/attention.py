@@ -1,8 +1,8 @@
 """Attention layers over quantized sequences.
 
-Input is a K x N membership matrix ``phi`` (codewords by timestamps).  Four
-re-weighting schemes are provided, each returning a matrix that downstream
-averaging turns into a histogram:
+Input is a K x N membership matrix ``phi`` (codewords by timestamps), or a
+(B, K, N) stack of them.  Four re-weighting schemes are provided, each
+returning a matrix that downstream averaging turns into a histogram:
 
 * ``att_2da`` -- a directly learned mask: ``A = softmax_rows(M @ W)`` with the
   diagonal of ``W`` pinned at 1/n, mixed as ``alpha * (M * A) + (1-alpha) * M``.
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ShapeError
-from .numerics import Array, DiffOp, logistic_scalar, register
+from .numerics import Array, DiffOp, logistic_scalar, register, swap
 
 MODES = ("input", "codeword", "temporal")
 VARIANTS = ("ctsa", "csa", "tsa")
@@ -85,26 +85,36 @@ def _dalpha_raw(alpha_raw: Array, dalpha: float) -> Array:
 # dropout
 
 
-def _dropout_mask(shape: tuple[int, ...], rate: float, seed: int) -> Array:
-    keep = np.random.default_rng(seed).random(shape) >= rate
-    return keep / (1.0 - rate)
+def _dropout_mask(shape: tuple[int, ...], rate: float, seed) -> Array:
+    """Inverted-dropout mask for a matrix or a stack of matrices.
+
+    ``seed`` is an int, or one int per matrix of the stack; each matrix's
+    mask is drawn from its own seed, so an item's mask does not depend on
+    what it is stacked with.
+    """
+    seeds = np.broadcast_to(np.asarray(seed, dtype=np.int64), shape[:-2]).reshape(-1)
+    keep = [np.random.default_rng(int(s)).random(shape[-2:]) >= rate for s in seeds]
+    return np.reshape(keep, shape) / (1.0 - rate)
 
 
-def attention_dropout(a: Array, rate: float, training: bool, seed: int) -> Array:
+def _dropout(a: Array, rate: float, training: bool, seed) -> tuple[Array, Array | None]:
+    """(dropped matrix, mask); the mask is None when dropout is off."""
+    if not training or rate == 0.0:
+        return a, None
+    mask = _dropout_mask(a.shape, rate, seed)
+    return a * mask, mask
+
+
+def attention_dropout(a: Array, rate: float, training: bool, seed) -> Array:
     """Inverted dropout on an attention matrix; identity when evaluating."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    a = np.asarray(a, dtype=float)
-    if not training or rate == 0.0:
-        return a
-    return a * _dropout_mask(a.shape, rate, seed)
+    return _dropout(np.asarray(a, dtype=float), rate, training, seed)[0]
 
 
-def attention_dropout_vjp(a: Array, rate: float, training: bool, seed: int,
+def attention_dropout_vjp(a: Array, rate: float, training: bool, seed,
                           upstream: Array) -> Array:
-    if not training or rate == 0.0:
-        return upstream
-    return upstream * _dropout_mask(np.asarray(a).shape, rate, seed)
+    return _dropout(upstream, rate, training, seed)[0]
 
 
 register(DiffOp(
@@ -117,10 +127,14 @@ register(DiffOp(
 
 # ---------------------------------------------------------------------------
 # directly learned 2-d mask
+#
+# Every layer below takes one K x N matrix or a (B, K, N) stack.  A forward
+# called with a ``cache`` dict fills it with what its VJP needs; a VJP called
+# without one runs the forward to build it.
 
 
 def _2da_orient(phi: Array, mode: str) -> Array:
-    return phi if mode == "temporal" else phi.T
+    return phi if mode == "temporal" else swap(phi)
 
 
 def _2da_pinned(w: Array, n: int) -> Array:
@@ -131,56 +145,69 @@ def _2da_pinned(w: Array, n: int) -> Array:
     return pinned
 
 
-def att_2da(phi: Array, p: Attention2DAParams) -> Array:
+def att_2da(phi: Array, p: Attention2DAParams, cache: dict | None = None) -> Array:
     """Mask-and-mix: ``alpha * (M * softmax_rows(M @ W)) + (1-alpha) * M``.
 
     Returns a matrix of the same shape and orientation as ``phi``.  The
     diagonal of ``W`` is treated as the constant 1/n regardless of the stored
     values, so those entries are not free parameters.
     """
-    phi = numerics.as_matrix(phi, "2da input")
+    phi = numerics.as_stack(phi, "2da input")
     m = _2da_orient(phi, p.mode)
-    w = _2da_pinned(p.w, m.shape[1])
+    w = _2da_pinned(p.w, m.shape[-1])
     a = numerics.softmax_rows(m @ w)
     alpha = _alpha(p.alpha_raw)
     out = alpha * (m * a) + (1.0 - alpha) * m
-    return out if p.mode == "temporal" else out.T
+    if cache is not None:
+        cache.update(w=w, a=a, alpha=alpha)
+    return _2da_orient(out, p.mode)
 
 
 def att_2da_matrix(phi: Array, p: Attention2DAParams) -> Array:
     """The softmax mask itself, in operand orientation."""
-    m = _2da_orient(numerics.as_matrix(phi, "2da input"), p.mode)
-    return numerics.softmax_rows(m @ _2da_pinned(p.w, m.shape[1]))
+    cache: dict = {}
+    att_2da(phi, p, cache=cache)
+    return cache["a"]
 
 
-def att_2da_vjp(phi: Array, p: Attention2DAParams,
-                upstream: Array) -> tuple[Array, Array, Array]:
+def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
+                cache: dict | None = None) -> tuple[Array, Array, Array]:
+    """Cotangents of (phi, w, alpha_raw); those of w and alpha_raw sum over a stack."""
+    if cache is None:
+        cache = {}
+        att_2da(phi, p, cache=cache)
+    w, a, alpha = cache["w"], cache["a"], cache["alpha"]
     m = _2da_orient(phi, p.mode)
-    g = upstream if p.mode == "temporal" else upstream.T
-    w = _2da_pinned(p.w, m.shape[1])
-    a = numerics.softmax_rows(m @ w)
-    alpha = _alpha(p.alpha_raw)
+    g = _2da_orient(upstream, p.mode)
 
-    masked = m * a
-    dalpha = float(np.sum(g * (masked - m)))
+    dalpha = float(np.sum(g * (m * a - m)))
     da = alpha * g * m
     dm = alpha * g * a + (1.0 - alpha) * g
-    dz = a * (da - (da * a).sum(axis=1, keepdims=True))
+    dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
     dm += dz @ w.T
-    dw = m.T @ dz
+    dw = numerics.sum_tn(m, dz)
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
-    dphi = dm if p.mode == "temporal" else dm.T
-    return dphi, dw, _dalpha_raw(p.alpha_raw, dalpha)
+    return _2da_orient(dm, p.mode), dw, _dalpha_raw(p.alpha_raw, dalpha)
 
 
 # ---------------------------------------------------------------------------
 # self-attention variants
+#
+# One per-head core serves all three.  Per head, q = M Wq^T and k = Mk Wk^T,
+# z = q k^T / sqrt(d), and the mask a = act(z) mixes the operand M:
+#
+#   variant  M      Mk     act             mix
+#   ctsa     phi    phi^T  sigmoid         a * M (elementwise)
+#   csa      phi    phi    softmax_rows    a @ M
+#   tsa      phi^T  phi^T  softmax_rows    a @ M
+#
+# Head i of item b draws its dropout mask from seed_b + i.
 
 HeadGrads = list[tuple[Array, Array, Array]]
 
 
 def _check_head_shapes(variant: str, phi: Array, head: AttentionHead, d: int) -> None:
-    k, n = phi.shape
+    k, n = phi.shape[-2:]
     want_q = {"ctsa": (d, n), "csa": (d, n), "tsa": (d, k)}[variant]
     want_k = {"ctsa": (d, k), "csa": (d, n), "tsa": (d, k)}[variant]
     if head.wq.shape != want_q or head.wk.shape != want_k:
@@ -190,172 +217,134 @@ def _check_head_shapes(variant: str, phi: Array, head: AttentionHead, d: int) ->
 
 
 def _flat_softmax(z: Array) -> Array:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = np.exp(z - z.max(axis=(-2, -1), keepdims=True))
+    return e / e.sum(axis=(-2, -1), keepdims=True)
+
+
+_ACTIVATIONS = {"sigmoid": numerics.sigmoid, "softmax": numerics.softmax_rows,
+                "flat_softmax": _flat_softmax}
+
+
+def _operand(variant: str, phi: Array) -> Array:
+    return swap(phi) if variant == "tsa" else phi
+
+
+def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: bool,
+                    seed, cache: dict | None, activation: str) -> Array:
+    phi = numerics.as_stack(phi, f"{variant} input")
+    d = p.latent_dim
+    m = _operand(variant, phi)
+    mk = swap(m) if variant == "ctsa" else m
+    act = _ACTIVATIONS[activation]
+    outs, heads = [], []
+    for i, head in enumerate(p.heads):
+        _check_head_shapes(variant, phi, head, d)
+        q = m @ head.wq.T
+        k = mk @ head.wk.T
+        a = act((q @ swap(k)) / math.sqrt(d))
+        a_used, mask = _dropout(a, p.dropout_rate, training, np.asarray(seed) + i)
+        alpha = _alpha(head.alpha_raw)
+        mixed = a_used * m if variant == "ctsa" else a_used @ m
+        outs.append(_operand(variant, alpha * m + (1.0 - alpha) * mixed))
+        heads.append({"q": q, "k": k, "a": a, "a_used": a_used, "mask": mask,
+                      "mixed": mixed, "alpha": alpha})
+    if cache is not None:
+        cache.update(heads=heads, activation=activation)
+    return np.concatenate(outs, axis=-2)
+
+
+def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
+                        upstream: Array, cache: dict) -> tuple[Array, HeadGrads]:
+    d = p.latent_dim
+    kdim = phi.shape[-2]
+    m = _operand(variant, phi)
+    mk = swap(m) if variant == "ctsa" else m
+    activation = cache["activation"]
+    dm = np.zeros_like(m)
+    head_grads: HeadGrads = []
+    for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
+        g = _operand(variant, upstream[..., i * kdim:(i + 1) * kdim, :])
+        q, k, a, a_used, alpha = c["q"], c["k"], c["a"], c["a_used"], c["alpha"]
+
+        dalpha = float(np.sum(g * (m - c["mixed"])))
+        if variant == "ctsa":
+            dm += alpha * g + (1.0 - alpha) * g * a_used
+            da = (1.0 - alpha) * g * m
+        else:
+            dm += alpha * g + (1.0 - alpha) * (swap(a_used) @ g)
+            da = (1.0 - alpha) * (g @ swap(m))
+        if c["mask"] is not None:
+            da = da * c["mask"]
+        if activation == "sigmoid":
+            dz = da * a * (1.0 - a)
+        elif activation == "softmax":
+            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        else:
+            dz = a * (da - (da * a).sum(axis=(-2, -1), keepdims=True))
+        dq = (dz @ k) / math.sqrt(d)
+        dk = (swap(dz) @ q) / math.sqrt(d)
+        dm += dq @ head.wq
+        dk_m = dk @ head.wk
+        dm += swap(dk_m) if variant == "ctsa" else dk_m
+        head_grads.append((numerics.sum_tn(dq, m), numerics.sum_tn(dk, mk),
+                           _dalpha_raw(head.alpha_raw, dalpha)))
+    return _operand(variant, dm), head_grads
+
+
+def _vjp_with_cache(variant, phi, p, upstream, training, seed, cache, activation):
+    if cache is None:
+        cache = {}
+        _self_attention(variant, phi, p, training, seed, cache, activation)
+    return _self_attention_vjp(variant, numerics.as_stack(phi), p, upstream, cache)
 
 
 def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,
-             seed: int = 0, activation: str = "sigmoid") -> Array:
+             seed=0, activation: str = "sigmoid", cache: dict | None = None) -> Array:
     """Joint codeword-temporal mask, applied elementwise per head.
 
     ``activation`` is ``"sigmoid"``; ``"flat_softmax"`` (normalizing over all
     K*N entries at once) exists for comparison tests only.
     """
-    phi = numerics.as_matrix(phi, "ctsa input")
-    d = p.latent_dim
-    outs = []
-    for i, head in enumerate(p.heads):
-        _check_head_shapes("ctsa", phi, head, d)
-        q = phi @ head.wq.T                       # (K, d)
-        k = phi.T @ head.wk.T                     # (N, d)
-        z = (q @ k.T) / math.sqrt(d)              # (K, N)
-        a = numerics.sigmoid(z) if activation == "sigmoid" else _flat_softmax(z)
-        a = attention_dropout(a, p.dropout_rate, training, seed + i)
-        alpha = _alpha(head.alpha_raw)
-        outs.append(alpha * phi + (1.0 - alpha) * (a * phi))
-    return np.concatenate(outs, axis=0)
+    return _self_attention("ctsa", phi, p, training, seed, cache, activation)
 
 
 def att_ctsa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                 training: bool = False, seed: int = 0,
-                 activation: str = "sigmoid") -> tuple[Array, HeadGrads]:
-    d = p.latent_dim
-    kdim = phi.shape[0]
-    dphi = np.zeros_like(phi)
-    head_grads: HeadGrads = []
-    for i, head in enumerate(p.heads):
-        g = upstream[i * kdim:(i + 1) * kdim]
-        q = phi @ head.wq.T
-        k = phi.T @ head.wk.T
-        z = (q @ k.T) / math.sqrt(d)
-        a = numerics.sigmoid(z) if activation == "sigmoid" else _flat_softmax(z)
-        a_used = attention_dropout(a, p.dropout_rate, training, seed + i)
-        alpha = _alpha(head.alpha_raw)
-
-        dalpha = float(np.sum(g * (phi - a_used * phi)))
-        dphi += alpha * g + (1.0 - alpha) * g * a_used
-        da_used = (1.0 - alpha) * g * phi
-        da = attention_dropout_vjp(a, p.dropout_rate, training, seed + i, da_used)
-        if activation == "sigmoid":
-            dz = da * a * (1.0 - a)
-        else:
-            dz = a * (da - float(np.sum(da * a)))
-        dq = (dz @ k) / math.sqrt(d)
-        dk = (dz.T @ q) / math.sqrt(d)
-        dphi += dq @ head.wq + (dk @ head.wk).T
-        head_grads.append((dq.T @ phi, (phi @ dk).T, _dalpha_raw(head.alpha_raw, dalpha)))
-    return dphi, head_grads
+                 training: bool = False, seed=0, activation: str = "sigmoid",
+                 cache: dict | None = None) -> tuple[Array, HeadGrads]:
+    return _vjp_with_cache("ctsa", phi, p, upstream, training, seed, cache, activation)
 
 
 def att_csa(phi: Array, p: SelfAttentionParams, training: bool = False,
-            seed: int = 0) -> Array:
+            seed=0, cache: dict | None = None) -> Array:
     """Codeword-to-codeword attention in a learned latent space."""
-    phi = numerics.as_matrix(phi, "csa input")
-    d = p.latent_dim
-    outs = []
-    for i, head in enumerate(p.heads):
-        _check_head_shapes("csa", phi, head, d)
-        q = phi @ head.wq.T
-        k = phi @ head.wk.T
-        a = numerics.softmax_rows((q @ k.T) / math.sqrt(d))   # (K, K)
-        a = attention_dropout(a, p.dropout_rate, training, seed + i)
-        alpha = _alpha(head.alpha_raw)
-        outs.append(alpha * phi + (1.0 - alpha) * (a @ phi))
-    return np.concatenate(outs, axis=0)
+    return _self_attention("csa", phi, p, training, seed, cache, "softmax")
 
 
 def att_csa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                training: bool = False, seed: int = 0) -> tuple[Array, HeadGrads]:
-    d = p.latent_dim
-    kdim = phi.shape[0]
-    dphi = np.zeros_like(phi)
-    head_grads: HeadGrads = []
-    for i, head in enumerate(p.heads):
-        g = upstream[i * kdim:(i + 1) * kdim]
-        q = phi @ head.wq.T
-        k = phi @ head.wk.T
-        a = numerics.softmax_rows((q @ k.T) / math.sqrt(d))
-        a_used = attention_dropout(a, p.dropout_rate, training, seed + i)
-        alpha = _alpha(head.alpha_raw)
-
-        mixed = a_used @ phi
-        dalpha = float(np.sum(g * (phi - mixed)))
-        dphi += alpha * g + (1.0 - alpha) * (a_used.T @ g)
-        da_used = (1.0 - alpha) * (g @ phi.T)
-        da = attention_dropout_vjp(a, p.dropout_rate, training, seed + i, da_used)
-        dz = a * (da - (da * a).sum(axis=1, keepdims=True))
-        dq = (dz @ k) / math.sqrt(d)
-        dk = (dz.T @ q) / math.sqrt(d)
-        dphi += dq @ head.wq + dk @ head.wk
-        head_grads.append((dq.T @ phi, dk.T @ phi, _dalpha_raw(head.alpha_raw, dalpha)))
-    return dphi, head_grads
+                training: bool = False, seed=0,
+                cache: dict | None = None) -> tuple[Array, HeadGrads]:
+    return _vjp_with_cache("csa", phi, p, upstream, training, seed, cache, "softmax")
 
 
 def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
-            seed: int = 0) -> Array:
+            seed=0, cache: dict | None = None) -> Array:
     """Timestamp-to-timestamp attention, computed on the transpose."""
-    phi = numerics.as_matrix(phi, "tsa input")
-    d = p.latent_dim
-    phi_t = phi.T
-    outs = []
-    for i, head in enumerate(p.heads):
-        _check_head_shapes("tsa", phi, head, d)
-        q = phi_t @ head.wq.T                     # (N, d)
-        k = phi_t @ head.wk.T
-        a = numerics.softmax_rows((q @ k.T) / math.sqrt(d))   # (N, N)
-        a = attention_dropout(a, p.dropout_rate, training, seed + i)
-        alpha = _alpha(head.alpha_raw)
-        outs.append((alpha * phi_t + (1.0 - alpha) * (a @ phi_t)).T)
-    return np.concatenate(outs, axis=0)
+    return _self_attention("tsa", phi, p, training, seed, cache, "softmax")
 
 
 def att_tsa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                training: bool = False, seed: int = 0) -> tuple[Array, HeadGrads]:
-    d = p.latent_dim
-    kdim = phi.shape[0]
-    phi_t = phi.T
-    dphi_t = np.zeros_like(phi_t)
-    head_grads: HeadGrads = []
-    for i, head in enumerate(p.heads):
-        g = upstream[i * kdim:(i + 1) * kdim].T   # (N, K)
-        q = phi_t @ head.wq.T
-        k = phi_t @ head.wk.T
-        a = numerics.softmax_rows((q @ k.T) / math.sqrt(d))
-        a_used = attention_dropout(a, p.dropout_rate, training, seed + i)
-        alpha = _alpha(head.alpha_raw)
-
-        mixed = a_used @ phi_t
-        dalpha = float(np.sum(g * (phi_t - mixed)))
-        dphi_t += alpha * g + (1.0 - alpha) * (a_used.T @ g)
-        da_used = (1.0 - alpha) * (g @ phi_t.T)
-        da = attention_dropout_vjp(a, p.dropout_rate, training, seed + i, da_used)
-        dz = a * (da - (da * a).sum(axis=1, keepdims=True))
-        dq = (dz @ k) / math.sqrt(d)
-        dk = (dz.T @ q) / math.sqrt(d)
-        dphi_t += dq @ head.wq + dk @ head.wk
-        head_grads.append((dq.T @ phi_t, dk.T @ phi_t, _dalpha_raw(head.alpha_raw, dalpha)))
-    return dphi_t.T, head_grads
+                training: bool = False, seed=0,
+                cache: dict | None = None) -> tuple[Array, HeadGrads]:
+    return _vjp_with_cache("tsa", phi, p, upstream, training, seed, cache, "softmax")
 
 
 def head_matrices(phi: Array, p: SelfAttentionParams, variant: str) -> list[Array]:
     """Per-head attention matrices in evaluation mode (no dropout)."""
-    phi = numerics.as_matrix(phi, "attention input")
-    d = p.latent_dim
-    mats = []
-    for head in p.heads:
-        _check_head_shapes(variant, phi, head, d)
-        if variant == "ctsa":
-            z = (phi @ head.wq.T) @ (phi.T @ head.wk.T).T
-            mats.append(numerics.sigmoid(z / math.sqrt(d)))
-        elif variant == "csa":
-            z = (phi @ head.wq.T) @ (phi @ head.wk.T).T
-            mats.append(numerics.softmax_rows(z / math.sqrt(d)))
-        elif variant == "tsa":
-            z = (phi.T @ head.wq.T) @ (phi.T @ head.wk.T).T
-            mats.append(numerics.softmax_rows(z / math.sqrt(d)))
-        else:
-            raise ValueError(f"unknown self-attention variant {variant!r}")
-    return mats
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown self-attention variant {variant!r}")
+    cache: dict = {}
+    _FORWARD[variant](phi, p, cache=cache)
+    return [c["a"] for c in cache["heads"]]
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,18 @@ def load_features(path: str) -> LabeledSequenceSet:
     try:
         classes = int(header["classes"])
         feature_dim = int(header["feature_dim"])
-        manifest = header["items"]
+        manifest = list(header["items"])
         metadata = header.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed feature header ({exc})") from exc
     items = []
     for i, entry in enumerate(manifest):
-        rows, cols, off = entry["rows"], entry["cols"], entry["offset"]
+        try:
+            rows, cols, off = int(entry["rows"]), int(entry["cols"]), int(entry["offset"])
+            label = int(entry["label"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"{path}: malformed manifest entry {i} ({exc!r})") from exc
         if rows != feature_dim:
             raise DataFormatError(
                 f"{path}: item {i} has {rows} rows, header says {feature_dim}")
@@ -207,7 +212,7 @@ def load_features(path: str) -> LabeledSequenceSet:
         if off < 0 or off + count > len(payload):
             raise DataFormatError(f"{path}: item {i} extends past payload")
         x = np.frombuffer(payload[off:off + count], dtype="<f8").reshape(rows, cols).copy()
-        items.append((x, int(entry["label"])))
+        items.append((x, label))
     return LabeledSequenceSet(items=items, classes=classes,
                               feature_dim=feature_dim, metadata=metadata)
 

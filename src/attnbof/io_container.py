@@ -7,9 +7,11 @@ reject unknown versions, truncated files and checksum mismatches.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
+import tempfile
 import zlib
 
 from .errors import ChecksumError, DataFormatError, VersionError
@@ -31,10 +33,17 @@ def write_container(path: str, magic: bytes, version: int, header: dict,
         payload,
         _U32.pack(zlib.crc32(payload) & 0xFFFFFFFF),
     ])
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    # a unique sibling, so concurrent writers and stale files cannot collide
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_container(path: str, magic: bytes, max_version: int) -> tuple[int, dict, bytes]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import attention, nbof, numerics
 from .errors import ConfigError, DataFormatError, ShapeError
@@ -114,11 +115,13 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
 # frontend: same-length temporal convolution + rectifier
 
 
-def _conv_pre(x: Array, kernel: Array, bias: Array):
-    x = numerics.as_matrix(x, "conv input")
+def _conv_pre(x: Array, kernel: Array, bias: Array) -> tuple[Array, Array]:
+    """(pre-activation, patches): ``pre = kernel @ patches + bias``, where the
+    (..., D * width, N) patches hold the zero-padded shifted copies of x."""
+    x = numerics.as_stack(x, "conv input")
     kernel = numerics.as_matrix(kernel, "conv kernel")
     bias = numerics.as_matrix(bias, "conv bias")
-    d, n = x.shape
+    d, n = x.shape[-2:]
     c = kernel.shape[0]
     if kernel.shape[1] % d != 0:
         raise ShapeError(
@@ -129,37 +132,45 @@ def _conv_pre(x: Array, kernel: Array, bias: Array):
     if bias.shape != (c, 1):
         raise ShapeError(f"conv bias is {bias.shape}, expected ({c}, 1)")
     pad = (width - 1) // 2
-    xp = np.zeros((d, n + 2 * pad))
-    xp[:, pad:pad + n] = x
-    k3 = kernel.reshape(c, d, width)
-    pre = np.repeat(bias, n, axis=1)
-    for j in range(width):
-        pre += k3[:, :, j] @ xp[:, j:j + n]
-    return pre, xp, k3, width, pad
+    xp = np.zeros(x.shape[:-1] + (n + 2 * pad,))
+    xp[..., pad:pad + n] = x
+    # patches[..., i * width + j, t] = xp[..., i, t + j], the kernel's column order
+    patches = sliding_window_view(xp, n, axis=-1).reshape(x.shape[:-2] + (d * width, n))
+    return kernel @ patches + bias, patches
 
 
-def frontend_conv(x: Array, kernel: Array, bias: Array) -> Array:
+def frontend_conv(x: Array, kernel: Array, bias: Array, cache: dict | None = None) -> Array:
     """Zero-padded same-length temporal convolution followed by max(0, .).
 
     ``kernel`` is stored flat as (channels, in_rows * width) so the registry
-    and checkpoint stay two-dimensional.
+    and checkpoint stay two-dimensional.  ``x`` is one D x N sequence or a
+    (B, D, N) stack; a ``cache`` dict keeps the pre-activation and patches
+    for :func:`frontend_conv_vjp`.
     """
-    pre, *_ = _conv_pre(x, kernel, bias)
+    pre, patches = _conv_pre(x, kernel, bias)
+    if cache is not None:
+        cache.update(pre=pre, patches=patches)
     return np.maximum(pre, 0.0)
 
 
-def frontend_conv_vjp(inputs, output, upstream):
+def frontend_conv_vjp(inputs, output, upstream, cache: dict | None = None):
+    """Cotangents of (x, kernel, bias); those of kernel and bias sum over a stack."""
     x, kernel, bias = inputs
-    pre, xp, k3, width, pad = _conv_pre(x, kernel, bias)
-    n = x.shape[1]
+    if cache is None:
+        cache = {}
+        frontend_conv(x, kernel, bias, cache=cache)
+    pre, patches = cache["pre"], cache["patches"]
+    d, n = x.shape[-2:]
+    width = kernel.shape[1] // d
     gp = upstream * (pre > 0.0)
-    dbias = gp.sum(axis=1, keepdims=True)
-    dk3 = np.empty_like(k3)
-    dxp = np.zeros_like(xp)
+    dbias = gp.reshape(-1, *gp.shape[-2:]).sum(axis=(0, 2))[:, None]
+    dkernel = numerics.sum_tn(numerics.swap(gp), numerics.swap(patches))
+    dpatches = (kernel.T @ gp).reshape(x.shape[:-2] + (d, width, n))
+    dxp = np.zeros(x.shape[:-1] + (n + width - 1,))
     for j in range(width):
-        dk3[:, :, j] = gp @ xp[:, j:j + n].T
-        dxp[:, j:j + n] += k3[:, :, j].T @ gp
-    return dxp[:, pad:pad + n], dk3.reshape(kernel.shape), dbias
+        dxp[..., j:j + n] += dpatches[..., j, :]
+    pad = (width - 1) // 2
+    return dxp[..., pad:pad + n], dkernel, dbias
 
 
 def _conv_sample(rng: np.random.Generator) -> list[Array]:
@@ -167,7 +178,7 @@ def _conv_sample(rng: np.random.Generator) -> list[Array]:
         x = rng.standard_normal((3, 7))
         kernel = rng.standard_normal((2, 9))
         bias = rng.standard_normal((2, 1))
-        pre, *_ = _conv_pre(x, kernel, bias)
+        pre, _ = _conv_pre(x, kernel, bias)
         if np.abs(pre).min() > 1e-3:  # keep finite differences off the kink
             return [x, kernel, bias]
 
@@ -180,25 +191,36 @@ register(DiffOp("frontend_conv", frontend_conv, frontend_conv_vjp,
 # loss
 
 
-def cross_entropy(logits: Array, label: int) -> float:
-    """Negative log-probability of ``label`` under softmax(logits)."""
+def cross_entropy(logits: Array, label) -> float | Array:
+    """Negative log-probability of ``label`` under softmax(logits).
+
+    One logit vector and an int label give a float; (B, C) logits and B
+    labels give the B per-item losses.
+    """
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy: logits must be 1-d, got {logits.shape}")
-    if not 0 <= label < logits.shape[0]:
+    label = np.asarray(label)
+    if logits.ndim not in (1, 2) or label.shape != logits.shape[:-1]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} and labels "
+                         f"{label.shape} do not conform")
+    classes = logits.shape[-1]
+    if label.dtype.kind not in "iu":
+        raise ValueError(f"cross_entropy: labels must be integers, got {label.dtype}")
+    if label.min() < 0 or label.max() >= classes:
         raise ValueError(
-            f"cross_entropy: label {label} out of range [0, {logits.shape[0]})")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return float(lse - logits[label])
+            f"cross_entropy: label {label} out of range [0, {classes})")
+    m = logits.max(axis=-1)
+    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    rows = logits.reshape(-1, classes)
+    loss = lse - rows[np.arange(len(rows)), label.reshape(-1)].reshape(label.shape)
+    return float(loss) if loss.ndim == 0 else loss
 
 
-def cross_entropy_vjp(logits: Array, label: int, upstream: float) -> Array:
-    z = logits - logits.max()
+def cross_entropy_vjp(logits: Array, label, upstream) -> Array:
+    z = logits - logits.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    p /= p.sum()
-    p[label] -= 1.0
-    return p * upstream
+    p /= p.sum(axis=-1, keepdims=True)
+    p -= np.arange(logits.shape[-1]) == np.asarray(label)[..., None]
+    return p * np.asarray(upstream)[..., None]
 
 
 def make_cross_entropy_op(classes: int, label: int) -> DiffOp:
@@ -285,35 +307,41 @@ class Model:
             raise ShapeError(
                 f"stage {stage}: sequence length {n} != configured seq_len {cfg.seq_len}")
 
-    def _run(self, x: Array, training: bool, seed: int):
+    def _run(self, x: Array, training: bool, seed):
+        """Forward pass over one D x N sequence or a (B, D, N) stack: the
+        logits, (C,) or (B, C), and the cache of every layer, which the
+        backward pass consumes."""
         cfg = self.config
-        x = numerics.as_matrix(x, "input")
-        if x.shape[0] != cfg.feature_dim:
+        xs = numerics.as_stack(x, "stage input")
+        if xs.shape[-2] != cfg.feature_dim:
             raise ShapeError(
-                f"stage input: expected {cfg.feature_dim} feature rows, got {x.shape[0]}")
-        if x.shape[1] < 1:
+                f"stage input: expected {cfg.feature_dim} feature rows, got {xs.shape[-2]}")
+        if xs.shape[-1] < 1:
             raise ShapeError("stage input: empty sequence")
-        cache: dict[str, Array] = {"x": x}
-        h = x
+        cache: dict = {"x": xs, "att": {}}
+        h = xs
         if cfg.frontend == "conv":
-            h = frontend_conv(x, self.params["frontend.kernel"],
-                              self.params["frontend.bias"])
+            cache["conv"] = {}
+            h = frontend_conv(xs, self.params["frontend.kernel"],
+                              self.params["frontend.bias"], cache=cache["conv"])
             cache["conv_out"] = h
         if cfg.attention == "2da" and cfg.mode == "input":
             cache["ia_in"] = h
-            h = attention.att_2da(h, self._params_2da())
+            h = attention.att_2da(h, self._params_2da(), cache=cache["att"])
         cache["quant_in"] = h
+        cache["quant"] = {}
         phi = nbof.quantize_raw(h, self.params["codebook.v"],
-                                self.params["codebook.w_raw"])
+                                self.params["codebook.w_raw"], cache=cache["quant"])
         cache["phi"] = phi
         if cfg.attention == "2da" and cfg.mode != "input":
-            self._check_seq(phi.shape[1], "attention")
-            att_out = attention.att_2da(phi, self._params_2da())
+            self._check_seq(phi.shape[-1], "attention")
+            att_out = attention.att_2da(phi, self._params_2da(), cache=cache["att"])
         elif cfg.attention in attention.VARIANTS:
-            self._check_seq(phi.shape[1], "attention")
+            self._check_seq(phi.shape[-1], "attention")
             fwd = {"ctsa": attention.att_ctsa, "csa": attention.att_csa,
                    "tsa": attention.att_tsa}[cfg.attention]
-            att_out = fwd(phi, self._params_self(), training=training, seed=seed)
+            att_out = fwd(phi, self._params_self(), training=training, seed=seed,
+                          cache=cache["att"])
         else:
             att_out = phi
         cache["att_out"] = att_out
@@ -324,19 +352,28 @@ class Model:
         cache["logits"] = logits
         return logits, cache
 
-    def forward(self, x: Array, training: bool = False, seed: int = 0) -> Array:
-        logits, _ = self._run(x, training, seed)
-        return logits
+    def forward(self, x: Array, training: bool = False, seed=0) -> Array:
+        """Logits of one D x N sequence, or (B, C) logits of a (B, D, N) stack."""
+        return self._run(x, training, seed)[0]
 
-    def predict(self, x: Array) -> int:
-        return int(np.argmax(self.forward(x)))
+    def predict(self, x: Array):
+        """Class index of one sequence, or one per item of a stack."""
+        pred = np.argmax(self.forward(x), axis=-1)
+        return int(pred) if pred.ndim == 0 else pred
 
-    def loss(self, x: Array, label: int, training: bool = False, seed: int = 0) -> float:
+    def loss(self, x: Array, label, training: bool = False, seed=0):
         return cross_entropy(self.forward(x, training, seed), label)
 
-    def loss_and_grad(self, x: Array, label: int, training: bool = False,
-                      seed: int = 0) -> tuple[float, dict[str, Array]]:
-        """Loss plus one cotangent per registered parameter."""
+    def loss_and_grad(self, x: Array, label, training: bool = False,
+                      seed=0) -> tuple[float | Array, dict[str, Array]]:
+        """Loss plus one cotangent per registered parameter.
+
+        ``x`` is a (B, D, N) stack with B labels and, in training, B dropout
+        seeds (item b, head i draws its mask from ``seed[b] + i``).  It
+        returns the B per-item losses and each gradient summed over the
+        stack.  One D x N sequence with an int label and seed is the B=1
+        case and returns a float loss.
+        """
         cfg = self.config
         logits, cache = self._run(x, training, seed)
         loss = cross_entropy(logits, label)
@@ -353,14 +390,15 @@ class Model:
 
         if cfg.attention == "2da" and cfg.mode != "input":
             dphi, dw, daraw = attention.att_2da_vjp(cache["phi"], self._params_2da(),
-                                                    datt_out)
+                                                    datt_out, cache=cache["att"])
             grads["att.w"] = dw
             grads["att.alpha_raw"] = daraw
         elif cfg.attention in attention.VARIANTS:
+            # looked up at call time, so a patched VJP is the one that runs
             bwd = {"ctsa": attention.att_ctsa_vjp, "csa": attention.att_csa_vjp,
                    "tsa": attention.att_tsa_vjp}[cfg.attention]
             dphi, head_grads = bwd(cache["phi"], self._params_self(), datt_out,
-                                   training=training, seed=seed)
+                                   cache=cache["att"])
             for i, (dwq, dwk, da) in enumerate(head_grads):
                 grads[f"att.head{i}.wq"] = dwq
                 grads[f"att.head{i}.wk"] = dwk
@@ -370,19 +408,20 @@ class Model:
 
         dquant_in, dv, dwraw = nbof.quantize_vjp(
             (cache["quant_in"], self.params["codebook.v"], self.params["codebook.w_raw"]),
-            cache["phi"], dphi)
+            cache["phi"], dphi, cache=cache["quant"])
         grads["codebook.v"] = dv
         grads["codebook.w_raw"] = dwraw
 
         dh = dquant_in
         if cfg.attention == "2da" and cfg.mode == "input":
-            dh, dw, daraw = attention.att_2da_vjp(cache["ia_in"], self._params_2da(), dh)
+            dh, dw, daraw = attention.att_2da_vjp(cache["ia_in"], self._params_2da(), dh,
+                                                  cache=cache["att"])
             grads["att.w"] = dw
             grads["att.alpha_raw"] = daraw
         if cfg.frontend == "conv":
             _, dkernel, dbias = frontend_conv_vjp(
                 (cache["x"], self.params["frontend.kernel"], self.params["frontend.bias"]),
-                cache["conv_out"], dh)
+                cache["conv_out"], dh, cache=cache["conv"])
             grads["frontend.kernel"] = dkernel
             grads["frontend.bias"] = dbias
         return loss, grads
@@ -392,11 +431,10 @@ class Model:
         cfg = self.config
         if cfg.attention == "none":
             raise ConfigError("model has attention=none; no matrices to inspect")
-        _, cache = self._run(x, training=False, seed=0)
+        _, cache = self._run(numerics.as_matrix(x, "input"), training=False, seed=0)
         if cfg.attention == "2da":
-            operand = cache["ia_in"] if cfg.mode == "input" else cache["phi"]
-            return [attention.att_2da_matrix(operand, self._params_2da())]
-        return attention.head_matrices(cache["phi"], self._params_self(), cfg.attention)
+            return [cache["att"]["a"]]
+        return [head["a"] for head in cache["att"]["heads"]]
 
 
 def loss_op(model: Model, x: Array, label: int, training: bool = False,
@@ -441,24 +479,30 @@ def load_checkpoint(path: str) -> Model:
     _, header, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
         cfg = ModelConfig(**header["config"])
-        manifest = header["manifest"]
+        manifest = list(header["manifest"])
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint header ({exc})") from exc
     expected = param_shapes(cfg)
     params: dict[str, Array] = {}
-    for entry in manifest:
-        name = entry["name"]
-        shape = (entry["rows"], entry["cols"])
+    for i, entry in enumerate(manifest):
+        try:
+            name = str(entry["name"])
+            shape = (int(entry["rows"]), int(entry["cols"]))
+            off = int(entry["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"{path}: malformed manifest entry {i} ({exc!r})") from exc
         if name not in expected or expected[name] != shape:
             raise DataFormatError(
                 f"{path}: parameter {name!r} with shape {shape} does not match "
                 "the stored configuration")
         count = shape[0] * shape[1] * 8
-        off = entry["offset"]
         if off < 0 or off + count > len(payload):
             raise DataFormatError(f"{path}: parameter {name!r} extends past payload")
-        params[name] = np.frombuffer(payload[off:off + count],
-                                     dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(payload[off:off + count], dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"{path}: parameter {name!r} has non-finite values")
+        params[name] = arr
     missing = set(expected) - set(params)
     if missing:
         raise DataFormatError(f"{path}: missing parameters {sorted(missing)}")

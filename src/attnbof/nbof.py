@@ -58,50 +58,68 @@ class Codebook:
         return softplus(self.w_raw)
 
 
-def _weighted_distances(x: Array, v: Array, w: Array) -> tuple[Array, Array, Array]:
-    diff = x[None, :, :] - v[:, :, None]          # (K, D, N)
-    wd = diff * w[:, :, None]
-    dist = np.sqrt((wd * wd).sum(axis=1))         # (K, N)
-    return diff, wd, dist
+def _weighted_distances(x: Array, v: Array, w: Array) -> Array:
+    """||(x_n - v_k) * w_k||_2 for every codeword and column: (..., K, N).
+
+    Exact broadcast differences, built in one (..., K, D, N) temporary.
+    """
+    t = x[..., None, :, :] - v[:, :, None]
+    t *= w[:, :, None]
+    t *= t
+    return np.sqrt(t.sum(axis=-2))
 
 
-def quantize_raw(x: Array, v: Array, w_raw: Array) -> Array:
+def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) -> Array:
     """Per-column softmax memberships over codewords; see module docstring.
 
-    Differentiable in x, v and w_raw.  Columns of the result are points on
-    the K-simplex.  The per-column minimum distance is subtracted before
-    exponentiation, which is exact (softmax shift invariance) and prevents
-    underflow when all distances are large.
+    ``x`` is one D x N sequence or a (B, D, N) stack.  Differentiable in x, v
+    and w_raw.  Columns of the result are points on the K-simplex.  The
+    per-column minimum distance is subtracted before exponentiation, which is
+    exact (softmax shift invariance) and prevents underflow when all
+    distances are large.  A ``cache`` dict is filled with the distances and
+    shape weights that :func:`quantize_vjp` reuses.
     """
-    x = numerics.as_matrix(x, "quantize input")
+    x = numerics.as_stack(x, "quantize input")
     v = numerics.as_matrix(v, "codewords")
     w_raw = numerics.as_matrix(w_raw, "shape weights")
-    if x.shape[0] != v.shape[1] or v.shape != w_raw.shape:
+    if x.shape[-2] != v.shape[1] or v.shape != w_raw.shape:
         raise ShapeError(
             f"quantize: input {x.shape}, codewords {v.shape}, weights {w_raw.shape} "
             "do not conform")
-    _, _, dist = _weighted_distances(x, v, softplus(w_raw))
-    s = dist.min(axis=0, keepdims=True) - dist    # <= 0, max exactly 0
+    w = softplus(w_raw)
+    dist = _weighted_distances(x, v, w)
+    s = dist.min(axis=-2, keepdims=True) - dist   # <= 0, max exactly 0
     e = np.exp(s)
-    return e / e.sum(axis=0, keepdims=True)
+    if cache is not None:
+        cache.update(dist=dist, w=w)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
-def quantize_vjp(inputs, output, upstream):
+def quantize_vjp(inputs, output, upstream, cache: dict | None = None):
+    """Cotangents of (x, v, w_raw); those of v and w_raw sum over a stack.
+
+    With ``coef = -ds / dist`` (zero at the apex, where the distance is not
+    differentiable), every cotangent is a contraction of ``coef`` against x,
+    x^2, v and w^2, so no (K, D, N) difference tensor is rebuilt.
+    """
     x, v, w_raw = inputs
     phi = output
-    w = softplus(w_raw)
-    diff, wd, dist = _weighted_distances(x, v, w)
+    if cache is None:
+        cache = {}
+        quantize_raw(x, v, w_raw, cache=cache)
+    dist, w = cache["dist"], cache["w"]
     # softmax over the codeword axis, per column
-    ds = phi * (upstream - (upstream * phi).sum(axis=0, keepdims=True))
-    ddist = -ds
+    ds = phi * (upstream - (upstream * phi).sum(axis=-2, keepdims=True))
     safe = np.where(dist > 0.0, dist, 1.0)
-    coef = np.where(dist > 0.0, ddist / safe, 0.0)  # zero subgradient at the apex
-    dwd = coef[:, None, :] * wd                     # (K, D, N)
-    ddiff = dwd * w[:, :, None]
-    dw = (dwd * diff).sum(axis=2)
-    dx = ddiff.sum(axis=0)
-    dv = -ddiff.sum(axis=2)
-    dw_raw = dw * numerics._sigmoid_fwd(w_raw)      # softplus' = logistic
+    coef = np.where(dist > 0.0, -ds / safe, 0.0)      # (..., K, N)
+    w2 = w * w
+    dx = x * (w2.T @ coef) - (w2 * v).T @ coef
+    csum = coef.reshape(-1, *coef.shape[-2:]).sum(axis=(0, 2))[:, None]   # (K, 1)
+    cx = numerics.sum_tn(numerics.swap(coef), numerics.swap(x))             # (K, D)
+    cxx = numerics.sum_tn(numerics.swap(coef), numerics.swap(x * x))
+    dv = -w2 * (cx - v * csum)
+    dw = w * (cxx - 2.0 * v * cx + v * v * csum)
+    dw_raw = dw * numerics._sigmoid_fwd(w_raw)        # softplus' = logistic
     return dx, dv, dw_raw
 
 
@@ -118,11 +136,12 @@ def quantize(x: Array, cb: Codebook) -> Array:
 
 
 def aggregate(phi: Array) -> Array:
-    """Mean of the membership columns: a length-K histogram."""
-    phi = numerics.as_matrix(phi, "aggregate input")
-    if phi.shape[1] == 0:
+    """Mean of the membership columns: a length-K histogram (one per item of
+    a stack)."""
+    phi = numerics.as_stack(phi, "aggregate input")
+    if phi.shape[-1] == 0:
         raise ShapeError("aggregate: empty sequence (N=0)")
-    return numerics.mean_cols(phi)
+    return phi.mean(axis=-1)
 
 
 aggregate_vjp = numerics._mean_cols_vjp

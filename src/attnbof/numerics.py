@@ -1,6 +1,8 @@
 """Dense float64 matrix primitives with hand-written vector-Jacobian products.
 
 Matrices are 2-d ``numpy.ndarray`` of float64, row-major; vectors are 1-d.
+A stack of B equal-shape matrices is a 3-d (B, rows, cols) array; the model
+layers broadcast over that leading axis.
 Every operation is exposed as a :class:`DiffOp`: a forward function paired
 with a VJP that maps an upstream cotangent to one cotangent per input.  The
 model graph is fixed, so there is no tape; composite layers chain these VJPs
@@ -56,6 +58,29 @@ def as_matrix(a, name: str = "matrix") -> Array:
     if m.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-d matrix, got shape {m.shape}")
     return m
+
+
+def as_stack(a, name: str = "matrix") -> Array:
+    """A matrix or a (B, rows, cols) stack of matrices, as float64."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"{name}: expected a matrix or a stack of matrices, "
+                         f"got shape {m.shape}")
+    return m
+
+
+def swap(m: Array) -> Array:
+    """Transpose of every matrix in a stack (a view)."""
+    return m.swapaxes(-1, -2)
+
+
+def sum_tn(a: Array, b: Array) -> Array:
+    """``a_i^T @ b_i`` summed over a stack: (..., R, P), (..., R, Q) -> (P, Q).
+
+    One GEMM over the rows of the whole stack; for plain matrices it is
+    ``a.T @ b``.
+    """
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +183,8 @@ def _mean_cols_fwd(m: Array) -> Array:
 
 def _mean_cols_vjp(inputs, output, upstream):
     (m,) = inputs
-    n = m.shape[1]
-    return (np.repeat(upstream[:, None] / n, n, axis=1),)
+    n = m.shape[-1]
+    return (np.repeat(upstream[..., None] / n, n, axis=-1),)
 
 
 mean_cols = register(DiffOp(
@@ -188,17 +213,21 @@ relu = register(DiffOp("relu", _relu_fwd, _relu_vjp, sample_inputs=_relu_sample)
 
 
 def _affine_fwd(w: Array, y: Array, b: Array) -> Array:
+    """``w @ y + b`` for a vector ``y``, or row-wise for a (B, n) stack."""
     w = as_matrix(w, "affine weight")
     y, b = np.asarray(y, dtype=float), np.asarray(b, dtype=float)
-    if y.ndim != 1 or b.ndim != 1 or w.shape[1] != y.shape[0] or w.shape[0] != b.shape[0]:
+    if (y.ndim not in (1, 2) or b.ndim != 1 or w.shape[1] != y.shape[-1]
+            or w.shape[0] != b.shape[0]):
         raise ShapeError(
             f"affine: weight {w.shape}, input {y.shape}, bias {b.shape} do not conform")
-    return w @ y + b
+    return y @ w.T + b
 
 
 def _affine_vjp(inputs, output, upstream):
+    """Cotangents of a stacked input stay per row; ``w`` and ``b`` sum over rows."""
     w, y, b = inputs
-    return np.outer(upstream, y), w.T @ upstream, upstream.copy()
+    rows = np.atleast_2d(upstream)
+    return rows.T @ np.atleast_2d(y), upstream @ w, rows.sum(axis=0)
 
 
 affine = register(DiffOp(

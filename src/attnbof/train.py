@@ -242,7 +242,9 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
     """Train in place on ``train_set``; returns the per-epoch mean loss trace.
 
     The codebook is re-initialized from the training features so every fold
-    sees only its own split.
+    sees only its own split.  Each mini-batch runs as one stacked
+    ``loss_and_grad`` per sequence length it contains; every item's dropout
+    seed is drawn in batch order, as in a per-item loop.
     """
     cfg.validate()
     if len(train_set) == 0:
@@ -252,22 +254,27 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
                                         net.config.codewords, seed=seed))
     state = init_adam(net.params)
     n = len(train_set)
+    labels = train_set.labels()
+    lengths = np.array([x.shape[1] for x, _ in train_set.items])
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start:start + cfg.batch_size]
+            seeds = np.array([int(rng.integers(2 ** 31)) for _ in batch])
             sums = {k: np.zeros_like(p) for k, p in net.params.items()}
-            for idx in batch:
-                x, label = train_set.items[idx]
-                drop_seed = int(rng.integers(2 ** 31))
-                loss, grads = net.loss_and_grad(x, label, training=True,
-                                                seed=drop_seed)
-                if not np.isfinite(loss):
+            # one stack per sequence length, in order of first appearance
+            for length in dict.fromkeys(lengths[batch]):
+                sub = lengths[batch] == length
+                xs = np.stack([train_set.items[i][0] for i in batch[sub]])
+                losses, grads = net.loss_and_grad(xs, labels[batch[sub]], training=True,
+                                                  seed=seeds[sub])
+                if not np.all(np.isfinite(losses)):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}")
-                epoch_loss += loss
+                for loss in losses:  # item by item, as the per-item loop summed
+                    epoch_loss += float(loss)
                 for k, g in grads.items():
                     sums[k] += g
             scale = 1.0 / len(batch)

@@ -5,9 +5,11 @@ import pytest
 
 from attnbof import attention
 from attnbof.cli import main, parse_config
-from attnbof.data import gen_order_task, save_features
+from attnbof.data import FEATURES_MAGIC, FEATURES_VERSION, gen_order_task, save_features
 from attnbof.errors import ConfigError
-from attnbof.model import Model, ModelConfig, save_checkpoint
+from attnbof.io_container import read_container, write_container
+from attnbof.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model, ModelConfig,
+                           save_checkpoint)
 
 
 def write(path, text):
@@ -222,3 +224,75 @@ def test_inspect_attention_rejects_plain_model(tmp_path, order_file, capsys):
                  "--out", str(tmp_path / "mats")])
     assert code == 2
     assert "attention=none" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed but CRC-valid files
+
+
+def rewrite(path, magic, version, edit_header=None, payload=None):
+    """Rewrite a container with an edited header and/or payload; the CRC is
+    recomputed, so only the content checks can reject it."""
+    _, header, old_payload = read_container(path, magic, version)
+    if edit_header is not None:
+        edit_header(header)
+    write_container(path, magic, version, header,
+                    old_payload if payload is None else payload)
+
+
+def assert_clean_exit_two(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("field", ["offset", "rows", "label"])
+def test_eval_rejects_feature_manifest_entry_without_field(
+        tmp_path, order_file, capsys, field):
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION,
+            lambda h: h["items"][3].pop(field))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "manifest entry 3" in err
+
+
+def test_eval_rejects_feature_manifest_with_bad_types(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION,
+            lambda h: h["items"][0].update(offset="zero"))
+    assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION,
+            lambda h: h.update(items=7))
+    assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
+
+
+@pytest.mark.parametrize("field", ["name", "rows", "offset"])
+def test_eval_rejects_checkpoint_manifest_entry_without_field(
+        tmp_path, order_file, capsys, field):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["manifest"][1].pop(field))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "manifest entry 1" in err
+
+
+def test_eval_rejects_checkpoint_manifest_with_bad_types(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["manifest"][0].update(rows=None))
+    assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
+
+
+def test_eval_rejects_non_finite_checkpoint(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    _, _, payload = read_container(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    nan_payload = np.full(len(payload) // 8, np.nan).astype("<f8").tobytes()
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, payload=nan_payload)
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "non-finite" in err
+    assert capsys.readouterr().out == ""

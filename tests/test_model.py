@@ -264,6 +264,27 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_save_ignores_stale_tmp_directory(tmp_path):
+    net = desk_model()
+    path = tmp_path / "model.nbaf"
+    stale = tmp_path / "model.nbaf.tmp"
+    stale.mkdir()
+    (stale / "keep").write_text("untouched")
+    save_checkpoint(net, str(path))
+    loaded = load_checkpoint(str(path))
+    assert all(np.array_equal(loaded.params[k], net.params[k]) for k in net.params)
+    assert (stale / "keep").read_text() == "untouched"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.nbaf", "model.nbaf.tmp"]
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        save_checkpoint(desk_model(), str(target))
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_param_shapes_cover_every_variant():
     for kwargs in (dict(attention="none"), dict(attention="2da", mode="temporal"),
                    dict(attention="2da", mode="codeword"),
