@@ -216,26 +216,17 @@ def _check_head_shapes(variant: str, phi: Array, head: AttentionHead, d: int) ->
             f"phi {phi.shape} with latent dim {d} needs wq {want_q} / wk {want_k}")
 
 
-def _flat_softmax(z: Array) -> Array:
-    e = np.exp(z - z.max(axis=(-2, -1), keepdims=True))
-    return e / e.sum(axis=(-2, -1), keepdims=True)
-
-
-_ACTIVATIONS = {"sigmoid": numerics.sigmoid, "softmax": numerics.softmax_rows,
-                "flat_softmax": _flat_softmax}
-
-
 def _operand(variant: str, phi: Array) -> Array:
     return swap(phi) if variant == "tsa" else phi
 
 
 def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: bool,
-                    seed, cache: dict | None, activation: str) -> Array:
+                    seed, cache: dict | None) -> Array:
     phi = numerics.as_stack(phi, f"{variant} input")
     d = p.latent_dim
     m = _operand(variant, phi)
     mk = swap(m) if variant == "ctsa" else m
-    act = _ACTIVATIONS[activation]
+    act = numerics.sigmoid if variant == "ctsa" else numerics.softmax_rows
     outs, heads = [], []
     for i, head in enumerate(p.heads):
         _check_head_shapes(variant, phi, head, d)
@@ -249,7 +240,7 @@ def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: 
         heads.append({"q": q, "k": k, "a": a, "a_used": a_used, "mask": mask,
                       "mixed": mixed, "alpha": alpha})
     if cache is not None:
-        cache.update(heads=heads, activation=activation)
+        cache.update(heads=heads)
     return np.concatenate(outs, axis=-2)
 
 
@@ -259,7 +250,6 @@ def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
     kdim = phi.shape[-2]
     m = _operand(variant, phi)
     mk = swap(m) if variant == "ctsa" else m
-    activation = cache["activation"]
     dm = np.zeros_like(m)
     head_grads: HeadGrads = []
     for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
@@ -275,12 +265,10 @@ def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
             da = (1.0 - alpha) * (g @ swap(m))
         if c["mask"] is not None:
             da = da * c["mask"]
-        if activation == "sigmoid":
+        if variant == "ctsa":
             dz = da * a * (1.0 - a)
-        elif activation == "softmax":
-            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
         else:
-            dz = a * (da - (da * a).sum(axis=(-2, -1), keepdims=True))
+            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
         dq = (dz @ k) / math.sqrt(d)
         dk = (swap(dz) @ q) / math.sqrt(d)
         dm += dq @ head.wq
@@ -291,51 +279,47 @@ def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
     return _operand(variant, dm), head_grads
 
 
-def _vjp_with_cache(variant, phi, p, upstream, training, seed, cache, activation):
+def _vjp_with_cache(variant, phi, p, upstream, training, seed, cache):
     if cache is None:
         cache = {}
-        _self_attention(variant, phi, p, training, seed, cache, activation)
+        _self_attention(variant, phi, p, training, seed, cache)
     return _self_attention_vjp(variant, numerics.as_stack(phi), p, upstream, cache)
 
 
 def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,
-             seed=0, activation: str = "sigmoid", cache: dict | None = None) -> Array:
-    """Joint codeword-temporal mask, applied elementwise per head.
-
-    ``activation`` is ``"sigmoid"``; ``"flat_softmax"`` (normalizing over all
-    K*N entries at once) exists for comparison tests only.
-    """
-    return _self_attention("ctsa", phi, p, training, seed, cache, activation)
+             seed=0, cache: dict | None = None) -> Array:
+    """Joint codeword-temporal sigmoid mask, applied elementwise per head."""
+    return _self_attention("ctsa", phi, p, training, seed, cache)
 
 
 def att_ctsa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                 training: bool = False, seed=0, activation: str = "sigmoid",
+                 training: bool = False, seed=0,
                  cache: dict | None = None) -> tuple[Array, HeadGrads]:
-    return _vjp_with_cache("ctsa", phi, p, upstream, training, seed, cache, activation)
+    return _vjp_with_cache("ctsa", phi, p, upstream, training, seed, cache)
 
 
 def att_csa(phi: Array, p: SelfAttentionParams, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Codeword-to-codeword attention in a learned latent space."""
-    return _self_attention("csa", phi, p, training, seed, cache, "softmax")
+    return _self_attention("csa", phi, p, training, seed, cache)
 
 
 def att_csa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
                 training: bool = False, seed=0,
                 cache: dict | None = None) -> tuple[Array, HeadGrads]:
-    return _vjp_with_cache("csa", phi, p, upstream, training, seed, cache, "softmax")
+    return _vjp_with_cache("csa", phi, p, upstream, training, seed, cache)
 
 
 def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Timestamp-to-timestamp attention, computed on the transpose."""
-    return _self_attention("tsa", phi, p, training, seed, cache, "softmax")
+    return _self_attention("tsa", phi, p, training, seed, cache)
 
 
 def att_tsa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
                 training: bool = False, seed=0,
                 cache: dict | None = None) -> tuple[Array, HeadGrads]:
-    return _vjp_with_cache("tsa", phi, p, upstream, training, seed, cache, "softmax")
+    return _vjp_with_cache("tsa", phi, p, upstream, training, seed, cache)
 
 
 def head_matrices(phi: Array, p: SelfAttentionParams, variant: str) -> list[Array]:

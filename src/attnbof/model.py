@@ -10,6 +10,7 @@ Gradients are chained by hand through the per-layer VJPs; there is no tape.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -475,6 +476,20 @@ def save_checkpoint(model: Model, path: str) -> None:
     write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, b"".join(chunks))
 
 
+def _mistyped_fields(cfg: ModelConfig) -> list[str]:
+    """Fields of a config read from JSON whose value is not of the declared
+    type; an int stands for a float, a bool for no number."""
+    bad = []
+    for name, declared in get_type_hints(ModelConfig).items():
+        value = getattr(cfg, name)
+        allowed = get_args(declared) or (declared,)
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            bad.append(name)
+    return bad
+
+
 def load_checkpoint(path: str) -> Model:
     _, header, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
@@ -482,6 +497,9 @@ def load_checkpoint(path: str) -> Model:
         manifest = list(header["manifest"])
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint header ({exc})") from exc
+    bad = _mistyped_fields(cfg)
+    if bad:
+        raise DataFormatError(f"{path}: checkpoint config has mistyped fields {bad}")
     expected = param_shapes(cfg)
     params: dict[str, Array] = {}
     for i, entry in enumerate(manifest):

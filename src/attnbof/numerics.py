@@ -87,24 +87,6 @@ def sum_tn(a: Array, b: Array) -> Array:
 # elementary ops
 
 
-def _matmul_fwd(a: Array, b: Array) -> Array:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} does not conform with {b.shape}")
-    return a @ b
-
-
-def _matmul_vjp(inputs, output, upstream):
-    a, b = inputs
-    return upstream @ b.T, a.T @ upstream
-
-
-matmul = register(DiffOp(
-    "matmul", _matmul_fwd, _matmul_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((4, 6)), rng.standard_normal((6, 3))],
-))
-
-
 def _softmax_rows_fwd(m: Array) -> Array:
     m = np.asarray(m, dtype=float)
     # max subtraction keeps exp in range for entries anywhere in [-700, 700]
@@ -142,38 +124,6 @@ sigmoid = register(DiffOp(
 ))
 
 
-def _transpose_fwd(m: Array) -> Array:
-    return np.asarray(m, dtype=float).T
-
-
-def _transpose_vjp(inputs, output, upstream):
-    return (upstream.T,)
-
-
-transpose = register(DiffOp(
-    "transpose", _transpose_fwd, _transpose_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((3, 7))],
-))
-
-
-def _hadamard_fwd(a: Array, b: Array) -> Array:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes {a.shape} and {b.shape} differ")
-    return a * b
-
-
-def _hadamard_vjp(inputs, output, upstream):
-    a, b = inputs
-    return upstream * b, upstream * a
-
-
-hadamard = register(DiffOp(
-    "hadamard", _hadamard_fwd, _hadamard_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((4, 4)), rng.standard_normal((4, 4))],
-))
-
-
 def _mean_cols_fwd(m: Array) -> Array:
     m = as_matrix(m, "mean_cols")
     if m.shape[1] == 0:
@@ -191,25 +141,6 @@ mean_cols = register(DiffOp(
     "mean_cols", _mean_cols_fwd, _mean_cols_vjp,
     sample_inputs=lambda rng: [rng.standard_normal((5, 4))],
 ))
-
-
-def _relu_fwd(m: Array) -> Array:
-    return np.maximum(np.asarray(m, dtype=float), 0.0)
-
-
-def _relu_vjp(inputs, output, upstream):
-    (m,) = inputs
-    return (upstream * (m > 0.0),)
-
-
-def _relu_sample(rng: np.random.Generator) -> list[Array]:
-    # keep entries away from the kink so finite differences stay clean
-    m = rng.standard_normal((4, 5))
-    m[np.abs(m) < 1e-2] += 0.5
-    return [m]
-
-
-relu = register(DiffOp("relu", _relu_fwd, _relu_vjp, sample_inputs=_relu_sample))
 
 
 def _affine_fwd(w: Array, y: Array, b: Array) -> Array:

@@ -16,7 +16,7 @@ import numpy as np
 from . import nbof
 from .data import LabeledSequenceSet
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .model import Model
+from .model import Model, frontend_conv
 from .numerics import Array
 
 
@@ -178,8 +178,29 @@ def macro_f1(preds, labels) -> float:
     return float(np.mean(scores))
 
 
+# evaluate stacks items until their (B, K, N) memberships reach this many
+# entries (64 KiB of float64): short sequences run in stacks (17 at K=16,
+# N=30) and long ones alone (K=64, N=256).  Larger stacks were no faster at
+# K=16, N=30, slower at K=64, N=256 (their temporaries are paged in afresh
+# on every call), and they raise peak memory.
+_EVAL_STACK_ELEMENTS = 1 << 13
+
+
 def evaluate(net: Model, dataset: LabeledSequenceSet) -> tuple[float, float]:
-    preds = [net.predict(x) for x, _ in dataset.items]
+    """Accuracy and macro-F1 of ``net`` on ``dataset``.
+
+    Items of one sequence length are predicted in stacked ``predict`` calls
+    of at most ``_EVAL_STACK_ELEMENTS`` memberships each, in dataset order.
+    """
+    items = dataset.items
+    lengths = np.array([x.shape[1] for x, _ in items])
+    preds = np.zeros(len(items), dtype=int)
+    for length in dict.fromkeys(lengths.tolist()):
+        idx = np.flatnonzero(lengths == length)
+        step = max(1, _EVAL_STACK_ELEMENTS // (net.config.codewords * length))
+        for start in range(0, len(idx), step):
+            chunk = idx[start:start + step]
+            preds[chunk] = net.predict(np.stack([items[i][0] for i in chunk]))
     labels = dataset.labels()
     return accuracy(preds, labels), macro_f1(preds, labels)
 
@@ -242,16 +263,20 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
     """Train in place on ``train_set``; returns the per-epoch mean loss trace.
 
     The codebook is re-initialized from the training features so every fold
-    sees only its own split.  Each mini-batch runs as one stacked
-    ``loss_and_grad`` per sequence length it contains; every item's dropout
-    seed is drawn in batch order, as in a per-item loop.
+    sees only its own split; with a conv frontend, from what the quantizer
+    sees, the features of the initial kernel.  Each mini-batch runs as one
+    stacked ``loss_and_grad`` per sequence length it contains; every item's
+    dropout seed is drawn in batch order, as in a per-item loop.
     """
     cfg.validate()
     if len(train_set) == 0:
         raise ValueError("fit: empty training set")
     rng = np.random.default_rng(seed)
-    net.set_codebook(nbof.init_codebook([x for x, _ in train_set.items],
-                                        net.config.codewords, seed=seed))
+    features = [x for x, _ in train_set.items]
+    if net.config.frontend == "conv":
+        kernel, bias = net.params["frontend.kernel"], net.params["frontend.bias"]
+        features = [frontend_conv(x, kernel, bias) for x in features]
+    net.set_codebook(nbof.init_codebook(features, net.config.codewords, seed=seed))
     state = init_adam(net.params)
     n = len(train_set)
     labels = train_set.labels()

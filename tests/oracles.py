@@ -44,19 +44,29 @@ def loop_mean_cols(m):
     return out
 
 
-def loop_quantize(x, v, w):
-    """Membership of each column over codewords; ``w`` is the effective
+def loop_distances(x, v, w):
+    """K x N matrix of ||(x_n - v_k) * w_k||_2; ``w`` is the effective
     (already positive) shape weight."""
     dim, length = x.shape
     k = v.shape[0]
     out = np.zeros((k, length))
     for n in range(length):
-        dists = []
         for c in range(k):
             acc = 0.0
             for i in range(dim):
                 acc += ((x[i, n] - v[c, i]) * w[c, i]) ** 2
-            dists.append(math.sqrt(acc))
+            out[c, n] = math.sqrt(acc)
+    return out
+
+
+def loop_quantize(x, v, w):
+    """Membership of each column over codewords; ``w`` is the effective
+    (already positive) shape weight."""
+    k, length = v.shape[0], x.shape[1]
+    dist = loop_distances(x, v, w)
+    out = np.zeros((k, length))
+    for n in range(length):
+        dists = [dist[c, n] for c in range(k)]
         weights = [math.exp(-d) for d in dists]
         total = sum(weights)
         for c in range(k):
@@ -88,15 +98,31 @@ def _loop_sigmoid(z):
     return out
 
 
-def loop_ctsa(phi, heads, d):
-    """heads: list of (wq, wk, alpha) with wq (d, N) and wk (d, K)."""
+def loop_flat_softmax(z):
+    """Softmax over all entries of a matrix at once: a ctsa mask under which
+    codewords and timestamps compete jointly, for comparison with the
+    sigmoid mask."""
+    rows, cols = z.shape
+    biggest = max(z[i, j] for i in range(rows) for j in range(cols))
+    out = np.zeros_like(z)
+    total = 0.0
+    for i in range(rows):
+        for j in range(cols):
+            out[i, j] = math.exp(z[i, j] - biggest)
+            total += out[i, j]
+    return out / total
+
+
+def loop_ctsa(phi, heads, d, squash=_loop_sigmoid):
+    """heads: list of (wq, wk, alpha) with wq (d, N) and wk (d, K); ``squash``
+    maps the scaled scores to the mask."""
     k, n = phi.shape
     pieces = []
     for wq, wk, alpha in heads:
         q = loop_matmul(phi, wq.T)          # (K, d)
         key = loop_matmul(phi.T, wk.T)      # (N, d)
         z = loop_matmul(q, key.T) / math.sqrt(d)
-        a = _loop_sigmoid(z)
+        a = squash(z)
         out = np.zeros((k, n))
         for i in range(k):
             for j in range(n):

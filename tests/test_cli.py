@@ -296,3 +296,15 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, order_file, capsys):
                                          "--data", order_file])
     assert "non-finite" in err
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("field,value", [("heads", "1"), ("codewords", 4.0),
+                                         ("dropout_rate", True), ("seq_len", "6")])
+def test_eval_rejects_checkpoint_config_with_wrong_types(
+        tmp_path, order_file, capsys, field, value):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["config"].update({field: value}))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert field in err

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from attnbof.errors import ShapeError
 from attnbof.nbof import (Codebook, W_RAW_UNIT, aggregate, init_codebook,
-                          quantize, quantize_op, quantize_raw)
-from attnbof.numerics import grad_check
+                          quantize, quantize_op, quantize_raw, quantize_vjp)
+from attnbof.numerics import grad_check, softplus
 
-from .oracles import loop_mean_cols, loop_quantize
+from .oracles import loop_distances, loop_mean_cols, loop_quantize
 
 
 def unit_weights(v):
@@ -46,6 +46,46 @@ def test_quantize_matches_loop_oracle():
     w = np.logaddexp(0.0, w_raw)
     assert np.allclose(quantize_raw(x, v, w_raw), loop_quantize(x, v, w),
                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_gemm_distances_match_loop_oracle(batch):
+    rng = np.random.default_rng(22)
+    shape = (5, 9) if batch is None else (batch, 5, 9)
+    x = rng.standard_normal(shape) * 2.0 + 3.0   # an offset the expansion must absorb
+    items = x if batch is not None else x[None]
+    v = rng.standard_normal((7, 5)) + 3.0
+    v[0] = items[-1][:, 2] + 1e-9                 # nearly on a data column
+    w_raw = rng.standard_normal((7, 5))
+    w = softplus(w_raw)
+    cache = {}
+    phi = quantize_raw(x, v, w_raw, cache=cache)
+    dist = cache["dist"] if batch is not None else cache["dist"][None]
+    phis = phi if batch is not None else phi[None]
+    for b, xb in enumerate(items):
+        assert np.max(np.abs(dist[b] - loop_distances(xb, v, w))) <= 1e-12
+        assert np.max(np.abs(phis[b] - loop_quantize(xb, v, w))) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_codewords_on_data_columns_are_at_distance_zero(batch):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((3, 5) if batch is None else (batch, 3, 5)) + 4.0
+    items = x if batch is not None else x[None]
+    picks = [(b, n) for b in range(len(items)) for n in (0, 2, 4)]
+    v = np.array([items[b][:, n] for b, n in picks])
+    w_raw = rng.standard_normal(v.shape)
+    cache = {}
+    phi = quantize_raw(x, v, w_raw, cache=cache)
+    dist = cache["dist"] if batch is not None else cache["dist"][None]
+    for k, (b, n) in enumerate(picks):
+        assert dist[b, k, n] == 0.0
+    assert np.count_nonzero(dist) == dist.size - len(picks)
+    grads = quantize_vjp((x, v, w_raw), phi, rng.standard_normal(phi.shape), cache=cache)
+    assert all(np.all(np.isfinite(g)) for g in grads)
+    if batch is None:
+        report = grad_check(quantize_op, [x, v, w_raw])
+        assert report.finite and report.max_rel_err <= 1e-4
 
 
 def test_quantize_dimension_mismatch():

@@ -5,9 +5,12 @@ import pytest
 
 from attnbof.data import LabeledSequenceSet, gen_noisy_timestamps, gen_order_task
 from attnbof.errors import ConfigError, TrainingDiverged
-from attnbof.model import Model, ModelConfig
+from attnbof.model import Model, ModelConfig, frontend_conv
+from attnbof.nbof import init_codebook
 from attnbof.train import (TrainConfig, accuracy, adam_step, evaluate,
                            fit, holdout_split, init_adam, kfold, macro_f1, train)
+
+from .test_batched import ragged_set
 
 
 def make_cfg(**overrides):
@@ -176,6 +179,51 @@ def test_training_learns_separable_toy():
     acc, f1 = evaluate(net, ds)
     assert acc >= 0.99
     assert f1 >= 0.99
+
+
+def test_fit_conv_frontend_with_other_channel_count():
+    ds = separable_toy(count=12)
+    cfg = ModelConfig(feature_dim=4, classes=3, codewords=5, frontend="conv",
+                      conv_channels=6, seed=0)
+    net = Model.build(cfg)
+    kernel, bias = net.params["frontend.kernel"].copy(), net.params["frontend.bias"].copy()
+    trace = fit(net, ds, make_cfg(epochs=1, batch_size=4), seed=0)
+    assert len(trace) == 1 and np.isfinite(trace[0])
+    # the codewords are drawn from the initial kernel's features
+    features = np.concatenate([frontend_conv(x, kernel, bias) for x, _ in ds.items], axis=1)
+    start = init_codebook([features], 5, seed=0).v
+    assert start.shape == net.params["codebook.v"].shape == (5, 6)
+    assert np.max(np.abs(start - net.params["codebook.v"])) < 0.1
+
+
+def long_toy():
+    """K * N = 64 * 300 memberships per item, more than one stack may hold."""
+    rng = np.random.default_rng(7)
+    items = [(rng.standard_normal((2, 300)) + 2.0 * (i % 3), i % 3) for i in range(5)]
+    return LabeledSequenceSet(items=items, classes=3, feature_dim=2)
+
+
+@pytest.mark.parametrize("model_kwargs,make_set,stacks", [
+    (dict(feature_dim=4, codewords=6, attention="csa", latent_dim=4, seq_len=6,
+          heads=2), lambda: separable_toy(count=36), [36]),
+    (dict(feature_dim=4, codewords=6, attention="tsa", latent_dim=4), ragged_set,
+     [10, 10, 10]),
+    (dict(feature_dim=2, codewords=64), long_toy, [1] * 5),
+], ids=["equal-length", "ragged", "over-budget"])
+def test_stacked_evaluate_matches_predict_loop(model_kwargs, make_set, stacks,
+                                               monkeypatch):
+    net = Model.build(ModelConfig(classes=3, seed=4, **model_kwargs))
+    ds = make_set()
+    net.set_codebook(init_codebook([x for x, _ in ds.items], net.config.codewords, 4))
+    # label each item with its own per-item prediction: evaluate must score 1
+    relabeled = LabeledSequenceSet(items=[(x, net.predict(x)) for x, _ in ds.items],
+                                   classes=3, feature_dim=ds.feature_dim)
+    assert len(set(relabeled.labels().tolist())) > 1
+    sizes = []
+    predict = net.predict
+    monkeypatch.setattr(net, "predict", lambda xs: sizes.append(len(xs)) or predict(xs))
+    assert evaluate(net, relabeled) == (1.0, 1.0)
+    assert sizes == stacks
 
 
 def test_train_runs_are_bitwise_reproducible():
