@@ -7,10 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attnbof import numerics
+from attnbof.model import frontend_conv
 from attnbof.numerics import (REGISTRY, affine, grad_check, mean_cols, sigmoid,
                               softmax_rows)
 
-from .oracles import loop_mean_cols, loop_softmax_rows
+from .oracles import loop_matmul, loop_mean_cols, loop_softmax_rows
+
+
+def test_matmul_matches_loop_oracle():
+    # the model's GEMMs that sum over a stack go through sum_tn: a^T @ b
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        rows, inner, cols = rng.integers(1, 17, size=3)
+        a = rng.standard_normal((rows, inner))
+        b = rng.standard_normal((inner, cols))
+        assert np.allclose(numerics.sum_tn(a.T, b), loop_matmul(a, b), rtol=0, atol=1e-12)
+        halves = numerics.sum_tn(np.stack([a.T, a.T]), np.stack([b, -b]))
+        assert np.allclose(halves, 0.0, rtol=0, atol=1e-12)
 
 
 def test_softmax_uniform_row():
@@ -58,6 +71,12 @@ def test_mean_cols_hand_value():
 def test_mean_cols_matches_loop_oracle():
     m = np.random.default_rng(5).standard_normal((7, 9))
     assert np.allclose(mean_cols(m), loop_mean_cols(m), atol=1e-14)
+
+
+def test_relu_clamps_negative():
+    # the conv frontend rectifies inline; a width-1 identity kernel exposes it
+    out = frontend_conv(np.array([[-1.0, 2.0]]), np.eye(1), np.zeros((1, 1)))
+    assert np.array_equal(out, [[0.0, 2.0]])
 
 
 def test_affine_hand_value():
