@@ -3,48 +3,42 @@ variants against the plain bag-of-features baseline.
 
 Only 10% of the columns carry the class prototype; the rest are Gaussian
 noise, so suppressing irrelevant timestamps or codewords pays off directly.
+
+Data and hyperparameters come from configs/gen-noisy.conf and
+configs/denoise-tsa.conf, read as ``attnbof gen`` and ``attnbof train`` read
+them; only the attention variant (and the epoch count, with --epochs) is
+overridden.
 """
 
 import argparse
 import time
+from pathlib import Path
 
-from attnbof.data import gen_noisy_timestamps
-from attnbof.model import Model, ModelConfig
-from attnbof.train import TrainConfig, train
+from attnbof.cli import generate, model_config, parse_config, train_config
+from attnbof.model import Model
+from attnbof.train import train
 
-
-def denoising_dataset(seed: int = 7):
-    return gen_noisy_timestamps(classes=3, feature_dim=8, length=30,
-                                signal_fraction=0.1, snr=2.0, count=600,
-                                seed=seed)
-
-
-def denoising_model_config(attention: str, seed: int = 0) -> ModelConfig:
-    heads = 2 if attention != "none" else 1
-    return ModelConfig(feature_dim=8, classes=3, codewords=16,
-                       attention=attention, latent_dim=8, heads=heads,
-                       seq_len=30, seed=seed)
-
-
-def denoising_train_config(seed: int = 0, epochs: int = 25) -> TrainConfig:
-    return TrainConfig(epochs=epochs, batch_size=16, learning_rate=0.005,
-                       folds=5, seed=seed)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--epochs", type=int, default=25)
+    parser.add_argument("--epochs", type=int, default=None,
+                        help="override the config's epoch count")
     args = parser.parse_args()
 
-    dataset = denoising_dataset(args.seed)
+    gen = parse_config(str(CONFIGS / "gen-noisy.conf"))
+    dataset = generate(gen, gen["seed"])
     print(f"dataset: {len(dataset)} items, checksum {dataset.checksum()}")
+    conf = parse_config(str(CONFIGS / "denoise-tsa.conf"))
+    if args.epochs is not None:
+        conf["epochs"] = args.epochs
     results = {}
     for attention in ("none", "tsa", "ctsa", "csa"):
+        run = {**conf, "attention": attention}
         t0 = time.perf_counter()
-        net = Model.build(denoising_model_config(attention, seed=args.seed))
-        _, report = train(net, dataset,
-                          denoising_train_config(seed=args.seed, epochs=args.epochs))
+        net = Model.build(model_config(run, dataset, run["seed"]))
+        _, report = train(net, dataset, train_config(run, run["seed"]))
         dt = time.perf_counter() - t0
         results[attention] = report.accuracy_mean
         print(f"{attention:5s}  acc {100 * report.accuracy_mean:.2f} + "

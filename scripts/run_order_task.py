@@ -4,40 +4,41 @@ The two classes share identical column multisets and differ only in block
 order, so any pipeline that is invariant to timestamp permutation is stuck at
 accuracy 1/2 by construction.  The learned-mask temporal attention sees
 positions through its N x N weight and can separate the classes.
+
+Data and hyperparameters come from configs/gen-order.conf and
+configs/order-2da.conf, read as ``attnbof gen`` and ``attnbof train`` read
+them; only the attention variant (and the epoch count, with --epochs) is
+overridden.
 """
 
 import argparse
 import time
+from pathlib import Path
 
-from attnbof.data import gen_order_task
-from attnbof.model import Model, ModelConfig
-from attnbof.train import TrainConfig, train
+from attnbof.cli import generate, model_config, parse_config, train_config
+from attnbof.model import Model
+from attnbof.train import train
 
-
-def order_model_config(attention: str, seed: int = 0) -> ModelConfig:
-    return ModelConfig(feature_dim=4, classes=2, codewords=16,
-                       attention=attention, mode="temporal", latent_dim=8,
-                       heads=1, seq_len=20, seed=seed)
-
-
-def order_train_config(seed: int = 0, epochs: int = 40) -> TrainConfig:
-    return TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.01,
-                       holdout_fraction=0.2, seed=seed)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--epochs", type=int, default=40)
+    parser.add_argument("--epochs", type=int, default=None,
+                        help="override the config's epoch count")
     args = parser.parse_args()
 
-    dataset = gen_order_task(feature_dim=4, length=20, count=400, seed=args.seed)
+    gen = parse_config(str(CONFIGS / "gen-order.conf"))
+    dataset = generate(gen, gen["seed"])
     print(f"dataset: {len(dataset)} items, checksum {dataset.checksum()}")
+    conf = parse_config(str(CONFIGS / "order-2da.conf"))
+    if args.epochs is not None:
+        conf["epochs"] = args.epochs
     for attention in ("none", "tsa", "2da"):
+        run = {**conf, "attention": attention}
         t0 = time.perf_counter()
-        net = Model.build(order_model_config(attention, seed=args.seed))
-        _, report = train(net, dataset,
-                          order_train_config(seed=args.seed, epochs=args.epochs))
+        net = Model.build(model_config(run, dataset, run["seed"]))
+        _, report = train(net, dataset, train_config(run, run["seed"]))
         dt = time.perf_counter() - t0
         fold = report.folds[0]
         print(f"{attention:5s}  test acc {fold.accuracy:.3f}  "

@@ -183,7 +183,7 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
     dalpha = float(np.sum(g * (m * a - m)))
     da = alpha * g * m
     dm = alpha * g * a + (1.0 - alpha) * g
-    dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
+    dz = numerics._softmax_rows_vjp(None, a, da)[0]
     dm += dz @ w.T
     dw = numerics.sum_tn(m, dz)
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
@@ -206,10 +206,14 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
 HeadGrads = list[tuple[Array, Array, Array]]
 
 
+def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
+    """Column counts of a head's (wq, wk) for K codewords and N timestamps."""
+    return {"ctsa": (n, k), "csa": (n, n), "tsa": (k, k)}[variant]
+
+
 def _check_head_shapes(variant: str, phi: Array, head: AttentionHead, d: int) -> None:
-    k, n = phi.shape[-2:]
-    want_q = {"ctsa": (d, n), "csa": (d, n), "tsa": (d, k)}[variant]
-    want_k = {"ctsa": (d, k), "csa": (d, n), "tsa": (d, k)}[variant]
+    q_cols, k_cols = projection_widths(variant, *phi.shape[-2:])
+    want_q, want_k = (d, q_cols), (d, k_cols)
     if head.wq.shape != want_q or head.wk.shape != want_k:
         raise ShapeError(
             f"{variant}: head projections are wq {head.wq.shape} / wk {head.wk.shape}; "
@@ -250,6 +254,7 @@ def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
     kdim = phi.shape[-2]
     m = _operand(variant, phi)
     mk = swap(m) if variant == "ctsa" else m
+    act_vjp = numerics._sigmoid_vjp if variant == "ctsa" else numerics._softmax_rows_vjp
     dm = np.zeros_like(m)
     head_grads: HeadGrads = []
     for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
@@ -265,10 +270,7 @@ def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
             da = (1.0 - alpha) * (g @ swap(m))
         if c["mask"] is not None:
             da = da * c["mask"]
-        if variant == "ctsa":
-            dz = da * a * (1.0 - a)
-        else:
-            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        dz = act_vjp(None, a, da)[0]
         dq = (dz @ k) / math.sqrt(d)
         dk = (swap(dz) @ q) / math.sqrt(d)
         dm += dq @ head.wq
@@ -366,8 +368,7 @@ def make_self_attention_op(variant: str, heads: int, latent_dim: int,
         return tuple(flat)
 
     def sample(rng: np.random.Generator) -> list[Array]:
-        q_cols = {"ctsa": n, "csa": n, "tsa": k}[variant]
-        k_cols = {"ctsa": k, "csa": n, "tsa": k}[variant]
+        q_cols, k_cols = projection_widths(variant, k, n)
         arrs = [rng.standard_normal((k, n))]
         for _ in range(heads):
             # fan-in scaling keeps attention logits O(1); saturated softmax

@@ -21,24 +21,16 @@ from . import model as model_mod
 from . import numerics
 from . import train as train_mod
 from .errors import ConfigError, DataFormatError, TrainingDiverged
+from .io_container import field_types
 
 GRAD_TOLERANCE = 1e-4
 
-_SCHEMA: dict[str, type] = {
-    # model
-    "feature_dim": int, "classes": int, "codewords": int, "attention": str,
-    "mode": str, "latent_dim": int, "heads": int, "dropout_rate": float,
-    "frontend": str, "conv_width": int, "conv_channels": int, "seq_len": int,
-    # training
-    "epochs": int, "batch_size": int, "learning_rate": float,
-    "adam_beta1": float, "adam_beta2": float, "adam_eps": float,
-    "folds": int, "holdout_fraction": float,
-    # generators
-    "generator": str, "length": int, "count": int,
-    "signal_fraction": float, "snr": float,
-    # shared
-    "seed": int,
-}
+_MODEL_FIELDS = field_types(model_mod.ModelConfig)
+_TRAIN_FIELDS = field_types(train_mod.TrainConfig)
+_SCHEMA = {**_MODEL_FIELDS, **_TRAIN_FIELDS,
+           # generators only
+           "generator": (str,), "length": (int,), "count": (int,),
+           "signal_fraction": (float,), "snr": (float,)}
 
 
 def parse_config(path: str) -> dict:
@@ -55,7 +47,7 @@ def parse_config(path: str) -> dict:
             if key not in _SCHEMA:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                conf[key] = _SCHEMA[key](value)
+                conf[key] = _SCHEMA[key][0](value)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
@@ -67,21 +59,16 @@ def _uniform_length(dataset: data_mod.LabeledSequenceSet) -> int | None:
     return lengths.pop() if len(lengths) == 1 else None
 
 
-def _model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None,
-                  seed: int) -> model_mod.ModelConfig:
-    fields = {k: conf[k] for k in
-              ("codewords", "attention", "mode", "latent_dim", "heads",
-               "dropout_rate", "frontend", "conv_width", "conv_channels",
-               "seq_len") if k in conf}
+def model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None,
+                 seed: int) -> model_mod.ModelConfig:
+    fields = {k: v for k, v in conf.items() if k in _MODEL_FIELDS}
     if dataset is not None:
         fields.setdefault("feature_dim", dataset.feature_dim)
         fields.setdefault("classes", dataset.classes)
     for key in ("feature_dim", "classes"):
-        if key in conf:
-            fields[key] = conf[key]
-        elif key not in fields:
+        if key not in fields:
             raise ConfigError(f"config needs {key!r} (no dataset to derive it from)")
-    cfg = model_mod.ModelConfig(seed=seed, **fields)
+    cfg = model_mod.ModelConfig(**{**fields, "seed": seed})
     if cfg.needs_seq_len and cfg.seq_len is None and dataset is not None:
         n = _uniform_length(dataset)
         if n is None:
@@ -92,13 +79,33 @@ def _model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None,
     return cfg
 
 
-def _train_config(conf: dict, seed: int) -> train_mod.TrainConfig:
-    fields = {k: conf[k] for k in
-              ("epochs", "batch_size", "learning_rate", "adam_beta1",
-               "adam_beta2", "adam_eps", "folds", "holdout_fraction") if k in conf}
-    cfg = train_mod.TrainConfig(seed=seed, **fields)
+def train_config(conf: dict, seed: int) -> train_mod.TrainConfig:
+    fields = {k: v for k, v in conf.items() if k in _TRAIN_FIELDS}
+    cfg = train_mod.TrainConfig(**{**fields, "seed": seed})
     cfg.validate()
     return cfg
+
+
+def generate(conf: dict, seed: int) -> data_mod.LabeledSequenceSet:
+    """The dataset a generator config describes."""
+    name = conf.get("generator")
+    if name == "noisy":
+        return data_mod.gen_noisy_timestamps(
+            classes=conf.get("classes", 3),
+            feature_dim=conf.get("feature_dim", 8),
+            length=conf.get("length", 30),
+            signal_fraction=conf.get("signal_fraction", 0.1),
+            snr=conf.get("snr", 2.0),
+            count=conf.get("count", 600),
+            seed=seed)
+    if name == "order":
+        return data_mod.gen_order_task(
+            feature_dim=conf.get("feature_dim", 4),
+            length=conf.get("length", 20),
+            count=conf.get("count", 400),
+            seed=seed)
+    raise ConfigError(
+        f"unknown generator {name!r}; expected one of {data_mod.GENERATORS}")
 
 
 def _seed(args, conf: dict) -> int:
@@ -115,8 +122,8 @@ def cmd_train(args) -> int:
     conf = parse_config(args.config)
     dataset = data_mod.load_features(args.data)
     seed = _seed(args, conf)
-    model_cfg = _model_config(conf, dataset, seed)
-    train_cfg = _train_config(conf, seed)
+    model_cfg = model_config(conf, dataset, seed)
+    train_cfg = train_config(conf, seed)
     net = model_mod.Model.build(model_cfg)
     net, report = train_mod.train(net, dataset, train_cfg)
     model_mod.save_checkpoint(net, args.out)
@@ -139,7 +146,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     conf = parse_config(args.config)
     seed = _seed(args, conf)
-    model_cfg = _model_config(conf, None, seed)
+    model_cfg = model_config(conf, None, seed)
     rng = np.random.default_rng(seed)
     n = model_cfg.seq_len if model_cfg.seq_len is not None else 8
     x = rng.standard_normal((model_cfg.feature_dim, n))
@@ -164,26 +171,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_gen(args) -> int:
     conf = parse_config(args.config)
-    seed = _seed(args, conf)
-    name = conf.get("generator")
-    if name == "noisy":
-        dataset = data_mod.gen_noisy_timestamps(
-            classes=conf.get("classes", 3),
-            feature_dim=conf.get("feature_dim", 8),
-            length=conf.get("length", 30),
-            signal_fraction=conf.get("signal_fraction", 0.1),
-            snr=conf.get("snr", 2.0),
-            count=conf.get("count", 600),
-            seed=seed)
-    elif name == "order":
-        dataset = data_mod.gen_order_task(
-            feature_dim=conf.get("feature_dim", 4),
-            length=conf.get("length", 20),
-            count=conf.get("count", 400),
-            seed=seed)
-    else:
-        raise ConfigError(
-            f"unknown generator {name!r}; expected one of {data_mod.GENERATORS}")
+    dataset = generate(conf, _seed(args, conf))
     data_mod.save_features(dataset, args.out)
     print(json.dumps({"path": args.out, "items": len(dataset),
                       "classes": dataset.classes, "checksum": dataset.checksum()},

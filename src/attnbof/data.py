@@ -24,6 +24,8 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, DataFormatError, ShapeError
+from .io_container import (check_types, pack_arrays, read_container, unpack_arrays,
+                           write_container)
 from .numerics import Array
 
 FEATURES_MAGIC = b"FSEQ"
@@ -38,11 +40,19 @@ class LabeledSequenceSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.metadata, dict):
+            raise DataFormatError(
+                f"metadata must be a JSON object, got {type(self.metadata).__name__}")
+        size = self.metadata.get("group_size", 1)
+        if type(size) is not int or size < 1:
+            raise DataFormatError(f"metadata group_size must be an int >= 1, got {size!r}")
         for i, (x, label) in enumerate(self.items):
             if x.ndim != 2 or x.shape[0] != self.feature_dim:
                 raise ShapeError(
                     f"item {i}: shape {x.shape} does not match feature_dim "
                     f"{self.feature_dim}")
+            if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+                raise ValueError(f"item {i}: label {label!r} is not an int")
             if not 0 <= label < self.classes:
                 raise ValueError(f"item {i}: label {label} out of range "
                                  f"[0, {self.classes})")
@@ -54,7 +64,7 @@ class LabeledSequenceSet:
     def group_size(self) -> int:
         """Items are generated in groups of this size (twin pairs for the
         order task); splits keep groups intact."""
-        return int(self.metadata.get("group_size", 1))
+        return self.metadata.get("group_size", 1)
 
     def labels(self) -> np.ndarray:
         return np.array([label for _, label in self.items], dtype=int)
@@ -170,51 +180,21 @@ def pad_or_clip(x: Array, target_len: int) -> Array:
 
 
 def save_features(dataset: LabeledSequenceSet, path: str) -> None:
-    from .io_container import write_container
-
-    manifest = []
-    chunks = []
-    offset = 0
-    for x, label in dataset.items:
-        raw = np.ascontiguousarray(x, dtype="<f8").tobytes()
-        manifest.append({"label": int(label), "rows": int(x.shape[0]),
-                         "cols": int(x.shape[1]), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+    manifest, payload = pack_arrays(
+        "label", ((int(label), x) for x, label in dataset.items))
     header = {"classes": dataset.classes, "feature_dim": dataset.feature_dim,
               "metadata": dataset.metadata, "items": manifest}
-    write_container(path, FEATURES_MAGIC, FEATURES_VERSION, header, b"".join(chunks))
+    write_container(path, FEATURES_MAGIC, FEATURES_VERSION, header, payload)
 
 
 def load_features(path: str) -> LabeledSequenceSet:
-    from .io_container import read_container
-
     _, header, payload = read_container(path, FEATURES_MAGIC, FEATURES_VERSION)
-    try:
-        classes = int(header["classes"])
-        feature_dim = int(header["feature_dim"])
-        manifest = list(header["items"])
-        metadata = header.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed feature header ({exc})") from exc
-    items = []
-    for i, entry in enumerate(manifest):
-        try:
-            rows, cols, off = int(entry["rows"]), int(entry["cols"]), int(entry["offset"])
-            label = int(entry["label"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(
-                f"{path}: malformed manifest entry {i} ({exc!r})") from exc
-        if rows != feature_dim:
-            raise DataFormatError(
-                f"{path}: item {i} has {rows} rows, header says {feature_dim}")
-        count = rows * cols * 8
-        if off < 0 or off + count > len(payload):
-            raise DataFormatError(f"{path}: item {i} extends past payload")
-        x = np.frombuffer(payload[off:off + count], dtype="<f8").reshape(rows, cols).copy()
-        items.append((x, label))
-    return LabeledSequenceSet(items=items, classes=classes,
-                              feature_dim=feature_dim, metadata=metadata)
+    check_types(path, "feature header", header, {"classes": (int,), "feature_dim": (int,)})
+    arrays = unpack_arrays(path, "label", header.get("items"), payload)
+    return LabeledSequenceSet(items=[(x, label) for label, x in arrays],
+                              classes=header["classes"],
+                              feature_dim=header["feature_dim"],
+                              metadata=header.get("metadata", {}))
 
 
 _CSV_LABEL = re.compile(r"_(\d+)$")

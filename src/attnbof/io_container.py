@@ -1,4 +1,5 @@
-"""Binary container shared by checkpoints and feature files.
+"""Binary container shared by checkpoints and feature files, with the one
+array-manifest format and header type schema that both use.
 
 Layout: 4 magic bytes, format version (u32 LE), header length (u32 LE),
 UTF-8 JSON header, raw payload, CRC32 of the payload (u32 LE).  Readers
@@ -13,6 +14,9 @@ import os
 import struct
 import tempfile
 import zlib
+from typing import get_args, get_type_hints
+
+import numpy as np
 
 from .errors import ChecksumError, DataFormatError, VersionError
 
@@ -65,6 +69,8 @@ def read_container(path: str, magic: bytes, max_version: int) -> tuple[int, dict
         header = json.loads(blob[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: header is not a JSON object")
     payload = blob[12 + header_len:-4]
     stored = _U32.unpack_from(blob, len(blob) - 4)[0]
     actual = zlib.crc32(payload) & 0xFFFFFFFF
@@ -72,3 +78,83 @@ def read_container(path: str, magic: bytes, max_version: int) -> tuple[int, dict
         raise ChecksumError(
             f"{path}: payload CRC32 {actual:08x} does not match stored {stored:08x}")
     return version, header, payload
+
+
+# ---------------------------------------------------------------------------
+# schema
+
+
+def field_types(cls) -> dict[str, tuple[type, ...]]:
+    """Field name -> the types its value may have, from the type hints of a
+    config dataclass.  ``int | None`` allows (int, NoneType) and an int
+    stands for a float; the first type parses the field from text."""
+    types = {}
+    for name, hint in get_type_hints(cls).items():
+        allowed = get_args(hint) or (hint,)
+        types[name] = allowed + (int,) if float in allowed else allowed
+    return types
+
+
+def check_types(path: str, what: str, values: dict,
+                types: dict[str, tuple[type, ...]]) -> None:
+    """Reject ``values`` unless each key of ``types`` holds a value of exactly
+    an allowed type (a bool is no int); a missing key reads as None."""
+    bad = [name for name, allowed in types.items() if type(values.get(name)) not in allowed]
+    if bad:
+        raise DataFormatError(f"{path}: {what} has missing or mistyped fields {bad}")
+
+
+# ---------------------------------------------------------------------------
+# array manifest
+
+_ENTRY_TYPES = {"rows": (int,), "cols": (int,), "offset": (int,)}
+
+
+def pack_arrays(key: str, entries) -> tuple[list[dict], bytes]:
+    """Manifest and payload for ``(value, matrix)`` pairs: each matrix is
+    stored row-major as little-endian float64, right after the previous one,
+    under a ``{key: value, rows, cols, offset}`` entry."""
+    manifest, chunks, offset = [], [], 0
+    for value, arr in entries:
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        manifest.append({key: value, "rows": int(arr.shape[0]),
+                         "cols": int(arr.shape[1]), "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    return manifest, b"".join(chunks)
+
+
+def unpack_arrays(path: str, key: str, manifest, payload: bytes
+                  ) -> list[tuple[object, np.ndarray]]:
+    """The ``(value, matrix)`` pairs of a manifest from :func:`pack_arrays`.
+
+    Entries carry ``key`` and int ``rows``, ``cols`` >= 1 and ``offset``,
+    and tile the payload in order: each starts where the previous one ends,
+    and the last ends with the payload.  Every payload value is finite.
+    """
+    if not isinstance(manifest, list):
+        raise DataFormatError(f"{path}: manifest is not a list")
+    starts, end = [], 0
+    for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict) or key not in entry:
+            raise DataFormatError(f"{path}: manifest entry {i} has no {key!r}")
+        check_types(path, f"manifest entry {i}", entry, _ENTRY_TYPES)
+        rows, cols, offset = entry["rows"], entry["cols"], entry["offset"]
+        if rows < 1 or cols < 1 or offset != end:
+            raise DataFormatError(
+                f"{path}: manifest entry {i} ({rows} x {cols} at byte {offset}) is "
+                f"empty or does not start at byte {end}, where the previous one ends")
+        starts.append(end // 8)
+        end += 8 * rows * cols
+    if end != len(payload):
+        raise DataFormatError(
+            f"{path}: manifest covers {end} payload bytes, payload has {len(payload)}")
+    flat = np.frombuffer(payload, dtype="<f8")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
+        raise DataFormatError(f"{path}: manifest entry {i} ({key} "
+                              f"{manifest[i][key]!r}) has non-finite values")
+    return [(entry[key], flat[s:s + entry["rows"] * entry["cols"]]
+             .reshape(entry["rows"], entry["cols"]).copy())
+            for entry, s in zip(manifest, starts)]

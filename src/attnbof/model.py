@@ -10,14 +10,14 @@ Gradients are chained by hand through the per-layer VJPs; there is no tape.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import get_args, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import attention, nbof, numerics
 from .errors import ConfigError, DataFormatError, ShapeError
-from .io_container import read_container, write_container
+from .io_container import (check_types, field_types, pack_arrays, read_container,
+                           unpack_arrays, write_container)
 from .numerics import Array, DiffOp, register
 
 CHECKPOINT_MAGIC = b"NBAF"
@@ -87,6 +87,9 @@ class ModelConfig:
         return self.codewords * mult
 
 
+_CONFIG_TYPES = field_types(ModelConfig)
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     """Stable name -> shape map; defines registry and checkpoint order."""
     shapes: dict[str, tuple[int, int]] = {}
@@ -101,8 +104,8 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
         shapes["att.w"] = (side, side)
         shapes["att.alpha_raw"] = (1, 1)
     elif cfg.attention in attention.VARIANTS:
-        q_cols = {"ctsa": cfg.seq_len, "csa": cfg.seq_len, "tsa": cfg.codewords}[cfg.attention]
-        k_cols = {"ctsa": cfg.codewords, "csa": cfg.seq_len, "tsa": cfg.codewords}[cfg.attention]
+        q_cols, k_cols = attention.projection_widths(cfg.attention, cfg.codewords,
+                                                     cfg.seq_len)
         for i in range(cfg.heads):
             shapes[f"att.head{i}.wq"] = (cfg.latent_dim, q_cols)
             shapes[f"att.head{i}.wk"] = (cfg.latent_dim, k_cols)
@@ -463,63 +466,27 @@ def loss_op(model: Model, x: Array, label: int, training: bool = False,
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    manifest = []
-    chunks = []
-    offset = 0
-    for name, arr in model.params.items():
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        manifest.append({"name": name, "rows": int(arr.shape[0]),
-                         "cols": int(arr.shape[1]), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+    manifest, payload = pack_arrays("name", model.params.items())
     header = {"config": asdict(model.config), "manifest": manifest}
-    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, b"".join(chunks))
-
-
-def _mistyped_fields(cfg: ModelConfig) -> list[str]:
-    """Fields of a config read from JSON whose value is not of the declared
-    type; an int stands for a float, a bool for no number."""
-    bad = []
-    for name, declared in get_type_hints(ModelConfig).items():
-        value = getattr(cfg, name)
-        allowed = get_args(declared) or (declared,)
-        if float in allowed:
-            allowed += (int,)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            bad.append(name)
-    return bad
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, payload)
 
 
 def load_checkpoint(path: str) -> Model:
     _, header, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
         cfg = ModelConfig(**header["config"])
-        manifest = list(header["manifest"])
+        manifest = header["manifest"]
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed checkpoint header ({exc})") from exc
-    bad = _mistyped_fields(cfg)
-    if bad:
-        raise DataFormatError(f"{path}: checkpoint config has mistyped fields {bad}")
+    check_types(path, "checkpoint config", vars(cfg), _CONFIG_TYPES)
+    cfg.validate()
     expected = param_shapes(cfg)
     params: dict[str, Array] = {}
-    for i, entry in enumerate(manifest):
-        try:
-            name = str(entry["name"])
-            shape = (int(entry["rows"]), int(entry["cols"]))
-            off = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
+    for name, arr in unpack_arrays(path, "name", manifest, payload):
+        if not isinstance(name, str) or expected.get(name) != arr.shape or name in params:
             raise DataFormatError(
-                f"{path}: malformed manifest entry {i} ({exc!r})") from exc
-        if name not in expected or expected[name] != shape:
-            raise DataFormatError(
-                f"{path}: parameter {name!r} with shape {shape} does not match "
+                f"{path}: parameter {name!r} with shape {arr.shape} does not match "
                 "the stored configuration")
-        count = shape[0] * shape[1] * 8
-        if off < 0 or off + count > len(payload):
-            raise DataFormatError(f"{path}: parameter {name!r} extends past payload")
-        arr = np.frombuffer(payload[off:off + count], dtype="<f8").reshape(shape).copy()
-        if not np.all(np.isfinite(arr)):
-            raise DataFormatError(f"{path}: parameter {name!r} has non-finite values")
         params[name] = arr
     missing = set(expected) - set(params)
     if missing:

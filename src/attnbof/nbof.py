@@ -46,14 +46,6 @@ class Codebook:
             raise ShapeError(f"codebook: need K >= 1 and D >= 1, got {self.v.shape}")
 
     @property
-    def size(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.v.shape[1]
-
-    @property
     def w(self) -> Array:
         return softplus(self.w_raw)
 
@@ -165,7 +157,14 @@ def aggregate(phi: Array) -> Array:
     return phi.mean(axis=-1)
 
 
-aggregate_vjp = numerics._mean_cols_vjp
+def aggregate_vjp(inputs, output, upstream):
+    (phi,) = inputs
+    n = phi.shape[-1]
+    return (np.repeat(upstream[..., None] / n, n, axis=-1),)
+
+
+register(DiffOp("aggregate", aggregate, aggregate_vjp,
+                sample_inputs=lambda rng: [rng.standard_normal((5, 4))]))
 
 
 def init_codebook(samples: list[Array], size: int, seed: int) -> Codebook:

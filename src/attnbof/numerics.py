@@ -124,25 +124,6 @@ sigmoid = register(DiffOp(
 ))
 
 
-def _mean_cols_fwd(m: Array) -> Array:
-    m = as_matrix(m, "mean_cols")
-    if m.shape[1] == 0:
-        raise ShapeError("mean_cols: matrix has zero columns")
-    return m.mean(axis=1)
-
-
-def _mean_cols_vjp(inputs, output, upstream):
-    (m,) = inputs
-    n = m.shape[-1]
-    return (np.repeat(upstream[..., None] / n, n, axis=-1),)
-
-
-mean_cols = register(DiffOp(
-    "mean_cols", _mean_cols_fwd, _mean_cols_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((5, 4))],
-))
-
-
 def _affine_fwd(w: Array, y: Array, b: Array) -> Array:
     """``w @ y + b`` for a vector ``y``, or row-wise for a (B, n) stack."""
     w = as_matrix(w, "affine weight")
@@ -193,10 +174,6 @@ class GradCheckReport:
     max_rel_err: float
     per_input: list[float]
     finite: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.finite and self.max_rel_err <= 1e-4
 
 
 def grad_check(op: DiffOp, point: Sequence[Array], eps: float = 1e-5,

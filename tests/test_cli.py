@@ -1,15 +1,23 @@
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnbof import attention
 from attnbof.cli import main, parse_config
-from attnbof.data import FEATURES_MAGIC, FEATURES_VERSION, gen_order_task, save_features
+from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_order_task,
+                          load_features, save_features)
 from attnbof.errors import ConfigError
 from attnbof.io_container import read_container, write_container
 from attnbof.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model, ModelConfig,
-                           save_checkpoint)
+                           load_checkpoint, save_checkpoint)
 
 
 def write(path, text):
@@ -244,6 +252,7 @@ def assert_clean_exit_two(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     return err
 
@@ -308,3 +317,156 @@ def test_eval_rejects_checkpoint_config_with_wrong_types(
     err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
                                          "--data", order_file])
     assert field in err
+
+
+def _overlap(header):
+    for entry in header["items"]:
+        entry["offset"] = 0
+
+
+def _one_nan(payload):
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[7] = np.nan
+    return values.tobytes()
+
+
+# CRC-valid feature files that each break one manifest or header rule:
+# (header edit, payload edit)
+FEATURE_DEFECTS = {
+    "cols-zero": (lambda h: h["items"][0].update(cols=0), None),
+    "cols-negative": (lambda h: h["items"][0].update(cols=-6), None),
+    "overlapping-offsets": (_overlap, None),
+    "trailing-bytes": (None, lambda p: p + bytes(64)),
+    "classes-str": (lambda h: h.update(classes="2"), None),
+    "classes-float": (lambda h: h.update(classes=2.9), None),
+    "label-float": (lambda h: h["items"][1].update(label=1.5), None),
+    "nan-value": (None, _one_nan),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FEATURE_DEFECTS))
+def test_eval_rejects_defective_feature_file(tmp_path, order_file, capsys, defect):
+    edit_header, edit_payload = FEATURE_DEFECTS[defect]
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    _, _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION, edit_header,
+            None if edit_payload is None else edit_payload(payload))
+    assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
+
+
+def test_eval_rejects_duplicated_checkpoint_manifest_entry(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["manifest"].insert(2, dict(h["manifest"][2])))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "manifest entry 3" in err
+
+
+def test_eval_rejects_checkpoint_with_unknown_2da_mode(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="2da")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["config"].update(mode="diagonal"))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "mode" in err
+
+
+@pytest.mark.parametrize("edit", [lambda h: h.update(metadata=[1]),
+                                  lambda h: h["metadata"].update(group_size=0)],
+                         ids=["metadata-list", "group-size-zero"])
+def test_train_rejects_bad_feature_metadata(tmp_path, order_file, capsys, edit):
+    conf = write(tmp_path / "train.conf", TRAIN_CONF)
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION, edit)
+    err = assert_clean_exit_two(capsys, ["train", "--config", conf, "--data", order_file,
+                                         "--out", str(tmp_path / "m.nbaf")])
+    assert "metadata" in err
+
+
+# ---------------------------------------------------------------------------
+# the file formats themselves
+
+
+def small_files(directory):
+    """A small NBAF checkpoint and FSEQ feature file."""
+    ckpt, fseq = str(Path(directory) / "m.nbaf"), str(Path(directory) / "s.fseq")
+    save_checkpoint(Model.build(ModelConfig(
+        feature_dim=3, classes=2, codewords=4, attention="csa", heads=2,
+        latent_dim=3, seq_len=6, seed=5)), ckpt)
+    save_features(gen_order_task(feature_dim=3, length=6, count=8, seed=2), fseq)
+    return ckpt, fseq
+
+
+def test_file_bytes_are_frozen(tmp_path):
+    # sha256 of the files as the format's first writer wrote them
+    ckpt, fseq = small_files(tmp_path)
+    digests = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (ckpt, fseq)}
+    assert digests[ckpt] == "a434658ec47eaefe340890b672096fd06070842485612826a89c1343f91339da"
+    assert digests[fseq] == "af0e456cb4e0ee47049704cfaf8b2929466c944aaf8555d3237ad6719847e3de"
+    assert load_checkpoint(ckpt).config.attention == "csa"
+    assert len(load_features(fseq)) == 8
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON header, containers included;
+    of a list, only the first two elements (manifest entries look alike)."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.integers(max_value=0), st.text(max_size=3), st.floats(), st.booleans(),
+    st.none(), st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+
+
+def mutate(data, path, magic, version):
+    """Rewrite ``path`` with one drawn defect: a header value replaced, a
+    manifest entry dropped or duplicated, or payload bytes overwritten."""
+    _, header, payload = read_container(path, magic, version)
+    kind = data.draw(st.sampled_from(["value", "drop", "duplicate", "payload"]))
+    if kind == "value":
+        *parents, last = data.draw(st.sampled_from(list(json_paths(header))))
+        node = header
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(JSON_VALUES)
+    elif kind == "payload":
+        pos = data.draw(st.integers(0, len(payload) - 1))
+        chunk = data.draw(st.binary(min_size=1, max_size=8))
+        payload = payload[:pos] + chunk + payload[pos + len(chunk):]
+    else:
+        manifest = header["manifest" if magic == CHECKPOINT_MAGIC else "items"]
+        i = data.draw(st.integers(0, len(manifest) - 1))
+        if kind == "drop":
+            del manifest[i]
+        else:
+            manifest.insert(i, dict(manifest[i]))
+    write_container(path, magic, version, header, payload)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_files_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as d:
+        ckpt, fseq = small_files(d)
+        conf = write(Path(d) / "train.conf", TRAIN_CONF.replace("epochs = 2", "epochs = 1"))
+        target = data.draw(st.sampled_from([ckpt, fseq]))
+        if target == ckpt:
+            mutate(data, ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        else:
+            mutate(data, fseq, FEATURES_MAGIC, FEATURES_VERSION)
+        runs = [["eval", "--checkpoint", ckpt, "--data", fseq],
+                ["inspect-attention", "--checkpoint", ckpt, "--data", fseq,
+                 "--out", str(Path(d) / "att")]]
+        if target == fseq:
+            runs.append(["train", "--config", conf, "--data", fseq,
+                         "--out", str(Path(d) / "trained.nbaf")])
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), \
+                    np.errstate(all="ignore"):
+                assert main(argv) in (0, 1, 2), argv

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from attnbof import numerics
 from attnbof.model import frontend_conv
-from attnbof.numerics import (REGISTRY, affine, grad_check, mean_cols, sigmoid,
-                              softmax_rows)
+from attnbof.nbof import aggregate
+from attnbof.numerics import REGISTRY, affine, grad_check, sigmoid, softmax_rows
 
 from .oracles import loop_matmul, loop_mean_cols, loop_softmax_rows
 
@@ -65,12 +65,12 @@ def test_sigmoid_extremes_saturate_cleanly():
 
 
 def test_mean_cols_hand_value():
-    assert np.array_equal(mean_cols(np.array([[1.0, 3.0], [2.0, 4.0]])), [2.0, 3.0])
+    assert np.array_equal(aggregate(np.array([[1.0, 3.0], [2.0, 4.0]])), [2.0, 3.0])
 
 
 def test_mean_cols_matches_loop_oracle():
     m = np.random.default_rng(5).standard_normal((7, 9))
-    assert np.allclose(mean_cols(m), loop_mean_cols(m), atol=1e-14)
+    assert np.allclose(aggregate(m), loop_mean_cols(m), atol=1e-14)
 
 
 def test_relu_clamps_negative():
