@@ -65,6 +65,12 @@ class SelfAttentionParams:
     latent_dim: int
     dropout_rate: float = 0.0
 
+    @classmethod
+    def from_flat(cls, arrs, latent_dim: int, dropout_rate: float = 0.0):
+        """Heads from the flat order (wq_0, wk_0, alpha_raw_0, wq_1, ...)."""
+        heads = [AttentionHead(*arrs[i:i + 3]) for i in range(0, len(arrs), 3)]
+        return cls(heads=heads, latent_dim=latent_dim, dropout_rate=dropout_rate)
+
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ShapeError(f"latent dimension must be >= 1, got {self.latent_dim}")
@@ -129,8 +135,8 @@ register(DiffOp(
 # directly learned 2-d mask
 #
 # Every layer below takes one K x N matrix or a (B, K, N) stack.  A forward
-# called with a ``cache`` dict fills it with what its VJP needs; a VJP called
-# without one runs the forward to build it.
+# called with a ``cache`` dict fills it with what its VJP needs;
+# ``att_2da_vjp`` called without one runs the forward to build it.
 
 
 def _2da_orient(phi: Array, mode: str) -> Array:
@@ -161,13 +167,6 @@ def att_2da(phi: Array, p: Attention2DAParams, cache: dict | None = None) -> Arr
     if cache is not None:
         cache.update(w=w, a=a, alpha=alpha)
     return _2da_orient(out, p.mode)
-
-
-def att_2da_matrix(phi: Array, p: Attention2DAParams) -> Array:
-    """The softmax mask itself, in operand orientation."""
-    cache: dict = {}
-    att_2da(phi, p, cache=cache)
-    return cache["a"]
 
 
 def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
@@ -202,9 +201,6 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
 #   tsa      phi^T  phi^T  softmax_rows    a @ M
 #
 # Head i of item b draws its dropout mask from seed_b + i.
-
-HeadGrads = list[tuple[Array, Array, Array]]
-
 
 def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
     """Column counts of a head's (wq, wk) for K codewords and N timestamps."""
@@ -248,15 +244,17 @@ def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: 
     return np.concatenate(outs, axis=-2)
 
 
-def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
-                        upstream: Array, cache: dict) -> tuple[Array, HeadGrads]:
+def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
+                       upstream: Array, cache: dict) -> tuple[Array, ...]:
+    """Cotangents of (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) for the
+    ``variant`` forward that filled ``cache``; the weights' sum over a stack."""
     d = p.latent_dim
     kdim = phi.shape[-2]
     m = _operand(variant, phi)
     mk = swap(m) if variant == "ctsa" else m
     act_vjp = numerics._sigmoid_vjp if variant == "ctsa" else numerics._softmax_rows_vjp
     dm = np.zeros_like(m)
-    head_grads: HeadGrads = []
+    grads: list[Array] = []
     for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
         g = _operand(variant, upstream[..., i * kdim:(i + 1) * kdim, :])
         q, k, a, a_used, alpha = c["q"], c["k"], c["a"], c["a_used"], c["alpha"]
@@ -276,16 +274,9 @@ def _self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
         dm += dq @ head.wq
         dk_m = dk @ head.wk
         dm += swap(dk_m) if variant == "ctsa" else dk_m
-        head_grads.append((numerics.sum_tn(dq, m), numerics.sum_tn(dk, mk),
-                           _dalpha_raw(head.alpha_raw, dalpha)))
-    return _operand(variant, dm), head_grads
-
-
-def _vjp_with_cache(variant, phi, p, upstream, training, seed, cache):
-    if cache is None:
-        cache = {}
-        _self_attention(variant, phi, p, training, seed, cache)
-    return _self_attention_vjp(variant, numerics.as_stack(phi), p, upstream, cache)
+        grads += [numerics.sum_tn(dq, m), numerics.sum_tn(dk, mk),
+                  _dalpha_raw(head.alpha_raw, dalpha)]
+    return (_operand(variant, dm), *grads)
 
 
 def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,
@@ -294,22 +285,10 @@ def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,
     return _self_attention("ctsa", phi, p, training, seed, cache)
 
 
-def att_ctsa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                 training: bool = False, seed=0,
-                 cache: dict | None = None) -> tuple[Array, HeadGrads]:
-    return _vjp_with_cache("ctsa", phi, p, upstream, training, seed, cache)
-
-
 def att_csa(phi: Array, p: SelfAttentionParams, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Codeword-to-codeword attention in a learned latent space."""
     return _self_attention("csa", phi, p, training, seed, cache)
-
-
-def att_csa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                training: bool = False, seed=0,
-                cache: dict | None = None) -> tuple[Array, HeadGrads]:
-    return _vjp_with_cache("csa", phi, p, upstream, training, seed, cache)
 
 
 def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
@@ -318,28 +297,9 @@ def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
     return _self_attention("tsa", phi, p, training, seed, cache)
 
 
-def att_tsa_vjp(phi: Array, p: SelfAttentionParams, upstream: Array,
-                training: bool = False, seed=0,
-                cache: dict | None = None) -> tuple[Array, HeadGrads]:
-    return _vjp_with_cache("tsa", phi, p, upstream, training, seed, cache)
-
-
-def head_matrices(phi: Array, p: SelfAttentionParams, variant: str) -> list[Array]:
-    """Per-head attention matrices in evaluation mode (no dropout)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown self-attention variant {variant!r}")
-    cache: dict = {}
-    _FORWARD[variant](phi, p, cache=cache)
-    return [c["a"] for c in cache["heads"]]
-
-
 # ---------------------------------------------------------------------------
 # registry bindings (fixed small shapes so the library-wide gradient test can
 # sample valid points)
-
-_FORWARD = {"ctsa": att_ctsa, "csa": att_csa, "tsa": att_tsa}
-_VJP = {"ctsa": att_ctsa_vjp, "csa": att_csa_vjp, "tsa": att_tsa_vjp}
-
 
 def make_self_attention_op(variant: str, heads: int, latent_dim: int,
                            k: int, n: int, training: bool = False,
@@ -349,23 +309,16 @@ def make_self_attention_op(variant: str, heads: int, latent_dim: int,
     Input order is (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...).
     """
 
-    def unflatten(arrs):
-        hs = [AttentionHead(arrs[3 * i], arrs[3 * i + 1], arrs[3 * i + 2])
-              for i in range(heads)]
-        return SelfAttentionParams(heads=hs, latent_dim=latent_dim,
-                                   dropout_rate=dropout_rate)
-
     def fwd(phi, *arrs):
-        return _FORWARD[variant](phi, unflatten(arrs), training=training, seed=seed)
+        p = SelfAttentionParams.from_flat(arrs, latent_dim, dropout_rate)
+        return _self_attention(variant, phi, p, training, seed, None)
 
     def vjp(inputs, output, upstream):
         phi, *arrs = inputs
-        dphi, head_grads = _VJP[variant](phi, unflatten(arrs), upstream,
-                                         training=training, seed=seed)
-        flat: list[Array] = [dphi]
-        for dwq, dwk, da in head_grads:
-            flat += [dwq, dwk, da]
-        return tuple(flat)
+        p = SelfAttentionParams.from_flat(arrs, latent_dim, dropout_rate)
+        cache: dict = {}
+        _self_attention(variant, phi, p, training, seed, cache)
+        return self_attention_vjp(variant, phi, p, upstream, cache)
 
     def sample(rng: np.random.Generator) -> list[Array]:
         q_cols, k_cols = projection_widths(variant, k, n)

@@ -3,8 +3,8 @@
 Runs are declarative: a flat ``key = value`` config file describes the model,
 the training protocol, or a generator (schema in the README).  Machine output
 (JSON) goes to stdout, human-readable tables to stderr.  Exit codes: 0 ok,
-1 a check or training failure, 2 usage or I/O errors.  Commands are
-deterministic given their flags and seeds.
+1 a check or training failure or non-finite model output, 2 usage or I/O
+errors.  Commands are deterministic given their flags and seeds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import data as data_mod
 from . import model as model_mod
 from . import numerics
 from . import train as train_mod
-from .errors import ConfigError, DataFormatError, TrainingDiverged
+from .errors import ConfigError, DataFormatError, NonFiniteError
 from .io_container import field_types
 
 GRAD_TOLERANCE = 1e-4
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except TrainingDiverged as exc:
+    except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, DataFormatError, ValueError, OSError) as exc:

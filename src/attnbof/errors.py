@@ -21,5 +21,9 @@ class VersionError(DataFormatError):
     """File format version is not supported by this build."""
 
 
-class TrainingDiverged(RuntimeError):
+class NonFiniteError(RuntimeError):
+    """A computation produced NaN or infinite values."""
+
+
+class TrainingDiverged(NonFiniteError):
     """Training produced a non-finite loss; message names epoch and batch."""

@@ -1,21 +1,23 @@
-"""End-to-end sequence classifier with explicit forward/backward chaining.
+"""End-to-end sequence classifier run as one ordered list of stages.
 
 Pipeline: optional temporal-conv frontend -> codebook quantization ->
 attention -> temporal averaging -> affine head -> cross-entropy.  Every
 learnable matrix lives in a flat name -> array registry (``codebook.v``,
 ``att.head0.wq``, ...) shared by the optimizer and the checkpoint format.
-Gradients are chained by hand through the per-layer VJPs; there is no tape.
+Every stage pairs a layer's forward with its VJP under one calling
+convention; the backward pass runs the list in reverse, and there is no tape.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import attention, nbof, numerics
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .io_container import (check_types, field_types, pack_arrays, read_container,
                            unpack_arrays, write_container)
 from .numerics import Array, DiffOp, register
@@ -77,42 +79,8 @@ class ModelConfig:
             return True
         return self.attention == "2da" and self.mode == "temporal"
 
-    @property
-    def quantizer_dim(self) -> int:
-        return self.conv_channels if self.frontend == "conv" else self.feature_dim
-
-    @property
-    def classifier_width(self) -> int:
-        mult = self.heads if self.attention in attention.VARIANTS else 1
-        return self.codewords * mult
-
 
 _CONFIG_TYPES = field_types(ModelConfig)
-
-
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Stable name -> shape map; defines registry and checkpoint order."""
-    shapes: dict[str, tuple[int, int]] = {}
-    if cfg.frontend == "conv":
-        shapes["frontend.kernel"] = (cfg.conv_channels, cfg.feature_dim * cfg.conv_width)
-        shapes["frontend.bias"] = (cfg.conv_channels, 1)
-    dq = cfg.quantizer_dim
-    shapes["codebook.v"] = (cfg.codewords, dq)
-    shapes["codebook.w_raw"] = (cfg.codewords, dq)
-    if cfg.attention == "2da":
-        side = {"temporal": cfg.seq_len, "codeword": cfg.codewords, "input": dq}[cfg.mode]
-        shapes["att.w"] = (side, side)
-        shapes["att.alpha_raw"] = (1, 1)
-    elif cfg.attention in attention.VARIANTS:
-        q_cols, k_cols = attention.projection_widths(cfg.attention, cfg.codewords,
-                                                     cfg.seq_len)
-        for i in range(cfg.heads):
-            shapes[f"att.head{i}.wq"] = (cfg.latent_dim, q_cols)
-            shapes[f"att.head{i}.wk"] = (cfg.latent_dim, k_cols)
-            shapes[f"att.head{i}.alpha_raw"] = (1, 1)
-    shapes["classifier.weight"] = (cfg.classes, cfg.classifier_width)
-    shapes["classifier.bias"] = (cfg.classes, 1)
-    return shapes
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +209,110 @@ register(make_cross_entropy_op(4, 2))
 
 
 # ---------------------------------------------------------------------------
-# the assembled model
+# the assembled model: the stage list and the parameter registry
+
+
+class Stage(NamedTuple):
+    """A layer under one convention: ``fwd(h, ps, cache, training, seed) -> out``
+    fills ``cache``, ``vjp(h, ps, out, upstream, cache) -> (dh, *dps)`` reads
+    it, and ``ps`` holds the stage's parameters in the order of ``shapes``."""
+
+    name: str
+    shapes: dict[str, tuple[int, int]]
+    fwd: Callable
+    vjp: Callable
+
+
+def _head_vjp(h, ps, out, upstream, cache):
+    dweight, dh, dbias = numerics._affine_vjp((ps[0], h, ps[1][:, 0]), out, upstream)
+    return dh, dweight, dbias[:, None]
+
+
+def build_stages(cfg: ModelConfig) -> list[Stage]:
+    """The pipeline in execution order; the one place that dispatches on the
+    frontend and the attention kind.  Input-mode 2da runs before the
+    quantizer.  Layers are looked up through their module at call time, so a
+    patched or traced layer is the one that runs."""
+    stages, k, dq, width = [], cfg.codewords, cfg.feature_dim, cfg.codewords
+    if cfg.frontend == "conv":
+        dq = cfg.conv_channels
+        stages.append(Stage(
+            "conv", {"frontend.kernel": (dq, cfg.feature_dim * cfg.conv_width),
+                     "frontend.bias": (dq, 1)},
+            lambda h, ps, c, *_: frontend_conv(h, *ps, cache=c),
+            lambda h, ps, out, g, c: frontend_conv_vjp((h, *ps), out, g, cache=c)))
+    stages.append(Stage(
+        "quantize", {"codebook.v": (k, dq), "codebook.w_raw": (k, dq)},
+        lambda h, ps, c, *_: nbof.quantize_raw(h, *ps, cache=c),
+        lambda h, ps, out, g, c: nbof.quantize_vjp((h, *ps), out, g, cache=c)))
+    if cfg.attention == "2da":
+        side = {"temporal": cfg.seq_len, "codeword": k, "input": dq}[cfg.mode]
+        stages.insert(-1 if cfg.mode == "input" else len(stages), Stage(
+            "attention", {"att.w": (side, side), "att.alpha_raw": (1, 1)},
+            lambda h, ps, c, *_: attention.att_2da(
+                h, attention.Attention2DAParams(*ps, cfg.mode), cache=c),
+            lambda h, ps, out, g, c: attention.att_2da_vjp(
+                h, attention.Attention2DAParams(*ps, cfg.mode), g, cache=c)))
+    elif cfg.attention in attention.VARIANTS:
+        q_cols, k_cols = attention.projection_widths(cfg.attention, k, cfg.seq_len)
+        shapes: dict[str, tuple[int, int]] = {}
+        for i in range(cfg.heads):
+            shapes.update({f"att.head{i}.wq": (cfg.latent_dim, q_cols),
+                           f"att.head{i}.wk": (cfg.latent_dim, k_cols),
+                           f"att.head{i}.alpha_raw": (1, 1)})
+        width = k * cfg.heads  # head outputs are stacked along the codeword axis
+
+        def params_self(ps):
+            return attention.SelfAttentionParams.from_flat(ps, cfg.latent_dim,
+                                                           cfg.dropout_rate)
+
+        stages.append(Stage(
+            "attention", shapes,
+            lambda h, ps, c, training, seed: getattr(attention, f"att_{cfg.attention}")(
+                h, params_self(ps), training=training, seed=seed, cache=c),
+            lambda h, ps, out, g, c: attention.self_attention_vjp(
+                cfg.attention, h, params_self(ps), g, c)))
+    return stages + [
+        Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
+              lambda h, ps, out, g, c: nbof.aggregate_vjp((h,), out, g)),
+        Stage("head", {"classifier.weight": (cfg.classes, width),
+                       "classifier.bias": (cfg.classes, 1)},
+              lambda h, ps, c, *_: numerics.affine(ps[0], h, ps[1][:, 0]), _head_vjp)]
+
+
+# Registry, checkpoint and initialization order: input-mode 2da runs before
+# the quantizer, but its parameters come after the codebook's.
+_PARAM_ORDER = ("conv", "quantize", "attention", "aggregate", "head")
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Stable name -> shape map; defines registry and checkpoint order."""
+    stages = sorted(build_stages(cfg), key=lambda st: _PARAM_ORDER.index(st.name))
+    return {name: shape for stage in stages for name, shape in stage.shapes.items()}
+
+
+def _finite(a: Array, what: str) -> Array:
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} is not finite; an input value may be too "
+                             "large for the quantizer")
+    return a
 
 
 class Model:
-    """Parameter registry plus the explicit forward/backward chain."""
+    """Parameter registry plus the stage list that runs over it."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Array]):
         config.validate()
         self.config = config
         self.params = params
+        self.stages = build_stages(config)
 
     @classmethod
     def build(cls, config: ModelConfig) -> "Model":
         """Seeded initialization; weight matrices are uniform with half-width
-        1/sqrt(fan-in), biases and mixing logits start at zero (alpha = 0.5)."""
+        1/sqrt(fan-in), biases and mixing logits start at zero (alpha = 0.5).
+        The 2da diagonal is pinned at 1/n; its gradient is always zero, so
+        training leaves it there."""
         config.validate()
         rng = np.random.default_rng(config.seed)
         params: dict[str, Array] = {}
@@ -269,26 +326,9 @@ class Model:
             else:
                 half = 1.0 / np.sqrt(shape[1])
                 params[name] = rng.uniform(-half, half, size=shape)
-        model = cls(config, params)
-        model.constrain()
-        return model
-
-    # -- parameter views ---------------------------------------------------
-
-    def _params_2da(self) -> attention.Attention2DAParams:
-        return attention.Attention2DAParams(
-            w=self.params["att.w"], alpha_raw=self.params["att.alpha_raw"],
-            mode=self.config.mode)
-
-    def _params_self(self) -> attention.SelfAttentionParams:
-        heads = [attention.AttentionHead(
-            wq=self.params[f"att.head{i}.wq"],
-            wk=self.params[f"att.head{i}.wk"],
-            alpha_raw=self.params[f"att.head{i}.alpha_raw"])
-            for i in range(self.config.heads)]
-        return attention.SelfAttentionParams(
-            heads=heads, latent_dim=self.config.latent_dim,
-            dropout_rate=self.config.dropout_rate)
+        if "att.w" in params:
+            np.fill_diagonal(params["att.w"], 1.0 / params["att.w"].shape[0])
+        return cls(config, params)
 
     def set_codebook(self, cb: nbof.Codebook) -> None:
         want = param_shapes(self.config)["codebook.v"]
@@ -297,64 +337,31 @@ class Model:
         self.params["codebook.v"] = np.array(cb.v)
         self.params["codebook.w_raw"] = np.array(cb.w_raw)
 
-    def constrain(self) -> None:
-        """Re-pin constrained entries after an optimizer step (2da diagonal)."""
-        if self.config.attention == "2da":
-            w = self.params["att.w"]
-            np.fill_diagonal(w, 1.0 / w.shape[0])
-
     # -- forward / backward -------------------------------------------------
-
-    def _check_seq(self, n: int, stage: str) -> None:
-        cfg = self.config
-        if cfg.needs_seq_len and n != cfg.seq_len:
-            raise ShapeError(
-                f"stage {stage}: sequence length {n} != configured seq_len {cfg.seq_len}")
 
     def _run(self, x: Array, training: bool, seed):
         """Forward pass over one D x N sequence or a (B, D, N) stack: the
-        logits, (C,) or (B, C), and the cache of every layer, which the
-        backward pass consumes."""
+        logits, (C,) or (B, C), and each stage's (input, parameters, output,
+        cache), which the backward pass consumes."""
         cfg = self.config
-        xs = numerics.as_stack(x, "stage input")
-        if xs.shape[-2] != cfg.feature_dim:
+        h = numerics.as_stack(x, "stage input")
+        n = h.shape[-1]
+        if h.shape[-2] != cfg.feature_dim:
             raise ShapeError(
-                f"stage input: expected {cfg.feature_dim} feature rows, got {xs.shape[-2]}")
-        if xs.shape[-1] < 1:
+                f"stage input: expected {cfg.feature_dim} feature rows, got {h.shape[-2]}")
+        if n < 1:
             raise ShapeError("stage input: empty sequence")
-        cache: dict = {"x": xs, "att": {}}
-        h = xs
-        if cfg.frontend == "conv":
-            cache["conv"] = {}
-            h = frontend_conv(xs, self.params["frontend.kernel"],
-                              self.params["frontend.bias"], cache=cache["conv"])
-            cache["conv_out"] = h
-        if cfg.attention == "2da" and cfg.mode == "input":
-            cache["ia_in"] = h
-            h = attention.att_2da(h, self._params_2da(), cache=cache["att"])
-        cache["quant_in"] = h
-        cache["quant"] = {}
-        phi = nbof.quantize_raw(h, self.params["codebook.v"],
-                                self.params["codebook.w_raw"], cache=cache["quant"])
-        cache["phi"] = phi
-        if cfg.attention == "2da" and cfg.mode != "input":
-            self._check_seq(phi.shape[-1], "attention")
-            att_out = attention.att_2da(phi, self._params_2da(), cache=cache["att"])
-        elif cfg.attention in attention.VARIANTS:
-            self._check_seq(phi.shape[-1], "attention")
-            fwd = {"ctsa": attention.att_ctsa, "csa": attention.att_csa,
-                   "tsa": attention.att_tsa}[cfg.attention]
-            att_out = fwd(phi, self._params_self(), training=training, seed=seed,
-                          cache=cache["att"])
-        else:
-            att_out = phi
-        cache["att_out"] = att_out
-        hist = nbof.aggregate(att_out)
-        cache["hist"] = hist
-        logits = numerics.affine(self.params["classifier.weight"], hist,
-                                 self.params["classifier.bias"][:, 0])
-        cache["logits"] = logits
-        return logits, cache
+        if cfg.needs_seq_len and n != cfg.seq_len:
+            raise ShapeError(
+                f"stage attention: sequence length {n} != configured seq_len {cfg.seq_len}")
+        trail = []
+        for stage in self.stages:
+            cache: dict = {}
+            ps = [self.params[p] for p in stage.shapes]
+            out = stage.fwd(h, ps, cache, training, seed)
+            trail.append((h, ps, out, cache))
+            h = out
+        return h, trail
 
     def forward(self, x: Array, training: bool = False, seed=0) -> Array:
         """Logits of one D x N sequence, or (B, C) logits of a (B, D, N) stack."""
@@ -362,11 +369,8 @@ class Model:
 
     def predict(self, x: Array):
         """Class index of one sequence, or one per item of a stack."""
-        pred = np.argmax(self.forward(x), axis=-1)
+        pred = np.argmax(_finite(self.forward(x), "model output"), axis=-1)
         return int(pred) if pred.ndim == 0 else pred
-
-    def loss(self, x: Array, label, training: bool = False, seed=0):
-        return cross_entropy(self.forward(x, training, seed), label)
 
     def loss_and_grad(self, x: Array, label, training: bool = False,
                       seed=0) -> tuple[float | Array, dict[str, Array]]:
@@ -378,67 +382,24 @@ class Model:
         stack.  One D x N sequence with an int label and seed is the B=1
         case and returns a float loss.
         """
-        cfg = self.config
-        logits, cache = self._run(x, training, seed)
+        logits, trail = self._run(x, training, seed)
         loss = cross_entropy(logits, label)
+        g = cross_entropy_vjp(logits, label, 1.0)
         grads: dict[str, Array] = {}
-
-        dlogits = cross_entropy_vjp(logits, label, 1.0)
-        cw = self.params["classifier.weight"]
-        cb = self.params["classifier.bias"][:, 0]
-        dcw, dhist, dcb = numerics._affine_vjp((cw, cache["hist"], cb), logits, dlogits)
-        grads["classifier.weight"] = dcw
-        grads["classifier.bias"] = dcb[:, None]
-
-        datt_out = nbof.aggregate_vjp((cache["att_out"],), cache["hist"], dhist)[0]
-
-        if cfg.attention == "2da" and cfg.mode != "input":
-            dphi, dw, daraw = attention.att_2da_vjp(cache["phi"], self._params_2da(),
-                                                    datt_out, cache=cache["att"])
-            grads["att.w"] = dw
-            grads["att.alpha_raw"] = daraw
-        elif cfg.attention in attention.VARIANTS:
-            # looked up at call time, so a patched VJP is the one that runs
-            bwd = {"ctsa": attention.att_ctsa_vjp, "csa": attention.att_csa_vjp,
-                   "tsa": attention.att_tsa_vjp}[cfg.attention]
-            dphi, head_grads = bwd(cache["phi"], self._params_self(), datt_out,
-                                   cache=cache["att"])
-            for i, (dwq, dwk, da) in enumerate(head_grads):
-                grads[f"att.head{i}.wq"] = dwq
-                grads[f"att.head{i}.wk"] = dwk
-                grads[f"att.head{i}.alpha_raw"] = da
-        else:
-            dphi = datt_out
-
-        dquant_in, dv, dwraw = nbof.quantize_vjp(
-            (cache["quant_in"], self.params["codebook.v"], self.params["codebook.w_raw"]),
-            cache["phi"], dphi, cache=cache["quant"])
-        grads["codebook.v"] = dv
-        grads["codebook.w_raw"] = dwraw
-
-        dh = dquant_in
-        if cfg.attention == "2da" and cfg.mode == "input":
-            dh, dw, daraw = attention.att_2da_vjp(cache["ia_in"], self._params_2da(), dh,
-                                                  cache=cache["att"])
-            grads["att.w"] = dw
-            grads["att.alpha_raw"] = daraw
-        if cfg.frontend == "conv":
-            _, dkernel, dbias = frontend_conv_vjp(
-                (cache["x"], self.params["frontend.kernel"], self.params["frontend.bias"]),
-                cache["conv_out"], dh, cache=cache["conv"])
-            grads["frontend.kernel"] = dkernel
-            grads["frontend.bias"] = dbias
+        for stage, (h, ps, out, cache) in zip(reversed(self.stages), reversed(trail)):
+            g, *dps = stage.vjp(h, ps, out, g, cache)
+            grads.update(zip(stage.shapes, dps))
         return loss, grads
 
     def attention_matrices(self, x: Array) -> list[Array]:
         """Per-head attention matrices for one input, evaluation mode."""
-        cfg = self.config
-        if cfg.attention == "none":
+        names = [stage.name for stage in self.stages]
+        if "attention" not in names:
             raise ConfigError("model has attention=none; no matrices to inspect")
-        _, cache = self._run(numerics.as_matrix(x, "input"), training=False, seed=0)
-        if cfg.attention == "2da":
-            return [cache["att"]["a"]]
-        return [head["a"] for head in cache["att"]["heads"]]
+        _, trail = self._run(numerics.as_matrix(x, "input"), training=False, seed=0)
+        cache = trail[names.index("attention")][3]
+        return [_finite(head["a"], "attention matrix")
+                for head in cache.get("heads", [cache])]
 
 
 def loss_op(model: Model, x: Array, label: int, training: bool = False,
@@ -450,7 +411,7 @@ def loss_op(model: Model, x: Array, label: int, training: bool = False,
 
     def fwd(*arrs: Array) -> Array:
         m = Model(cfg, dict(zip(names, [np.asarray(a, dtype=float) for a in arrs])))
-        return np.asarray(m.loss(x, label, training=training, seed=seed))
+        return np.asarray(cross_entropy(m.forward(x, training, seed), label))
 
     def vjp(inputs, output, upstream):
         m = Model(cfg, dict(zip(names, inputs)))
@@ -480,9 +441,13 @@ def load_checkpoint(path: str) -> Model:
         raise DataFormatError(f"{path}: malformed checkpoint header ({exc})") from exc
     check_types(path, "checkpoint config", vars(cfg), _CONFIG_TYPES)
     cfg.validate()
+    arrays = unpack_arrays(path, "name", manifest, payload)
+    if cfg.attention in attention.VARIANTS and 3 * cfg.heads > len(arrays):
+        raise DataFormatError(f"{path}: {cfg.heads} heads need {3 * cfg.heads} "
+                              f"parameters, the manifest has {len(arrays)} entries")
     expected = param_shapes(cfg)
     params: dict[str, Array] = {}
-    for name, arr in unpack_arrays(path, "name", manifest, payload):
+    for name, arr in arrays:
         if not isinstance(name, str) or expected.get(name) != arr.shape or name in params:
             raise DataFormatError(
                 f"{path}: parameter {name!r} with shape {arr.shape} does not match "

@@ -70,9 +70,8 @@ def init_adam(params: dict[str, Array]) -> AdamState:
 
 
 def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamState,
-              cfg: TrainConfig, constrain=None) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected moment update, in place.  ``constrain`` re-pins any
-    structurally fixed entries (the 2da diagonal) after the step."""
+              cfg: TrainConfig) -> tuple[dict[str, Array], AdamState]:
+    """One bias-corrected moment update, in place."""
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1 ** state.t
@@ -85,8 +84,6 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamStat
         m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
         v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
         p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
-    if constrain is not None:
-        constrain()
     return params, state
 
 
@@ -303,8 +300,7 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
                 for k, g in grads.items():
                     sums[k] += g
             scale = 1.0 / len(batch)
-            adam_step(net.params, {k: g * scale for k, g in sums.items()},
-                      state, cfg, constrain=net.constrain)
+            adam_step(net.params, {k: g * scale for k, g in sums.items()}, state, cfg)
         trace.append(epoch_loss / n)
     return trace
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from attnbof.attention import (Attention2DAParams, AttentionHead, MODES,
-                               SelfAttentionParams, att_2da, att_2da_matrix,
-                               att_csa, att_ctsa, att_tsa, attention_dropout,
-                               head_matrices)
+                               SelfAttentionParams, att_2da, att_csa, att_ctsa,
+                               att_tsa, attention_dropout)
 from attnbof.errors import ShapeError
 
 from .oracles import loop_2da, loop_csa, loop_ctsa, loop_flat_softmax, loop_tsa
@@ -44,8 +43,9 @@ def test_2da_single_timestamp_softmax_is_ones():
     phi = rng.random((4, 1))
     p = Attention2DAParams(w=np.array([[3.0]]), alpha_raw=alpha_raw(0.37),
                            mode="temporal")
-    assert np.allclose(att_2da(phi, p), phi, rtol=0, atol=1e-15)
-    assert np.array_equal(att_2da_matrix(phi, p), np.ones((4, 1)))
+    cache = {}
+    assert np.allclose(att_2da(phi, p, cache=cache), phi, rtol=0, atol=1e-15)
+    assert np.array_equal(cache["a"], np.ones((4, 1)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -141,7 +141,9 @@ def test_ctsa_mask_entries_strictly_inside_unit_interval():
     rng = np.random.default_rng(7)
     phi = rng.random((5, 7))
     p = SelfAttentionParams(heads=make_heads(rng, "ctsa", 5, 7, 4, 3), latent_dim=4)
-    for a in head_matrices(phi, p, "ctsa"):
+    cache = {}
+    att_ctsa(phi, p, cache=cache)
+    for a in [head["a"] for head in cache["heads"]]:
         assert a.shape == (5, 7)
         assert np.all((a > 0.0) & (a < 1.0))
 
@@ -203,7 +205,9 @@ def test_csa_mask_rows_sum_to_one():
     rng = np.random.default_rng(13)
     phi = rng.random((5, 7))
     p = SelfAttentionParams(heads=make_heads(rng, "csa", 5, 7, 4, 2), latent_dim=4)
-    for a in head_matrices(phi, p, "csa"):
+    cache = {}
+    att_csa(phi, p, cache=cache)
+    for a in [head["a"] for head in cache["heads"]]:
         assert a.shape == (5, 5)
         assert np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
@@ -255,7 +259,9 @@ def test_tsa_mask_rows_sum_to_one():
     rng = np.random.default_rng(18)
     phi = rng.random((4, 6))
     p = SelfAttentionParams(heads=make_heads(rng, "tsa", 4, 6, 3, 2), latent_dim=3)
-    for a in head_matrices(phi, p, "tsa"):
+    cache = {}
+    att_tsa(phi, p, cache=cache)
+    for a in [head["a"] for head in cache["heads"]]:
         assert a.shape == (6, 6)
         assert np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 

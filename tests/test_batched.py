@@ -129,8 +129,7 @@ def reference_fit(net, train_set, cfg, seed):
                 for k, g in grads.items():
                     sums[k] += g
             scale = 1.0 / len(batch)
-            adam_step(net.params, {k: g * scale for k, g in sums.items()},
-                      state, cfg, constrain=net.constrain)
+            adam_step(net.params, {k: g * scale for k, g in sums.items()}, state, cfg)
         trace.append(epoch_loss / n)
     return trace
 

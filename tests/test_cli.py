@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnbof import attention
+from attnbof import model as model_mod
 from attnbof.cli import main, parse_config
 from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_order_task,
                           load_features, save_features)
@@ -165,13 +167,13 @@ def test_gradcheck_fails_on_broken_vjp(tmp_path, capsys, monkeypatch):
     conf = write(tmp_path / "g.conf",
                  "feature_dim = 4\nclasses = 3\ncodewords = 6\n"
                  "latent_dim = 5\nseq_len = 8\nattention = csa\n")
-    true_vjp = attention.att_csa_vjp
+    true_vjp = attention.self_attention_vjp
 
-    def broken(phi, params, upstream, **kwargs):
-        dphi, head_grads = true_vjp(phi, params, upstream, **kwargs)
-        return dphi * 2.0, head_grads  # negative control
+    def broken(variant, phi, params, upstream, cache):
+        dphi, *dweights = true_vjp(variant, phi, params, upstream, cache)
+        return dphi * 2.0, *dweights  # negative control
 
-    monkeypatch.setattr(attention, "att_csa_vjp", broken)
+    monkeypatch.setattr(attention, "self_attention_vjp", broken)
     assert main(["gradcheck", "--config", conf, "--seed", "4"]) == 1
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
@@ -354,6 +356,40 @@ def test_eval_rejects_defective_feature_file(tmp_path, order_file, capsys, defec
     assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
 
 
+def test_eval_rejects_checkpoint_with_more_heads_than_manifest_entries(
+        tmp_path, order_file, capsys, monkeypatch):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["config"].update(heads=100000))
+
+    def unbounded(cfg):
+        raise AssertionError(f"shapes built for {cfg.heads} heads")
+
+    monkeypatch.setattr(model_mod, "param_shapes", unbounded)
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "100000 heads" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+def test_non_finite_model_output_exits_one(tmp_path, order_file, capsys, command):
+    ckpt = make_checkpoint(tmp_path, attention="2da")
+    _, _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[1] = 1e300  # finite, but its square overflows: NaN logits and masks
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION, payload=values.tobytes())
+    out_dir = tmp_path / "mats"
+    argv = [command, "--checkpoint", ckpt, "--data", order_file]
+    if command == "inspect-attention":
+        argv += ["--item", "0", "--out", str(out_dir)]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and not out_dir.exists()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "not finite" in err
+
+
 def test_eval_rejects_duplicated_checkpoint_manifest_entry(tmp_path, order_file, capsys):
     ckpt = make_checkpoint(tmp_path, attention="csa")
     rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
@@ -417,23 +453,35 @@ def json_paths(node, prefix=()):
         yield from json_paths(child, prefix + (key,))
 
 
+# finite values whose squares overflow, and subnormals
+EXTREMES = st.sampled_from([1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308])
 JSON_VALUES = st.one_of(
     st.integers(max_value=0), st.text(max_size=3), st.floats(), st.booleans(),
     st.none(), st.lists(st.integers(-2, 2), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2), EXTREMES)
+# Large counts go into checkpoint headers only: a feature file's classes
+# size the classifier that train allocates.
+COUNTS = st.integers(1, 10**9)
 
 
 def mutate(data, path, magic, version):
     """Rewrite ``path`` with one drawn defect: a header value replaced, a
-    manifest entry dropped or duplicated, or payload bytes overwritten."""
+    manifest entry dropped or duplicated, payload bytes overwritten, or one
+    payload value replaced by an extreme finite one."""
     _, header, payload = read_container(path, magic, version)
-    kind = data.draw(st.sampled_from(["value", "drop", "duplicate", "payload"]))
+    kind = data.draw(st.sampled_from(["value", "drop", "duplicate", "payload",
+                                      "extreme"]))
     if kind == "value":
         *parents, last = data.draw(st.sampled_from(list(json_paths(header))))
         node = header
         for key in parents:
             node = node[key]
-        node[last] = data.draw(JSON_VALUES)
+        node[last] = data.draw(JSON_VALUES | COUNTS if magic == CHECKPOINT_MAGIC
+                               else JSON_VALUES)
+    elif kind == "extreme":
+        pos = 8 * data.draw(st.integers(0, len(payload) // 8 - 1))
+        payload = (payload[:pos] + struct.pack("<d", data.draw(EXTREMES))
+                   + payload[pos + 8:])
     elif kind == "payload":
         pos = data.draw(st.integers(0, len(payload) - 1))
         chunk = data.draw(st.binary(min_size=1, max_size=8))

@@ -4,12 +4,14 @@ import struct
 import numpy as np
 import pytest
 
+from attnbof.data import gen_noisy_timestamps
 from attnbof.errors import (ChecksumError, ConfigError, DataFormatError,
                             ShapeError, VersionError)
 from attnbof.model import (Model, ModelConfig, cross_entropy, frontend_conv,
                            load_checkpoint, loss_op, param_shapes,
                            save_checkpoint)
 from attnbof.numerics import grad_check
+from attnbof.train import TrainConfig, fit
 
 from .oracles import loop_conv1d_relu, loop_cross_entropy
 
@@ -157,13 +159,16 @@ def test_classifier_width_scales_with_heads():
     assert net2.params["classifier.weight"].shape == (3, 6)
 
 
-def test_2da_diagonal_pinned_after_build_and_constrain():
+def test_2da_diagonal_pinned_after_build_and_fit():
     net = desk_model(attention="2da", mode="temporal")
-    w = net.params["att.w"]
-    assert np.allclose(np.diag(w), 1.0 / 8.0, atol=1e-15)
-    w += 1.0  # simulate an unconstrained optimizer step
-    net.constrain()
-    assert np.allclose(np.diag(net.params["att.w"]), 1.0 / 8.0, atol=1e-15)
+    pinned = np.full(8, 1.0 / 8.0)
+    assert np.array_equal(np.diag(net.params["att.w"]), pinned)
+    data = gen_noisy_timestamps(classes=3, feature_dim=4, length=8,
+                                signal_fraction=0.25, snr=2.0, count=24, seed=3)
+    before = net.params["att.w"].copy()
+    fit(net, data, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05), seed=4)
+    assert not np.array_equal(net.params["att.w"], before)
+    assert np.array_equal(np.diag(net.params["att.w"]), pinned)
 
 
 def test_config_validation():
@@ -285,13 +290,22 @@ def test_failed_save_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+PARAM_GROUPS = ("frontend.", "codebook.", "att.", "classifier.")
+
+
 def test_param_shapes_cover_every_variant():
+    # the seeded initialization and the checkpoint follow this order
     for kwargs in (dict(attention="none"), dict(attention="2da", mode="temporal"),
                    dict(attention="2da", mode="codeword"),
                    dict(attention="2da", mode="input"),
                    dict(attention="ctsa", heads=2), dict(attention="csa"),
                    dict(attention="tsa", heads=4),
-                   dict(attention="none", frontend="conv", conv_channels=3)):
+                   dict(attention="none", frontend="conv", conv_channels=3),
+                   dict(attention="2da", mode="input", frontend="conv", conv_channels=3)):
         cfg = ModelConfig(**{**DESK, **kwargs})
         net = Model.build(cfg)
-        assert {k: v.shape for k, v in net.params.items()} == param_shapes(cfg)
+        shapes = list(param_shapes(cfg).items())
+        assert [(k, v.shape) for k, v in net.params.items()] == shapes
+        groups = [next(i for i, g in enumerate(PARAM_GROUPS) if name.startswith(g))
+                  for name, _ in shapes]
+        assert groups == sorted(groups), shapes

@@ -68,15 +68,6 @@ def test_adam_three_step_trace_matches_hand_loop():
         assert math.isclose(params["t"][0, 0], theta, abs_tol=1e-12)
 
 
-def test_adam_applies_constraint_after_step():
-    params = {"w": np.eye(2)}
-    state = init_adam(params)
-    called = []
-    adam_step(params, {"w": np.ones((2, 2))}, state, make_cfg(),
-              constrain=lambda: called.append(True))
-    assert called == [True]
-
-
 # ---------------------------------------------------------------------------
 # splits
 
