@@ -18,16 +18,19 @@ returning a matrix that downstream averaging turns into a histogram:
 * ``att_tsa`` -- timestamp-to-timestamp attention: the same construction on
   ``phi^T``, giving an N x N mask over timestamps.
 
-The self-attention variants mix per head as ``alpha * phi + (1-alpha) * att``
-and concatenate head outputs along the codeword axis, so h heads yield an
-(h*K) x N result.  Dropout on the attention matrix is training-only and
-inverted (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.
+The self-attention variants mix per head through one operator,
+``P = alpha * I + (1-alpha) * A`` (ctsa: ``alpha + (1-alpha) * A``, applied
+elementwise), and stack head outputs along the codeword axis, so h heads
+yield an (h*K) x N result.  Dropout on the attention matrix is
+training-only and inverted (survivors scaled by 1/(1-rate)), so evaluation
+is a pure identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,24 +106,17 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, seed) -> Array:
     return np.reshape(keep, shape) / (1.0 - rate)
 
 
-def _dropout(a: Array, rate: float, training: bool, seed) -> tuple[Array, Array | None]:
-    """(dropped matrix, mask); the mask is None when dropout is off."""
-    if not training or rate == 0.0:
-        return a, None
-    mask = _dropout_mask(a.shape, rate, seed)
-    return a * mask, mask
-
-
 def attention_dropout(a: Array, rate: float, training: bool, seed) -> Array:
     """Inverted dropout on an attention matrix; identity when evaluating."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    return _dropout(np.asarray(a, dtype=float), rate, training, seed)[0]
+    a = np.asarray(a, dtype=float)
+    return a * _dropout_mask(a.shape, rate, seed) if training and rate > 0.0 else a
 
 
 def attention_dropout_vjp(a: Array, rate: float, training: bool, seed,
                           upstream: Array) -> Array:
-    return _dropout(upstream, rate, training, seed)[0]
+    return attention_dropout(upstream, rate, training, seed)
 
 
 register(DiffOp(
@@ -192,15 +188,24 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
 # ---------------------------------------------------------------------------
 # self-attention variants
 #
-# One per-head core serves all three.  Per head, q = M Wq^T and k = Mk Wk^T,
-# z = q k^T / sqrt(d), and the mask a = act(z) mixes the operand M:
+# One per-head core serves all three, in phi's (K, N) layout.  Per head, q
+# and k project the K rows of phi (``phi Wᵀ``) or its N columns
+# (``(W phi)ᵀ``), and a = act(q kᵀ / sqrt(d)) and alpha fold into one P:
 #
-#   variant  M      Mk     act             mix
-#   ctsa     phi    phi^T  sigmoid         a * M (elementwise)
-#   csa      phi    phi    softmax_rows    a @ M
-#   tsa      phi^T  phi^T  softmax_rows    a @ M
+#   variant  q     k     a                     P                       out
+#   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a     P * phi
+#   csa      rows  rows  softmax_rows, K x K   alpha I + (1-alpha) a   P @ phi
+#   tsa      cols  cols  softmax_rows, N x N   alpha I + (1-alpha) a   phi @ Pᵀ
 #
-# Head i of item b draws its dropout mask from seed_b + i.
+# csa and tsa compute the transposed scores k qᵀ, so their softmax
+# normalizes along axis -2 (the cache's row-stochastic ``a`` is a view), and
+# keep Pᵀ.  Head i writes rows i*K..(i+1)*K of one (..., h*K, N) output; for
+# item b it draws its dropout mask from seed_b + i.
+
+_PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
+_SOFTMAX_COLS = partial(numerics._softmax_rows_fwd, axis=-2)
+_SOFTMAX_COLS_VJP = partial(numerics._softmax_rows_vjp, axis=-2)
+
 
 def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
     """Column counts of a head's (wq, wk) for K codewords and N timestamps."""
@@ -216,67 +221,90 @@ def _check_head_shapes(variant: str, phi: Array, head: AttentionHead, d: int) ->
             f"phi {phi.shape} with latent dim {d} needs wq {want_q} / wk {want_k}")
 
 
-def _operand(variant: str, phi: Array) -> Array:
-    return swap(phi) if variant == "tsa" else phi
+def _project_vjp(phi: Array, phi_t: Array, w: Array, rows: bool,
+                 dproj: Array) -> tuple[Array, Array]:
+    """Cotangents of (phi, w) of ``phi wᵀ`` (rows) or ``(w phi)ᵀ``, given
+    ``phi_t = swap(phi)``; that of w sums over a stack."""
+    if rows:
+        return dproj @ w, numerics.sum_tn(dproj, phi)
+    return w.T @ swap(dproj), numerics.sum_tn(dproj, phi_t)
 
 
 def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: bool,
                     seed, cache: dict | None) -> Array:
     phi = numerics.as_stack(phi, f"{variant} input")
     d = p.latent_dim
-    m = _operand(variant, phi)
-    mk = swap(m) if variant == "ctsa" else m
-    act = numerics.sigmoid if variant == "ctsa" else numerics.softmax_rows
-    outs, heads = [], []
+    kdim = phi.shape[-2]
+    q_rows, k_rows = _PROJECTS_ROWS[variant]
+    act = numerics.sigmoid if variant == "ctsa" else _SOFTMAX_COLS
+    # converts between the scores' layout and the row-stochastic a, both ways
+    layout = (lambda m: m) if variant == "ctsa" else swap
+    eye = np.arange(phi.shape[-1 if variant == "tsa" else -2])   # P's diagonal
+    out = np.empty(phi.shape[:-2] + (len(p.heads) * kdim, phi.shape[-1]))
+    heads: list[dict] = []
     for i, head in enumerate(p.heads):
         _check_head_shapes(variant, phi, head, d)
-        q = m @ head.wq.T
-        k = mk @ head.wk.T
-        a = act((q @ swap(k)) / math.sqrt(d))
-        a_used, mask = _dropout(a, p.dropout_rate, training, np.asarray(seed) + i)
+        q = phi @ head.wq.T if q_rows else swap(head.wq @ phi)
+        k = phi @ head.wk.T if k_rows else swap(head.wk @ phi)
+        s = act((q @ swap(k) if variant == "ctsa" else k @ swap(q)) / math.sqrt(d))
+        used, mask = s, None
+        if training and p.dropout_rate > 0.0:
+            # drawn for the row-stochastic a, as by ``attention_dropout``
+            mask = layout(_dropout_mask(s.shape, p.dropout_rate, np.asarray(seed) + i))
+            used = s * mask
         alpha = _alpha(head.alpha_raw)
-        mixed = a_used * m if variant == "ctsa" else a_used @ m
-        outs.append(_operand(variant, alpha * m + (1.0 - alpha) * mixed))
-        heads.append({"q": q, "k": k, "a": a, "a_used": a_used, "mask": mask,
-                      "mixed": mixed, "alpha": alpha})
+        mix = (1.0 - alpha) * used      # P for ctsa, Pᵀ for csa and tsa
+        part = out[..., i * kdim:(i + 1) * kdim, :]
+        if variant == "ctsa":
+            mix += alpha
+            np.multiply(mix, phi, out=part)
+        else:
+            mix[..., eye, eye] += alpha
+            np.matmul(*((swap(mix), phi) if variant == "csa" else (phi, mix)), out=part)
+        if cache is not None:
+            heads.append({"q": q, "k": k, "s": s, "a": layout(s), "used": used,
+                          "mask": mask, "mix": mix, "alpha": alpha})
     if cache is not None:
         cache.update(heads=heads)
-    return np.concatenate(outs, axis=-2)
+    return out
 
 
 def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
                        upstream: Array, cache: dict) -> tuple[Array, ...]:
     """Cotangents of (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) for the
-    ``variant`` forward that filled ``cache``; the weights' sum over a stack."""
-    d = p.latent_dim
+    ``variant`` forward that filled ``cache``; the weights' sum over a stack.
+    From P's cotangent dP, alpha's is ``sum(dP * (I - a_used))`` (I all-ones
+    for ctsa) and a_used's is ``(1 - alpha) dP``."""
     kdim = phi.shape[-2]
-    m = _operand(variant, phi)
-    mk = swap(m) if variant == "ctsa" else m
-    act_vjp = numerics._sigmoid_vjp if variant == "ctsa" else numerics._softmax_rows_vjp
-    dm = np.zeros_like(m)
+    q_rows, k_rows = _PROJECTS_ROWS[variant]
+    act_vjp = numerics._sigmoid_vjp if variant == "ctsa" else _SOFTMAX_COLS_VJP
+    phi_t = swap(phi)
+    dphi = np.zeros_like(phi)
     grads: list[Array] = []
     for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
-        g = _operand(variant, upstream[..., i * kdim:(i + 1) * kdim, :])
-        q, k, a, a_used, alpha = c["q"], c["k"], c["a"], c["a_used"], c["alpha"]
-
-        dalpha = float(np.sum(g * (m - c["mixed"])))
+        g = upstream[..., i * kdim:(i + 1) * kdim, :]
+        q, k, s, used, mix, alpha = c["q"], c["k"], c["s"], c["used"], c["mix"], c["alpha"]
         if variant == "ctsa":
-            dm += alpha * g + (1.0 - alpha) * g * a_used
-            da = (1.0 - alpha) * g * m
+            dphi += mix * g
+            dmix = g * phi
+            eye_part = dmix.sum()
         else:
-            dm += alpha * g + (1.0 - alpha) * (swap(a_used) @ g)
-            da = (1.0 - alpha) * (g @ swap(m))
+            dphi += mix @ g if variant == "csa" else g @ swap(mix)
+            dmix = phi @ swap(g) if variant == "csa" else phi_t @ g
+            eye_part = dmix.trace(axis1=-2, axis2=-1).sum()
+        dalpha = float(eye_part - np.vdot(dmix, used))
+        ds = (1.0 - alpha) * dmix
         if c["mask"] is not None:
-            da = da * c["mask"]
-        dz = act_vjp(None, a, da)[0]
-        dq = (dz @ k) / math.sqrt(d)
-        dk = (swap(dz) @ q) / math.sqrt(d)
-        dm += dq @ head.wq
-        dk_m = dk @ head.wk
-        dm += swap(dk_m) if variant == "ctsa" else dk_m
-        grads += [numerics.sum_tn(dq, m), numerics.sum_tn(dk, mk),
-                  _dalpha_raw(head.alpha_raw, dalpha)]
-    return (_operand(variant, dm), *grads)
+            ds *= c["mask"]
+        ds = act_vjp(None, s, ds)[0]
+        ds /= math.sqrt(p.latent_dim)
+        dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
+        dp, dwq = _project_vjp(phi, phi_t, head.wq, q_rows, dq)
+        dphi += dp
+        dp, dwk = _project_vjp(phi, phi_t, head.wk, k_rows, dk)
+        dphi += dp
+        grads += [dwq, dwk, _dalpha_raw(head.alpha_raw, dalpha)]
+    return (dphi, *grads)
 
 
 def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,

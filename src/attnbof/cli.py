@@ -76,7 +76,25 @@ def model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None,
                 "sequences have mixed lengths; set seq_len and pad_or_clip the data")
         cfg.seq_len = n
     cfg.validate()
+    if dataset is not None:
+        _check_fits(cfg, dataset)
     return cfg
+
+
+def _check_fits(cfg: model_mod.ModelConfig, dataset: data_mod.LabeledSequenceSet) -> None:
+    """Reject a model config that does not fit the data, before anything is
+    sized by it; each message names the config key."""
+    top = max((label for _, label in dataset.items), default=0)
+    lengths = sorted({x.shape[1] for x, _ in dataset.items})
+    for key, misfit, data_has in (
+            ("feature_dim", cfg.feature_dim != dataset.feature_dim,
+             f"{dataset.feature_dim} feature rows"),
+            ("classes", top >= cfg.classes, f"label {top}"),
+            ("classes", cfg.classes > len(dataset), f"only {len(dataset)} items"),
+            ("seq_len", cfg.needs_seq_len and lengths != [cfg.seq_len],
+             f"sequence lengths {lengths}")):
+        if misfit:
+            raise ConfigError(f"{key} is {getattr(cfg, key)}, the data has {data_has}")
 
 
 def train_config(conf: dict, seed: int) -> train_mod.TrainConfig:
@@ -269,7 +287,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # the finite checks decide the exit code, with no numpy warning first
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -339,10 +339,10 @@ class Model:
 
     # -- forward / backward -------------------------------------------------
 
-    def _run(self, x: Array, training: bool, seed):
-        """Forward pass over one D x N sequence or a (B, D, N) stack: the
-        logits, (C,) or (B, C), and each stage's (input, parameters, output,
-        cache), which the backward pass consumes."""
+    def _run(self, x: Array, training: bool, seed, trail: list | None = None) -> Array:
+        """Logits of one D x N sequence, (C,), or of a (B, D, N) stack, (B, C).
+        A ``trail`` list receives each stage's (input, parameters, output,
+        cache) for the backward pass; without one, no stage keeps a cache."""
         cfg = self.config
         h = numerics.as_stack(x, "stage input")
         n = h.shape[-1]
@@ -354,18 +354,18 @@ class Model:
         if cfg.needs_seq_len and n != cfg.seq_len:
             raise ShapeError(
                 f"stage attention: sequence length {n} != configured seq_len {cfg.seq_len}")
-        trail = []
         for stage in self.stages:
-            cache: dict = {}
+            cache = None if trail is None else {}
             ps = [self.params[p] for p in stage.shapes]
             out = stage.fwd(h, ps, cache, training, seed)
-            trail.append((h, ps, out, cache))
+            if trail is not None:
+                trail.append((h, ps, out, cache))
             h = out
-        return h, trail
+        return h
 
     def forward(self, x: Array, training: bool = False, seed=0) -> Array:
         """Logits of one D x N sequence, or (B, C) logits of a (B, D, N) stack."""
-        return self._run(x, training, seed)[0]
+        return self._run(x, training, seed)
 
     def predict(self, x: Array):
         """Class index of one sequence, or one per item of a stack."""
@@ -382,7 +382,8 @@ class Model:
         stack.  One D x N sequence with an int label and seed is the B=1
         case and returns a float loss.
         """
-        logits, trail = self._run(x, training, seed)
+        trail: list = []
+        logits = self._run(x, training, seed, trail)
         loss = cross_entropy(logits, label)
         g = cross_entropy_vjp(logits, label, 1.0)
         grads: dict[str, Array] = {}
@@ -396,7 +397,8 @@ class Model:
         names = [stage.name for stage in self.stages]
         if "attention" not in names:
             raise ConfigError("model has attention=none; no matrices to inspect")
-        _, trail = self._run(numerics.as_matrix(x, "input"), training=False, seed=0)
+        trail: list = []
+        self._run(numerics.as_matrix(x, "input"), False, 0, trail)
         cache = trail[names.index("attention")][3]
         return [_finite(head["a"], "attention matrix")
                 for head in cache.get("heads", [cache])]

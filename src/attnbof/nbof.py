@@ -154,13 +154,13 @@ def aggregate(phi: Array) -> Array:
     phi = numerics.as_stack(phi, "aggregate input")
     if phi.shape[-1] == 0:
         raise ShapeError("aggregate: empty sequence (N=0)")
-    return phi.mean(axis=-1)
+    n = phi.shape[-1]
+    return phi @ np.full(n, 1.0 / n)   # one GEMV pass over phi
 
 
 def aggregate_vjp(inputs, output, upstream):
     (phi,) = inputs
-    n = phi.shape[-1]
-    return (np.repeat(upstream[..., None] / n, n, axis=-1),)
+    return (np.broadcast_to(upstream[..., None] / phi.shape[-1], phi.shape),)
 
 
 register(DiffOp("aggregate", aggregate, aggregate_vjp,

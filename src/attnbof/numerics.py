@@ -87,17 +87,19 @@ def sum_tn(a: Array, b: Array) -> Array:
 # elementary ops
 
 
-def _softmax_rows_fwd(m: Array) -> Array:
+def _softmax_rows_fwd(m: Array, axis: int = -1) -> Array:
+    """Softmax along ``axis``, the rows by default."""
     m = np.asarray(m, dtype=float)
     # max subtraction keeps exp in range for entries anywhere in [-700, 700]
-    z = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
-def _softmax_rows_vjp(inputs, output, upstream):
+def _softmax_rows_vjp(inputs, output, upstream, axis: int = -1):
     s = output
-    return (s * (upstream - (upstream * s).sum(axis=-1, keepdims=True)),)
+    return (s * (upstream - (upstream * s).sum(axis=axis, keepdims=True)),)
 
 
 softmax_rows = register(DiffOp(

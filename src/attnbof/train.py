@@ -59,31 +59,47 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, Array]
-    v: dict[str, Array]
+    m: Array    # first moments of all parameters, flattened in registry order
+    v: Array    # second moments, likewise
     t: int = 0
 
 
 def init_adam(params: dict[str, Array]) -> AdamState:
-    return AdamState(m={k: np.zeros_like(p) for k, p in params.items()},
-                     v={k: np.zeros_like(p) for k, p in params.items()})
+    size = sum(p.size for p in params.values())
+    return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
-def adam_step(params: dict[str, Array], grads: dict[str, Array], state: AdamState,
+def flatten_grads(params: dict[str, Array], grads: dict[str, Array]) -> Array:
+    """One cotangent per parameter, as one vector in registry order."""
+    for name, p in params.items():
+        shape = grads[name].shape if name in grads else None
+        if shape != p.shape:
+            raise ShapeError(
+                f"adam_step: gradient for {name!r} is {shape}, parameter is {p.shape}")
+    return np.concatenate([grads[name].ravel() for name in params])
+
+
+def adam_step(params: dict[str, Array], grads: dict[str, Array] | Array, state: AdamState,
               cfg: TrainConfig) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected moment update, in place."""
+    """One bias-corrected moment update of every parameter, in place, from
+    ``grads`` by name or flattened (:func:`flatten_grads`).  A non-finite
+    step raises ``TrainingDiverged`` before any parameter moves."""
+    g = grads if isinstance(grads, np.ndarray) else flatten_grads(params, grads)
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, g in grads.items():
-        p = params[name]
-        if g.shape != p.shape:
-            raise ShapeError(
-                f"adam_step: gradient for {name!r} is {g.shape}, parameter is {p.shape}")
-        m = state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * (g * g)
+    step = cfg.learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + cfg.adam_eps)
+    if not np.isfinite(step).all():
+        raise TrainingDiverged(f"non-finite Adam step {state.t}")
+    start = 0
+    for p in params.values():
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return params, state
 
 
@@ -176,10 +192,9 @@ def macro_f1(preds, labels) -> float:
 
 
 # evaluate stacks items until their (B, K, N) memberships reach this many
-# entries (64 KiB of float64): short sequences run in stacks (17 at K=16,
-# N=30) and long ones alone (K=64, N=256).  Larger stacks were no faster at
-# K=16, N=30, slower at K=64, N=256 (their temporaries are paged in afresh
-# on every call), and they raise peak memory.
+# entries (64 KiB of float64), two at least: 17 at K=16, N=30 and pairs at
+# K=64, N=256.  Larger stacks were no faster at K=16, N=30 and raise peak
+# memory; at K=64, N=256, stacks of three page their temporaries in afresh.
 _EVAL_STACK_ELEMENTS = 1 << 13
 
 
@@ -187,14 +202,15 @@ def evaluate(net: Model, dataset: LabeledSequenceSet) -> tuple[float, float]:
     """Accuracy and macro-F1 of ``net`` on ``dataset``.
 
     Items of one sequence length are predicted in stacked ``predict`` calls
-    of at most ``_EVAL_STACK_ELEMENTS`` memberships each, in dataset order.
+    of at most ``_EVAL_STACK_ELEMENTS`` memberships each (but two items at
+    least), in dataset order.
     """
     items = dataset.items
     lengths = np.array([x.shape[1] for x, _ in items])
     preds = np.zeros(len(items), dtype=int)
     for length in dict.fromkeys(lengths.tolist()):
         idx = np.flatnonzero(lengths == length)
-        step = max(1, _EVAL_STACK_ELEMENTS // (net.config.codewords * length))
+        step = max(2, _EVAL_STACK_ELEMENTS // (net.config.codewords * length))
         for start in range(0, len(idx), step):
             chunk = idx[start:start + step]
             preds[chunk] = net.predict(np.stack([items[i][0] for i in chunk]))
@@ -284,8 +300,8 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start:start + cfg.batch_size]
-            seeds = np.array([int(rng.integers(2 ** 31)) for _ in batch])
-            sums = {k: np.zeros_like(p) for k, p in net.params.items()}
+            seeds = rng.integers(2 ** 31, size=len(batch))
+            total = np.zeros_like(state.m)
             # one stack per sequence length, in order of first appearance
             for length in dict.fromkeys(lengths[batch]):
                 sub = lengths[batch] == length
@@ -297,10 +313,11 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
                         f"non-finite loss at epoch {epoch}, batch {batch_no}")
                 for loss in losses:  # item by item, as the per-item loop summed
                     epoch_loss += float(loss)
-                for k, g in grads.items():
-                    sums[k] += g
-            scale = 1.0 / len(batch)
-            adam_step(net.params, {k: g * scale for k, g in sums.items()}, state, cfg)
+                total += flatten_grads(net.params, grads)
+            if not np.isfinite(total).all():
+                raise TrainingDiverged(
+                    f"non-finite gradient at epoch {epoch}, batch {batch_no}")
+            adam_step(net.params, total * (1.0 / len(batch)), state, cfg)
         trace.append(epoch_loss / n)
     return trace
 

@@ -4,6 +4,7 @@ import io
 import json
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,54 @@ def test_train_invalid_config_leaves_no_output(tmp_path, order_file):
     assert main(["train", "--config", conf, "--data", order_file,
                  "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# config lines and a feature-header edit that each make the model not fit
+# the 40-item, 3-feature, 2-class order set of length 6
+MISFITS = {
+    "feature_dim": ("feature_dim = 5\n", None),
+    "classes": ("classes = 1\n", None),
+    "classes-over-items": ("", lambda h: h.update(classes=200000)),
+    "seq_len": ("seq_len = 5\n", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_train_rejects_config_that_does_not_fit_the_data(tmp_path, order_file, capsys,
+                                                         monkeypatch, case):
+    lines, edit_header = MISFITS[case]
+    conf = write(tmp_path / "train.conf", TRAIN_CONF + lines)
+    if edit_header is not None:
+        rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION, edit_header)
+
+    def unchecked(cfg):
+        raise AssertionError(f"model built from {cfg}")
+
+    monkeypatch.setattr(model_mod.Model, "build", unchecked)
+    out = tmp_path / "m.nbaf"
+    err = assert_clean_exit_two(capsys, ["train", "--config", conf, "--data", order_file,
+                                         "--out", str(out)])
+    assert err.startswith(f"error: {case.split('-')[0]} is ")
+    assert not out.exists()
+
+
+def test_train_exits_one_when_gradients_are_not_finite(tmp_path, order_file, capsys,
+                                                       monkeypatch):
+    conf = write(tmp_path / "train.conf", TRAIN_CONF)
+
+    def inf_vjp(phi, p, upstream, cache=None):
+        return np.full(phi.shape, np.inf), np.zeros_like(p.w), np.zeros((1, 1))
+
+    monkeypatch.setattr(attention, "att_2da_vjp", inf_vjp)
+    out = tmp_path / "m.nbaf"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", conf, "--data", order_file,
+                     "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err == "error: non-finite gradient at epoch 0, batch 0\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_usage_error_exits_two(capsys):
@@ -382,8 +431,10 @@ def test_non_finite_model_output_exits_one(tmp_path, order_file, capsys, command
     argv = [command, "--checkpoint", ckpt, "--data", order_file]
     if command == "inspect-attention":
         argv += ["--item", "0", "--out", str(out_dir)]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     out, err = capsys.readouterr()
     assert out == "" and not out_dir.exists()
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -459,25 +510,29 @@ JSON_VALUES = st.one_of(
     st.integers(max_value=0), st.text(max_size=3), st.floats(), st.booleans(),
     st.none(), st.lists(st.integers(-2, 2), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2), EXTREMES)
-# Large counts go into checkpoint headers only: a feature file's classes
-# size the classifier that train allocates.
 COUNTS = st.integers(1, 10**9)
+# header counts that size what eval or train would allocate
+COUNT_KEYS = {CHECKPOINT_MAGIC: ("classes", "codewords", "heads", "latent_dim", "seq_len"),
+              FEATURES_MAGIC: ("classes", "feature_dim")}
 
 
 def mutate(data, path, magic, version):
     """Rewrite ``path`` with one drawn defect: a header value replaced, a
-    manifest entry dropped or duplicated, payload bytes overwritten, or one
-    payload value replaced by an extreme finite one."""
+    header count set up to 1e9, a manifest entry dropped or duplicated,
+    payload bytes overwritten, or one payload value replaced by an extreme
+    finite one."""
     _, header, payload = read_container(path, magic, version)
-    kind = data.draw(st.sampled_from(["value", "drop", "duplicate", "payload",
+    kind = data.draw(st.sampled_from(["value", "count", "drop", "duplicate", "payload",
                                       "extreme"]))
-    if kind == "value":
+    if kind == "count":
+        counts = header["config"] if magic == CHECKPOINT_MAGIC else header
+        counts[data.draw(st.sampled_from(COUNT_KEYS[magic]))] = data.draw(COUNTS)
+    elif kind == "value":
         *parents, last = data.draw(st.sampled_from(list(json_paths(header))))
         node = header
         for key in parents:
             node = node[key]
-        node[last] = data.draw(JSON_VALUES | COUNTS if magic == CHECKPOINT_MAGIC
-                               else JSON_VALUES)
+        node[last] = data.draw(JSON_VALUES | COUNTS)
     elif kind == "extreme":
         pos = 8 * data.draw(st.integers(0, len(payload) // 8 - 1))
         payload = (payload[:pos] + struct.pack("<d", data.draw(EXTREMES))

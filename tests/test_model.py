@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ def test_forward_reports_stage_on_wrong_length():
     net = desk_model(attention="csa")
     with pytest.raises(ShapeError, match="stage attention"):
         net.forward(np.zeros((4, 9)))
+
+
+def test_forward_pass_peak_memory_is_a_few_membership_stacks():
+    # one predict of a 2-item K=64, N=256 conv + csa stack: no stage keeps its
+    # cache, and the two heads write into one output array
+    net = Model.build(ModelConfig(feature_dim=16, classes=4, codewords=64,
+                                  attention="csa", latent_dim=16, heads=2,
+                                  frontend="conv", conv_channels=16, seq_len=256))
+    xs = np.random.default_rng(9).standard_normal((2, 16, 256))
+    net.predict(xs)
+    tracemalloc.start()
+    try:
+        net.predict(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * xs.shape[0] * 64 * 256 * 8
 
 
 def test_classifier_width_scales_with_heads():

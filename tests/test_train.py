@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from attnbof import nbof
 from attnbof.data import LabeledSequenceSet, gen_noisy_timestamps, gen_order_task
-from attnbof.errors import ConfigError, TrainingDiverged
+from attnbof.errors import ConfigError, ShapeError, TrainingDiverged
 from attnbof.model import Model, ModelConfig, frontend_conv
 from attnbof.nbof import init_codebook
 from attnbof.train import (TrainConfig, accuracy, adam_step, evaluate,
@@ -66,6 +67,45 @@ def test_adam_three_step_trace_matches_hand_loop():
         v_hat = v / (1.0 - 0.999 ** step)
         theta -= 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert math.isclose(params["t"][0, 0], theta, abs_tol=1e-12)
+
+
+def test_adam_flat_update_is_bitwise_the_per_parameter_update():
+    rng = np.random.default_rng(3)
+    shapes = {"a": (3, 4), "b": (1, 1), "c": (5, 2)}
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    cfg = make_cfg(learning_rate=0.01)
+    state = init_adam(params)
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 6)
+                 for k, s in reversed(shapes.items())}
+        adam_step(params, grads, state, cfg)
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+            ref[k] -= 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
+        assert all(np.array_equal(params[k], ref[k]) for k in shapes)
+
+
+def test_adam_rejects_non_finite_step_before_moving_parameters():
+    params = {"a": np.ones((1, 2)), "b": np.ones((2, 1))}
+    state = init_adam(params)
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged, match="step 1"):
+        adam_step(params, {"a": np.ones((1, 2)), "b": np.array([[1.0], [np.inf]])},
+                  state, make_cfg())
+    assert all(np.array_equal(p, np.ones(p.shape)) for p in params.values())
+
+
+def test_adam_names_missing_or_misshapen_gradient():
+    params = {"a": np.ones((1, 2)), "b": np.ones((2, 1))}
+    with pytest.raises(ShapeError, match="'b'"):
+        adam_step(params, {"a": np.ones((1, 2))}, init_adam(params), make_cfg())
+    with pytest.raises(ShapeError, match="'a'"):
+        adam_step(params, {"a": np.ones(2), "b": np.ones((2, 1))}, init_adam(params),
+                  make_cfg())
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +227,11 @@ def test_fit_conv_frontend_with_other_channel_count():
     assert np.max(np.abs(start - net.params["codebook.v"])) < 0.1
 
 
-def long_toy():
+def long_toy(length=300, count=5):
     """K * N = 64 * 300 memberships per item, more than one stack may hold."""
     rng = np.random.default_rng(7)
-    items = [(rng.standard_normal((2, 300)) + 2.0 * (i % 3), i % 3) for i in range(5)]
+    items = [(rng.standard_normal((2, length)) + 2.0 * (i % 3), i % 3)
+             for i in range(count)]
     return LabeledSequenceSet(items=items, classes=3, feature_dim=2)
 
 
@@ -199,8 +240,11 @@ def long_toy():
           heads=2), lambda: separable_toy(count=36), [36]),
     (dict(feature_dim=4, codewords=6, attention="tsa", latent_dim=4), ragged_set,
      [10, 10, 10]),
-    (dict(feature_dim=2, codewords=64), long_toy, [1] * 5),
-], ids=["equal-length", "ragged", "over-budget"])
+    (dict(feature_dim=2, codewords=64), long_toy, [2, 2, 1]),
+    (dict(feature_dim=2, codewords=64, attention="csa", latent_dim=4, seq_len=256,
+          heads=2, frontend="conv", conv_channels=2),
+     lambda: long_toy(length=256, count=6), [2, 2, 2]),
+], ids=["equal-length", "ragged", "over-budget", "long-sequence"])
 def test_stacked_evaluate_matches_predict_loop(model_kwargs, make_set, stacks,
                                                monkeypatch):
     net = Model.build(ModelConfig(classes=3, seed=4, **model_kwargs))
@@ -255,6 +299,25 @@ def test_train_aborts_on_non_finite_loss():
     cfg = make_cfg(epochs=1, batch_size=2)
     with pytest.raises(TrainingDiverged, match="epoch 0"):
         fit(net, ds, cfg, seed=0)
+
+
+def test_fit_rejects_non_finite_gradient_before_moving_parameters(monkeypatch):
+    ds = separable_toy(count=12)
+    net = Model.build(ModelConfig(feature_dim=4, classes=3, codewords=5, seed=0))
+    set_codebook = net.set_codebook
+    start = {}
+
+    def keep_start(cb):
+        set_codebook(cb)
+        start.update({k: p.copy() for k, p in net.params.items()})
+
+    monkeypatch.setattr(net, "set_codebook", keep_start)
+    monkeypatch.setattr(nbof, "aggregate_vjp",
+                        lambda inputs, output, upstream: (np.full(inputs[0].shape, np.inf),))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(TrainingDiverged, match="gradient at epoch 0, batch 0"):
+        fit(net, ds, make_cfg(epochs=1, batch_size=4), seed=0)
+    assert all(np.array_equal(net.params[k], p) for k, p in start.items())
 
 
 def test_train_config_validation():
