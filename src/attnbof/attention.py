@@ -21,9 +21,9 @@ returning a matrix that downstream averaging turns into a histogram:
 The self-attention variants mix per head through one operator,
 ``P = alpha * I + (1-alpha) * A`` (ctsa: ``alpha + (1-alpha) * A``, applied
 elementwise), and stack head outputs along the codeword axis, so h heads
-yield an (h*K) x N result.  Dropout on the attention matrix is
-training-only and inverted (survivors scaled by 1/(1-rate)), so evaluation
-is a pure identity.
+yield an (h*K) x N result; the model's ``self_attention`` returns its
+temporal mean.  Dropout on the attention matrix is training-only and
+inverted (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.
 """
 
 from __future__ import annotations
@@ -192,15 +192,17 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
 # and k project the K rows of phi (``phi Wᵀ``) or its N columns
 # (``(W phi)ᵀ``), and a = act(q kᵀ / sqrt(d)) and alpha fold into one P:
 #
-#   variant  q     k     a                     P                       out
-#   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a     P * phi
-#   csa      rows  rows  softmax_rows, K x K   alpha I + (1-alpha) a   P @ phi
-#   tsa      cols  cols  softmax_rows, N x N   alpha I + (1-alpha) a   phi @ Pᵀ
+#   variant  q     k     a                     P                       out r
+#   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a     (P * phi) r
+#   csa      rows  rows  softmax_rows, K x K   alpha I + (1-alpha) a   P (phi r)
+#   tsa      cols  cols  softmax_rows, N x N   alpha I + (1-alpha) a   phi (Pᵀ r)
 #
-# csa and tsa compute the transposed scores k qᵀ, so their softmax
-# normalizes along axis -2 (the cache's row-stochastic ``a`` is a view), and
-# keep Pᵀ.  Head i writes rows i*K..(i+1)*K of one (..., h*K, N) output; for
-# item b it draws its dropout mask from seed_b + i.
+# r = 1/N (N x 1) gives the head's histogram without forming its K x N
+# output; r = I gives that output, exactly.  csa and tsa compute the
+# transposed scores k qᵀ, so their softmax normalizes along axis -2 (the
+# cache's row-stochastic ``a`` is a view), and keep Pᵀ.  Head i writes rows
+# i*K..(i+1)*K of one output; for item b it draws its dropout mask from
+# seed_b + i.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
 _SOFTMAX_COLS = partial(numerics._softmax_rows_fwd, axis=-2)
@@ -231,16 +233,19 @@ def _project_vjp(phi: Array, phi_t: Array, w: Array, rows: bool,
 
 
 def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: bool,
-                    seed, cache: dict | None) -> Array:
+                    seed, cache: dict | None, pooled: bool) -> Array:
+    """Head outputs times r: (..., h*K) histograms if ``pooled``, else the matrix."""
     phi = numerics.as_stack(phi, f"{variant} input")
     d = p.latent_dim
-    kdim = phi.shape[-2]
+    kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
     act = numerics.sigmoid if variant == "ctsa" else _SOFTMAX_COLS
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
     eye = np.arange(phi.shape[-1 if variant == "tsa" else -2])   # P's diagonal
-    out = np.empty(phi.shape[:-2] + (len(p.heads) * kdim, phi.shape[-1]))
+    r = np.full((n, 1), 1.0 / n) if pooled else np.eye(n)
+    phi_r = phi @ r if variant == "csa" else None
+    out = np.empty(phi.shape[:-2] + (len(p.heads) * kdim, r.shape[1]))
     heads: list[dict] = []
     for i, head in enumerate(p.heads):
         _check_head_shapes(variant, phi, head, d)
@@ -254,50 +259,63 @@ def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: 
             used = s * mask
         alpha = _alpha(head.alpha_raw)
         mix = (1.0 - alpha) * used      # P for ctsa, Pᵀ for csa and tsa
-        part = out[..., i * kdim:(i + 1) * kdim, :]
         if variant == "ctsa":
             mix += alpha
-            np.multiply(mix, phi, out=part)
+            left, right = mix * phi, r
         else:
             mix[..., eye, eye] += alpha
-            np.matmul(*((swap(mix), phi) if variant == "csa" else (phi, mix)), out=part)
+            left, right = (swap(mix), phi_r) if variant == "csa" else (phi, mix @ r)
+        np.matmul(left, right, out=out[..., i * kdim:(i + 1) * kdim, :])
         if cache is not None:
             heads.append({"q": q, "k": k, "s": s, "a": layout(s), "used": used,
-                          "mask": mask, "mix": mix, "alpha": alpha})
+                          "mask": mask, "mix": mix, "right": right, "alpha": alpha})
     if cache is not None:
         cache.update(heads=heads)
-    return out
+    return out[..., 0] if pooled else out
+
+
+def self_attention(variant: str, phi: Array, p: SelfAttentionParams,
+                   training: bool = False, seed=0, cache: dict | None = None) -> Array:
+    """Per-head histograms, (..., h*K): the temporal mean of ``att_<variant>``
+    folded into each head's operator; ``cache`` receives what the VJP reads."""
+    return _self_attention(variant, phi, p, training, seed, cache, pooled=True)
 
 
 def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
                        upstream: Array, cache: dict) -> tuple[Array, ...]:
-    """Cotangents of (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) for the
-    ``variant`` forward that filled ``cache``; the weights' sum over a stack.
-    From P's cotangent dP, alpha's is ``sum(dP * (I - a_used))`` (I all-ones
-    for ctsa) and a_used's is ``(1 - alpha) dP``."""
-    kdim = phi.shape[-2]
+    """Cotangents of (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) of the
+    ``self_attention`` call that filled ``cache``, given the histograms' u;
+    the weights' sum over a stack.  P's cotangent dP is rank one (csa
+    ``dPᵀ = (phi r) uᵀ``, tsa ``(phiᵀ u) rᵀ``, ctsa ``dP = (u rᵀ) * phi``);
+    alpha's is ``sum(dP * (I - a_used))`` (I all-ones for ctsa) and
+    a_used's ``(1 - alpha) dP``."""
+    kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
     act_vjp = numerics._sigmoid_vjp if variant == "ctsa" else _SOFTMAX_COLS_VJP
     phi_t = swap(phi)
     dphi = np.zeros_like(phi)
     grads: list[Array] = []
     for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
-        g = upstream[..., i * kdim:(i + 1) * kdim, :]
+        g = upstream[..., i * kdim:(i + 1) * kdim, None]          # (..., K, 1)
         q, k, s, used, mix, alpha = c["q"], c["k"], c["s"], c["used"], c["mix"], c["alpha"]
         if variant == "ctsa":
+            g = g / n
             dphi += mix * g
             dmix = g * phi
             eye_part = dmix.sum()
+        elif variant == "csa":
+            dphi += (mix @ g) / n
+            dmix = c["right"] * swap(g)
+            eye_part = np.vdot(c["right"], g)
         else:
-            dphi += mix @ g if variant == "csa" else g @ swap(mix)
-            dmix = phi @ swap(g) if variant == "csa" else phi_t @ g
-            eye_part = dmix.trace(axis1=-2, axis2=-1).sum()
-        dalpha = float(eye_part - np.vdot(dmix, used))
-        ds = (1.0 - alpha) * dmix
+            dphi += g * swap(c["right"])
+            dmix = (phi_t @ g) / n      # (..., N, 1): each row of dPᵀ is constant
+            eye_part = dmix.sum()
+        dalpha = float(eye_part - np.vdot(np.broadcast_to(dmix, used.shape), used))
+        ds = ((1.0 - alpha) / math.sqrt(p.latent_dim)) * dmix
         if c["mask"] is not None:
-            ds *= c["mask"]
+            ds = ds * c["mask"]
         ds = act_vjp(None, s, ds)[0]
-        ds /= math.sqrt(p.latent_dim)
         dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
         dp, dwq = _project_vjp(phi, phi_t, head.wq, q_rows, dq)
         dphi += dp
@@ -310,19 +328,19 @@ def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
 def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,
              seed=0, cache: dict | None = None) -> Array:
     """Joint codeword-temporal sigmoid mask, applied elementwise per head."""
-    return _self_attention("ctsa", phi, p, training, seed, cache)
+    return _self_attention("ctsa", phi, p, training, seed, cache, pooled=False)
 
 
 def att_csa(phi: Array, p: SelfAttentionParams, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Codeword-to-codeword attention in a learned latent space."""
-    return _self_attention("csa", phi, p, training, seed, cache)
+    return _self_attention("csa", phi, p, training, seed, cache, pooled=False)
 
 
 def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Timestamp-to-timestamp attention, computed on the transpose."""
-    return _self_attention("tsa", phi, p, training, seed, cache)
+    return _self_attention("tsa", phi, p, training, seed, cache, pooled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +357,13 @@ def make_self_attention_op(variant: str, heads: int, latent_dim: int,
 
     def fwd(phi, *arrs):
         p = SelfAttentionParams.from_flat(arrs, latent_dim, dropout_rate)
-        return _self_attention(variant, phi, p, training, seed, None)
+        return self_attention(variant, phi, p, training, seed)
 
     def vjp(inputs, output, upstream):
         phi, *arrs = inputs
         p = SelfAttentionParams.from_flat(arrs, latent_dim, dropout_rate)
         cache: dict = {}
-        _self_attention(variant, phi, p, training, seed, cache)
+        self_attention(variant, phi, p, training, seed, cache)
         return self_attention_vjp(variant, phi, p, upstream, cache)
 
     def sample(rng: np.random.Generator) -> list[Array]:

@@ -1,11 +1,11 @@
 """End-to-end sequence classifier run as one ordered list of stages.
 
 Pipeline: optional temporal-conv frontend -> codebook quantization ->
-attention -> temporal averaging -> affine head -> cross-entropy.  Every
-learnable matrix lives in a flat name -> array registry (``codebook.v``,
-``att.head0.wq``, ...) shared by the optimizer and the checkpoint format.
-Every stage pairs a layer's forward with its VJP under one calling
-convention; the backward pass runs the list in reverse, and there is no tape.
+attention -> temporal averaging (self-attention folds it in) -> affine head
+-> cross-entropy.  Every learnable matrix lives in a flat name -> array
+registry (``codebook.v``, ``att.head0.wq``, ...) shared by the optimizer and
+the checkpoint format.  Every stage pairs a layer's forward with its VJP
+under one calling convention; the backward pass runs the list in reverse.
 """
 
 from __future__ import annotations
@@ -268,13 +268,14 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
 
         stages.append(Stage(
             "attention", shapes,
-            lambda h, ps, c, training, seed: getattr(attention, f"att_{cfg.attention}")(
-                h, params_self(ps), training=training, seed=seed, cache=c),
+            lambda h, ps, c, training, seed: attention.self_attention(
+                cfg.attention, h, params_self(ps), training, seed, c),
             lambda h, ps, out, g, c: attention.self_attention_vjp(
                 cfg.attention, h, params_self(ps), g, c)))
+    if cfg.attention not in attention.VARIANTS:  # self-attention pools itself
+        stages.append(Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
+                            lambda h, ps, out, g, c: nbof.aggregate_vjp((h,), out, g)))
     return stages + [
-        Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
-              lambda h, ps, out, g, c: nbof.aggregate_vjp((h,), out, g)),
         Stage("head", {"classifier.weight": (cfg.classes, width),
                        "classifier.bias": (cfg.classes, 1)},
               lambda h, ps, c, *_: numerics.affine(ps[0], h, ps[1][:, 0]), _head_vjp)]

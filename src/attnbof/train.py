@@ -194,7 +194,8 @@ def macro_f1(preds, labels) -> float:
 # evaluate stacks items until their (B, K, N) memberships reach this many
 # entries (64 KiB of float64), two at least: 17 at K=16, N=30 and pairs at
 # K=64, N=256.  Larger stacks were no faster at K=16, N=30 and raise peak
-# memory; at K=64, N=256, stacks of three page their temporaries in afresh.
+# memory; at K=64, N=256, B=2 to 4 ran within ~20% of each other, B=8
+# slower, and which sizes page-fault depends on the process's history.
 _EVAL_STACK_ELEMENTS = 1 << 13
 
 

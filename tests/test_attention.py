@@ -5,8 +5,9 @@ import pytest
 
 from attnbof.attention import (Attention2DAParams, AttentionHead, MODES,
                                SelfAttentionParams, att_2da, att_csa, att_ctsa,
-                               att_tsa, attention_dropout)
+                               att_tsa, attention_dropout, self_attention)
 from attnbof.errors import ShapeError
+from attnbof.nbof import aggregate
 
 from .oracles import loop_2da, loop_csa, loop_ctsa, loop_flat_softmax, loop_tsa
 
@@ -274,6 +275,32 @@ def test_tsa_temporal_permutation_equivariance():
     lhs = att_tsa(phi[:, perm], p)
     rhs = att_tsa(phi, p)[:, perm]
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the model's stage: histograms with the temporal mean folded in
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["item", "stack"])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("variant", ["ctsa", "csa", "tsa"])
+def test_pooled_stage_is_the_mean_of_the_matrix_form(variant, heads, batch):
+    rng = np.random.default_rng(24)
+    k, n, d = 5, 7, 3
+    phi = rng.random((k, n) if batch is None else (batch, k, n))
+    seed = 11 if batch is None else rng.integers(2 ** 31, size=batch)
+    matrix_form = {"ctsa": att_ctsa, "csa": att_csa, "tsa": att_tsa}[variant]
+    p = SelfAttentionParams(heads=make_heads(rng, variant, k, n, d, heads, araw=0.3),
+                            latent_dim=d, dropout_rate=0.25)
+    for training in (False, True):
+        want_cache, cache = {}, {}
+        want = aggregate(matrix_form(phi, p, training=training, seed=seed, cache=want_cache))
+        got = self_attention(variant, phi, p, training, seed, cache)
+        assert got.shape == want.shape == phi.shape[:-2] + (heads * k,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert len(cache["heads"]) == len(want_cache["heads"]) == heads
+        for c, w in zip(cache["heads"], want_cache["heads"]):
+            assert np.array_equal(c["a"], w["a"])
 
 
 # ---------------------------------------------------------------------------
