@@ -2,7 +2,7 @@
 
 from . import attention, data, model, nbof, numerics, train
 from .attention import (Attention2DAParams, AttentionHead, SelfAttentionParams,
-                        att_2da, att_csa, att_ctsa, att_tsa, attention_dropout)
+                        att_2da, att_csa, att_ctsa, att_tsa)
 from .data import (LabeledSequenceSet, gen_noisy_timestamps, gen_order_task,
                    load_features, pad_or_clip, save_features)
 from .model import (Model, ModelConfig, cross_entropy, frontend_conv,
@@ -16,7 +16,7 @@ __all__ = [
     "GradCheckReport", "LabeledSequenceSet", "Model", "ModelConfig",
     "SelfAttentionParams", "TrainConfig", "TrainReport", "accuracy",
     "adam_step", "aggregate", "att_2da", "att_csa", "att_ctsa", "att_tsa",
-    "attention", "attention_dropout", "cross_entropy", "data", "frontend_conv",
+    "attention", "cross_entropy", "data", "frontend_conv",
     "gen_noisy_timestamps", "gen_order_task", "grad_check", "init_codebook",
     "kfold", "load_checkpoint", "load_features", "loss_op", "macro_f1",
     "model", "nbof", "numerics", "pad_or_clip", "quantize", "save_checkpoint",

@@ -21,9 +21,11 @@ returning a matrix that downstream averaging turns into a histogram:
 The self-attention variants mix per head through one operator,
 ``P = alpha * I + (1-alpha) * A`` (ctsa: ``alpha + (1-alpha) * A``, applied
 elementwise), and stack head outputs along the codeword axis, so h heads
-yield an (h*K) x N result; the model's ``self_attention`` returns its
-temporal mean.  Dropout on the attention matrix is training-only and
-inverted (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.
+yield an (h*K) x N result.  The model runs ``self_attention``, which returns
+its temporal mean; ``att_ctsa``/``att_csa``/``att_tsa`` return the matrix.
+Dropout on a head's attention matrix is training-only and inverted
+(survivors scaled by 1/(1-rate)), so evaluation is a pure identity.  Every
+VJP reads the cache its forward filled.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ShapeError
-from .numerics import Array, DiffOp, logistic_scalar, register, swap
+from .numerics import Array, logistic_scalar, swap
 
 MODES = ("input", "codeword", "temporal")
 VARIANTS = ("ctsa", "csa", "tsa")
@@ -106,33 +108,11 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, seed) -> Array:
     return np.reshape(keep, shape) / (1.0 - rate)
 
 
-def attention_dropout(a: Array, rate: float, training: bool, seed) -> Array:
-    """Inverted dropout on an attention matrix; identity when evaluating."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    a = np.asarray(a, dtype=float)
-    return a * _dropout_mask(a.shape, rate, seed) if training and rate > 0.0 else a
-
-
-def attention_dropout_vjp(a: Array, rate: float, training: bool, seed,
-                          upstream: Array) -> Array:
-    return attention_dropout(upstream, rate, training, seed)
-
-
-register(DiffOp(
-    "attention_dropout_train",
-    lambda a: attention_dropout(a, 0.3, True, 1234),
-    lambda inputs, output, upstream: (attention_dropout_vjp(inputs[0], 0.3, True, 1234, upstream),),
-    sample_inputs=lambda rng: [rng.standard_normal((6, 7))],
-))
-
-
 # ---------------------------------------------------------------------------
 # directly learned 2-d mask
 #
 # Every layer below takes one K x N matrix or a (B, K, N) stack.  A forward
-# called with a ``cache`` dict fills it with what its VJP needs;
-# ``att_2da_vjp`` called without one runs the forward to build it.
+# called with a ``cache`` dict fills it with what its VJP needs.
 
 
 def _2da_orient(phi: Array, mode: str) -> Array:
@@ -166,11 +146,9 @@ def att_2da(phi: Array, p: Attention2DAParams, cache: dict | None = None) -> Arr
 
 
 def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
-                cache: dict | None = None) -> tuple[Array, Array, Array]:
-    """Cotangents of (phi, w, alpha_raw); those of w and alpha_raw sum over a stack."""
-    if cache is None:
-        cache = {}
-        att_2da(phi, p, cache=cache)
+                cache: dict) -> tuple[Array, Array, Array]:
+    """Cotangents of (phi, w, alpha_raw) of the ``att_2da`` call that filled
+    ``cache``; those of w and alpha_raw sum over a stack."""
     w, a, alpha = cache["w"], cache["a"], cache["alpha"]
     m = _2da_orient(phi, p.mode)
     g = _2da_orient(upstream, p.mode)
@@ -178,7 +156,7 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
     dalpha = float(np.sum(g * (m * a - m)))
     da = alpha * g * m
     dm = alpha * g * a + (1.0 - alpha) * g
-    dz = numerics._softmax_rows_vjp(None, a, da)[0]
+    dz = numerics.softmax_rows_vjp(a, da)
     dm += dz @ w.T
     dw = numerics.sum_tn(m, dz)
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
@@ -205,8 +183,8 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
 # seed_b + i.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
-_SOFTMAX_COLS = partial(numerics._softmax_rows_fwd, axis=-2)
-_SOFTMAX_COLS_VJP = partial(numerics._softmax_rows_vjp, axis=-2)
+_SOFTMAX_COLS = partial(numerics.softmax_rows, axis=-2)
+_SOFTMAX_COLS_VJP = partial(numerics.softmax_rows_vjp, axis=-2)
 
 
 def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
@@ -254,7 +232,7 @@ def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: 
         s = act((q @ swap(k) if variant == "ctsa" else k @ swap(q)) / math.sqrt(d))
         used, mask = s, None
         if training and p.dropout_rate > 0.0:
-            # drawn for the row-stochastic a, as by ``attention_dropout``
+            # drawn in the layout of the row-stochastic a, then mapped to s's
             mask = layout(_dropout_mask(s.shape, p.dropout_rate, np.asarray(seed) + i))
             used = s * mask
         alpha = _alpha(head.alpha_raw)
@@ -291,7 +269,7 @@ def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
     a_used's ``(1 - alpha) dP``."""
     kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
-    act_vjp = numerics._sigmoid_vjp if variant == "ctsa" else _SOFTMAX_COLS_VJP
+    act_vjp = numerics.sigmoid_vjp if variant == "ctsa" else _SOFTMAX_COLS_VJP
     phi_t = swap(phi)
     dphi = np.zeros_like(phi)
     grads: list[Array] = []
@@ -315,7 +293,7 @@ def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
         ds = ((1.0 - alpha) / math.sqrt(p.latent_dim)) * dmix
         if c["mask"] is not None:
             ds = ds * c["mask"]
-        ds = act_vjp(None, s, ds)[0]
+        ds = act_vjp(s, ds)
         dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
         dp, dwq = _project_vjp(phi, phi_t, head.wq, q_rows, dq)
         dphi += dp
@@ -341,68 +319,3 @@ def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Timestamp-to-timestamp attention, computed on the transpose."""
     return _self_attention("tsa", phi, p, training, seed, cache, pooled=False)
-
-
-# ---------------------------------------------------------------------------
-# registry bindings (fixed small shapes so the library-wide gradient test can
-# sample valid points)
-
-def make_self_attention_op(variant: str, heads: int, latent_dim: int,
-                           k: int, n: int, training: bool = False,
-                           dropout_rate: float = 0.0, seed: int = 0) -> DiffOp:
-    """Bind a variant to fixed head count and shapes as a flat-input DiffOp.
-
-    Input order is (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...).
-    """
-
-    def fwd(phi, *arrs):
-        p = SelfAttentionParams.from_flat(arrs, latent_dim, dropout_rate)
-        return self_attention(variant, phi, p, training, seed)
-
-    def vjp(inputs, output, upstream):
-        phi, *arrs = inputs
-        p = SelfAttentionParams.from_flat(arrs, latent_dim, dropout_rate)
-        cache: dict = {}
-        self_attention(variant, phi, p, training, seed, cache)
-        return self_attention_vjp(variant, phi, p, upstream, cache)
-
-    def sample(rng: np.random.Generator) -> list[Array]:
-        q_cols, k_cols = projection_widths(variant, k, n)
-        arrs = [rng.standard_normal((k, n))]
-        for _ in range(heads):
-            # fan-in scaling keeps attention logits O(1); saturated softmax
-            # tails are outside finite-difference resolution
-            arrs += [rng.standard_normal((latent_dim, q_cols)) / math.sqrt(q_cols),
-                     rng.standard_normal((latent_dim, k_cols)) / math.sqrt(k_cols),
-                     rng.standard_normal((1, 1))]
-        return arrs
-
-    suffix = "_train" if training else ""
-    return DiffOp(f"att_{variant}_h{heads}{suffix}", fwd, vjp, sample_inputs=sample)
-
-
-def make_2da_op(mode: str, rows: int, cols: int) -> DiffOp:
-    def fwd(phi, w, alpha_raw):
-        return att_2da(phi, Attention2DAParams(w=w, alpha_raw=alpha_raw, mode=mode))
-
-    def vjp(inputs, output, upstream):
-        phi, w, alpha_raw = inputs
-        return att_2da_vjp(phi, Attention2DAParams(w=w, alpha_raw=alpha_raw, mode=mode),
-                           upstream)
-
-    side = cols if mode == "temporal" else rows
-
-    def sample(rng: np.random.Generator) -> list[Array]:
-        return [rng.standard_normal((rows, cols)),
-                rng.standard_normal((side, side)) / math.sqrt(side),
-                rng.standard_normal((1, 1))]
-
-    return DiffOp(f"att_2da_{mode}", fwd, vjp, sample_inputs=sample)
-
-
-for _mode in MODES:
-    register(make_2da_op(_mode, 4, 5))
-for _variant in VARIANTS:
-    register(make_self_attention_op(_variant, heads=2, latent_dim=3, k=4, n=6))
-register(make_self_attention_op("csa", heads=1, latent_dim=3, k=4, n=6,
-                                training=True, dropout_rate=0.25, seed=99))

@@ -20,7 +20,7 @@ from . import attention, nbof, numerics
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
 from .io_container import (check_types, field_types, pack_arrays, read_container,
                            unpack_arrays, write_container)
-from .numerics import Array, DiffOp, register
+from .numerics import Array, DiffOp
 
 CHECKPOINT_MAGIC = b"NBAF"
 CHECKPOINT_VERSION = 1
@@ -125,12 +125,10 @@ def frontend_conv(x: Array, kernel: Array, bias: Array, cache: dict | None = Non
     return np.maximum(pre, 0.0)
 
 
-def frontend_conv_vjp(inputs, output, upstream, cache: dict | None = None):
-    """Cotangents of (x, kernel, bias); those of kernel and bias sum over a stack."""
+def frontend_conv_vjp(inputs, output, upstream, cache: dict):
+    """Cotangents of (x, kernel, bias) of the ``frontend_conv`` call that filled
+    ``cache``; those of kernel and bias sum over a stack."""
     x, kernel, bias = inputs
-    if cache is None:
-        cache = {}
-        frontend_conv(x, kernel, bias, cache=cache)
     pre, patches = cache["pre"], cache["patches"]
     d, n = x.shape[-2:]
     width = kernel.shape[1] // d
@@ -143,20 +141,6 @@ def frontend_conv_vjp(inputs, output, upstream, cache: dict | None = None):
         dxp[..., j:j + n] += dpatches[..., j, :]
     pad = (width - 1) // 2
     return dxp[..., pad:pad + n], dkernel, dbias
-
-
-def _conv_sample(rng: np.random.Generator) -> list[Array]:
-    while True:
-        x = rng.standard_normal((3, 7))
-        kernel = rng.standard_normal((2, 9))
-        bias = rng.standard_normal((2, 1))
-        pre, _ = _conv_pre(x, kernel, bias)
-        if np.abs(pre).min() > 1e-3:  # keep finite differences off the kink
-            return [x, kernel, bias]
-
-
-register(DiffOp("frontend_conv", frontend_conv, frontend_conv_vjp,
-                sample_inputs=_conv_sample))
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +172,9 @@ def cross_entropy(logits: Array, label) -> float | Array:
 
 
 def cross_entropy_vjp(logits: Array, label, upstream) -> Array:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
+    p = numerics.softmax_rows(logits)
     p -= np.arange(logits.shape[-1]) == np.asarray(label)[..., None]
     return p * np.asarray(upstream)[..., None]
-
-
-def make_cross_entropy_op(classes: int, label: int) -> DiffOp:
-    return DiffOp(
-        f"cross_entropy_c{classes}",
-        lambda logits: np.asarray(cross_entropy(logits, label)),
-        lambda inputs, output, upstream: (
-            cross_entropy_vjp(inputs[0], label, float(np.asarray(upstream).reshape(()))),),
-        sample_inputs=lambda rng: [rng.standard_normal(classes)],
-    )
-
-
-register(make_cross_entropy_op(4, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +193,7 @@ class Stage(NamedTuple):
 
 
 def _head_vjp(h, ps, out, upstream, cache):
-    dweight, dh, dbias = numerics._affine_vjp((ps[0], h, ps[1][:, 0]), out, upstream)
+    dweight, dh, dbias = numerics.affine_vjp(ps[0], h, upstream)
     return dh, dweight, dbias[:, None]
 
 
@@ -240,11 +209,11 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
             "conv", {"frontend.kernel": (dq, cfg.feature_dim * cfg.conv_width),
                      "frontend.bias": (dq, 1)},
             lambda h, ps, c, *_: frontend_conv(h, *ps, cache=c),
-            lambda h, ps, out, g, c: frontend_conv_vjp((h, *ps), out, g, cache=c)))
+            lambda h, ps, out, g, c: frontend_conv_vjp((h, *ps), out, g, c)))
     stages.append(Stage(
         "quantize", {"codebook.v": (k, dq), "codebook.w_raw": (k, dq)},
         lambda h, ps, c, *_: nbof.quantize_raw(h, *ps, cache=c),
-        lambda h, ps, out, g, c: nbof.quantize_vjp((h, *ps), out, g, cache=c)))
+        lambda h, ps, out, g, c: nbof.quantize_vjp((h, *ps), out, g, c)))
     if cfg.attention == "2da":
         side = {"temporal": cfg.seq_len, "codeword": k, "input": dq}[cfg.mode]
         stages.insert(-1 if cfg.mode == "input" else len(stages), Stage(

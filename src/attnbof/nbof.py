@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ShapeError
-from .numerics import Array, DiffOp, register, softplus
+from .numerics import Array, softplus
 
 # softplus(W_RAW_UNIT) == 1, the all-ones initial shape weight
 W_RAW_UNIT = float(np.log(np.e - 1.0))
@@ -108,21 +108,17 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     return e
 
 
-def quantize_vjp(inputs, output, upstream, cache: dict | None = None):
-    """Cotangents of (x, v, w_raw); those of v and w_raw sum over a stack.
+def quantize_vjp(inputs, output, upstream, cache: dict):
+    """Cotangents of (x, v, w_raw) of the ``quantize_raw`` call that filled
+    ``cache``; those of v and w_raw sum over a stack.
 
     With ``coef = -ds / dist`` (zero at the apex, where the distance is not
     differentiable), every cotangent is a contraction of ``coef`` against x,
     x^2, v and w^2, so no (K, D, N) difference tensor is rebuilt.
     """
     x, v, w_raw = inputs
-    phi = output
-    if cache is None:
-        cache = {}
-        quantize_raw(x, v, w_raw, cache=cache)
     dist, w = cache["dist"], cache["w"]
-    # softmax over the codeword axis, per column
-    ds = phi * (upstream - (upstream * phi).sum(axis=-2, keepdims=True))
+    ds = numerics.softmax_rows_vjp(output, upstream, axis=-2)   # per column
     safe = np.where(dist > 0.0, dist, 1.0)
     coef = np.where(dist > 0.0, -ds / safe, 0.0)      # (..., K, N)
     w2 = w * w
@@ -132,16 +128,8 @@ def quantize_vjp(inputs, output, upstream, cache: dict | None = None):
     cxx = numerics.sum_tn(numerics.swap(coef), numerics.swap(x * x))
     dv = -w2 * (cx - v * csum)
     dw = w * (cxx - 2.0 * v * cx + v * v * csum)
-    dw_raw = dw * numerics._sigmoid_fwd(w_raw)        # softplus' = logistic
+    dw_raw = dw * numerics.sigmoid(w_raw)        # softplus' = logistic
     return dx, dv, dw_raw
-
-
-quantize_op = register(DiffOp(
-    "quantize", quantize_raw, quantize_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((3, 5)),
-                               rng.standard_normal((4, 3)),
-                               rng.standard_normal((4, 3))],
-))
 
 
 def quantize(x: Array, cb: Codebook) -> Array:
@@ -161,10 +149,6 @@ def aggregate(phi: Array) -> Array:
 def aggregate_vjp(inputs, output, upstream):
     (phi,) = inputs
     return (np.broadcast_to(upstream[..., None] / phi.shape[-1], phi.shape),)
-
-
-register(DiffOp("aggregate", aggregate, aggregate_vjp,
-                sample_inputs=lambda rng: [rng.standard_normal((5, 4))]))
 
 
 def init_codebook(samples: list[Array], size: int, seed: int) -> Codebook:

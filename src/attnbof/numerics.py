@@ -3,11 +3,11 @@
 Matrices are 2-d ``numpy.ndarray`` of float64, row-major; vectors are 1-d.
 A stack of B equal-shape matrices is a 3-d (B, rows, cols) array; the model
 layers broadcast over that leading axis.
-Every operation is exposed as a :class:`DiffOp`: a forward function paired
-with a VJP that maps an upstream cotangent to one cotangent per input.  The
-model graph is fixed, so there is no tape; composite layers chain these VJPs
-explicitly.  ``grad_check`` validates any DiffOp against central finite
-differences.
+Each elementary function ``f`` has a plain ``f_vjp`` that maps an upstream
+cotangent to the cotangents of its inputs.  The model graph is fixed, so
+there is no tape; the model's stages chain these VJPs explicitly.  A
+:class:`DiffOp` pairs a forward with a VJP over a flat list of array inputs,
+the form ``grad_check`` validates against central finite differences.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import numpy as np
 from .errors import ShapeError
 
 Array = np.ndarray
-
-# Generates a valid random input point for a registered op, used by the
-# registry-wide gradient test.
-SampleFn = Callable[[np.random.Generator], list[Array]]
 
 
 @dataclass(frozen=True)
@@ -39,18 +35,6 @@ class DiffOp:
     name: str
     forward: Callable[..., Array]
     vjp: Callable[[Sequence[Array], Array, Array], tuple[Array, ...]]
-    sample_inputs: SampleFn | None = None
-
-    def __call__(self, *inputs: Array) -> Array:
-        return self.forward(*inputs)
-
-
-REGISTRY: dict[str, DiffOp] = {}
-
-
-def register(op: DiffOp) -> DiffOp:
-    REGISTRY[op.name] = op
-    return op
 
 
 def as_matrix(a, name: str = "matrix") -> Array:
@@ -87,7 +71,7 @@ def sum_tn(a: Array, b: Array) -> Array:
 # elementary ops
 
 
-def _softmax_rows_fwd(m: Array, axis: int = -1) -> Array:
+def softmax_rows(m: Array, axis: int = -1) -> Array:
     """Softmax along ``axis``, the rows by default."""
     m = np.asarray(m, dtype=float)
     # max subtraction keeps exp in range for entries anywhere in [-700, 700]
@@ -97,18 +81,12 @@ def _softmax_rows_fwd(m: Array, axis: int = -1) -> Array:
     return e
 
 
-def _softmax_rows_vjp(inputs, output, upstream, axis: int = -1):
-    s = output
-    return (s * (upstream - (upstream * s).sum(axis=axis, keepdims=True)),)
+def softmax_rows_vjp(s: Array, upstream: Array, axis: int = -1) -> Array:
+    """Cotangent of the input of ``softmax_rows`` with output ``s``."""
+    return s * (upstream - (upstream * s).sum(axis=axis, keepdims=True))
 
 
-softmax_rows = register(DiffOp(
-    "softmax_rows", _softmax_rows_fwd, _softmax_rows_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((4, 6))],
-))
-
-
-def _sigmoid_fwd(m: Array) -> Array:
+def sigmoid(m: Array) -> Array:
     m = np.asarray(m, dtype=float)
     # 1/(1+exp(-m)) is value-correct for the whole double range; the overflow
     # in exp for very negative m lands harmlessly on inf -> 0
@@ -116,17 +94,12 @@ def _sigmoid_fwd(m: Array) -> Array:
         return 1.0 / (1.0 + np.exp(-m))
 
 
-def _sigmoid_vjp(inputs, output, upstream):
-    return (upstream * output * (1.0 - output),)
+def sigmoid_vjp(s: Array, upstream: Array) -> Array:
+    """Cotangent of the input of ``sigmoid`` with output ``s``."""
+    return upstream * s * (1.0 - s)
 
 
-sigmoid = register(DiffOp(
-    "sigmoid", _sigmoid_fwd, _sigmoid_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((5, 3))],
-))
-
-
-def _affine_fwd(w: Array, y: Array, b: Array) -> Array:
+def affine(w: Array, y: Array, b: Array) -> Array:
     """``w @ y + b`` for a vector ``y``, or row-wise for a (B, n) stack."""
     w = as_matrix(w, "affine weight")
     y, b = np.asarray(y, dtype=float), np.asarray(b, dtype=float)
@@ -137,18 +110,11 @@ def _affine_fwd(w: Array, y: Array, b: Array) -> Array:
     return y @ w.T + b
 
 
-def _affine_vjp(inputs, output, upstream):
-    """Cotangents of a stacked input stay per row; ``w`` and ``b`` sum over rows."""
-    w, y, b = inputs
+def affine_vjp(w: Array, y: Array, upstream: Array) -> tuple[Array, Array, Array]:
+    """Cotangents of (w, y, b); a stacked input's stay per row, ``w`` and
+    ``b`` sum over rows."""
     rows = np.atleast_2d(upstream)
     return rows.T @ np.atleast_2d(y), upstream @ w, rows.sum(axis=0)
-
-
-affine = register(DiffOp(
-    "affine", _affine_fwd, _affine_vjp,
-    sample_inputs=lambda rng: [rng.standard_normal((3, 6)), rng.standard_normal(6),
-                               rng.standard_normal(3)],
-))
 
 
 def softplus(m: Array) -> Array:

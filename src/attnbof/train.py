@@ -125,13 +125,14 @@ def kfold(dataset: LabeledSequenceSet, folds: int, seed: int
     """Disjoint, exhaustive, label-stratified folds; twin groups stay intact."""
     if folds < 2:
         raise ConfigError(f"cross-validation needs folds >= 2, got {folds}")
-    if folds > len(dataset):
-        raise ValueError(f"folds {folds} exceeds item count {len(dataset)}")
+    buckets = _groups_by_label(dataset)
+    count = sum(map(len, buckets.values()))
+    if folds > count:   # groups are dealt to the folds in turn; a fold would be empty
+        raise ConfigError(f"folds is {folds}, the data has {count} label groups")
     rng = np.random.default_rng(seed)
     fold_members: list[list[int]] = [[] for _ in range(folds)]
     turn = 0
-    for label in sorted(_groups_by_label(dataset)):
-        groups = _groups_by_label(dataset)[label]
+    for _, groups in sorted(buckets.items()):
         for j in rng.permutation(len(groups)):
             fold_members[turn % folds].extend(groups[j])
             turn += 1

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from attnbof.attention import (Attention2DAParams, AttentionHead, MODES,
-                               SelfAttentionParams, att_2da, att_csa, att_ctsa,
-                               att_tsa, attention_dropout, self_attention)
+from attnbof.attention import (Attention2DAParams, AttentionHead, MODES, VARIANTS,
+                               SelfAttentionParams, _dropout_mask, att_2da, att_csa,
+                               att_ctsa, att_tsa, projection_widths, self_attention)
 from attnbof.errors import ShapeError
 from attnbof.nbof import aggregate
 
@@ -19,8 +19,7 @@ def alpha_raw(value):
 
 
 def make_heads(rng, variant, k, n, d, heads, araw=0.0):
-    q_cols = {"ctsa": n, "csa": n, "tsa": k}[variant]
-    k_cols = {"ctsa": k, "csa": n, "tsa": k}[variant]
+    q_cols, k_cols = projection_widths(variant, k, n)
     return [AttentionHead(wq=rng.standard_normal((d, q_cols)) / math.sqrt(q_cols),
                           wk=rng.standard_normal((d, k_cols)) / math.sqrt(k_cols),
                           alpha_raw=alpha_raw(araw))
@@ -307,36 +306,41 @@ def test_pooled_stage_is_the_mean_of_the_matrix_form(variant, heads, batch):
 # dropout
 
 
+def dropout_outputs(seed, rate, training):
+    """(output at ``rate``, output without dropout) of every self-attention variant."""
+    rng = np.random.default_rng(seed)
+    phi = rng.random((4, 5))
+    for variant in VARIANTS:
+        heads = make_heads(rng, variant, 4, 5, 3, heads=2)
+        yield (self_attention(variant, phi, SelfAttentionParams(heads, 3, rate), training, 7),
+               self_attention(variant, phi, SelfAttentionParams(heads, 3)))
+
+
 def test_dropout_rate_zero_is_identity():
-    m = np.random.default_rng(20).random((5, 5))
-    assert np.array_equal(attention_dropout(m, 0.0, True, 7), m)
-    assert np.array_equal(attention_dropout(m, 0.0, False, 7), m)
+    for training in (True, False):
+        for got, want in dropout_outputs(20, 0.0, training):
+            assert np.array_equal(got, want)
 
 
 def test_dropout_eval_mode_is_identity():
-    m = np.random.default_rng(21).random((5, 5))
-    assert np.array_equal(attention_dropout(m, 0.6, False, 7), m)
+    for got, want in dropout_outputs(21, 0.6, training=False):
+        assert np.array_equal(got, want)
 
 
 def test_dropout_preserves_mean_in_expectation():
-    rng = np.random.default_rng(22)
-    m = rng.random((200, 500)) + 0.5
-    dropped = attention_dropout(m, 0.2, True, 99)
-    assert abs(dropped.mean() - m.mean()) / m.mean() < 0.02
+    mask = _dropout_mask((200, 500), 0.2, 99)
+    assert abs(mask.mean() - 1.0) < 0.02
 
 
 def test_dropout_deterministic_given_seed():
-    m = np.random.default_rng(23).random((6, 6))
-    a = attention_dropout(m, 0.4, True, 5)
-    b = attention_dropout(m, 0.4, True, 5)
-    c = attention_dropout(m, 0.4, True, 6)
+    a = _dropout_mask((6, 6), 0.4, 5)
+    b = _dropout_mask((6, 6), 0.4, 5)
+    c = _dropout_mask((6, 6), 0.4, 6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_dropout_rejects_bad_rate():
-    m = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        attention_dropout(m, 1.0, True, 0)
-    with pytest.raises(ValueError):
-        attention_dropout(m, -0.1, True, 0)
+    for rate in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            SelfAttentionParams([], latent_dim=3, dropout_rate=rate)

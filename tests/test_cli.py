@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from attnbof import attention
 from attnbof import model as model_mod
+from attnbof import train as train_mod
 from attnbof.cli import main, parse_config
 from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_order_task,
                           load_features, save_features)
@@ -124,6 +125,18 @@ def test_train_invalid_config_leaves_no_output(tmp_path, order_file):
     out = tmp_path / "m.nbaf"
     assert main(["train", "--config", conf, "--data", order_file,
                  "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_train_rejects_more_folds_than_label_groups(tmp_path, capsys, monkeypatch):
+    data = str(tmp_path / "eight.fseq")
+    save_features(gen_order_task(feature_dim=3, length=6, count=8, seed=2), data)
+    conf = write(tmp_path / "train.conf", TRAIN_CONF + "folds = 6\n")
+    monkeypatch.setattr(train_mod, "fit", lambda *args: pytest.fail("a fold trained"))
+    out = tmp_path / "m.nbaf"
+    err = assert_clean_exit_two(capsys, ["train", "--config", conf, "--data", data,
+                                         "--out", str(out)])
+    assert err == "error: folds is 6, the data has 4 label groups\n"
     assert not out.exists()
 
 

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from attnbof.errors import ShapeError
 from attnbof.nbof import (Codebook, W_RAW_UNIT, aggregate, init_codebook,
-                          quantize, quantize_op, quantize_raw, quantize_vjp)
+                          quantize, quantize_raw, quantize_vjp)
 from attnbof.numerics import grad_check, softplus
 
 from .oracles import loop_distances, loop_mean_cols, loop_quantize
+from .registry import OPS
 
 
 def unit_weights(v):
@@ -84,7 +85,7 @@ def test_codewords_on_data_columns_are_at_distance_zero(batch):
     grads = quantize_vjp((x, v, w_raw), phi, rng.standard_normal(phi.shape), cache=cache)
     assert all(np.all(np.isfinite(g)) for g in grads)
     if batch is None:
-        report = grad_check(quantize_op, [x, v, w_raw])
+        report = grad_check(OPS["quantize"].op, [x, v, w_raw])
         assert report.finite and report.max_rel_err <= 1e-4
 
 
@@ -135,8 +136,8 @@ def test_plain_pipeline_is_order_blind():
 def test_quantize_gradients():
     rng = np.random.default_rng(15)
     for _ in range(5):
-        point = quantize_op.sample_inputs(rng)
-        report = grad_check(quantize_op, point)
+        point = OPS["quantize"].sample(rng)
+        report = grad_check(OPS["quantize"].op, point)
         assert report.finite and report.max_rel_err <= 1e-4
 
 

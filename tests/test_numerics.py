@@ -1,3 +1,4 @@
+import itertools
 import zlib
 
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from attnbof import numerics
-from attnbof.model import frontend_conv
+from attnbof.attention import MODES
+from attnbof.model import (ATTENTION_KINDS, FRONTENDS, ModelConfig, build_stages,
+                           frontend_conv)
 from attnbof.nbof import aggregate
-from attnbof.numerics import REGISTRY, affine, grad_check, sigmoid, softmax_rows
+from attnbof.numerics import affine, grad_check, sigmoid, softmax_rows
 
 from .oracles import loop_matmul, loop_mean_cols, loop_softmax_rows
+from .registry import OPS, stage_key
 
 
 def test_matmul_matches_loop_oracle():
@@ -102,14 +106,14 @@ def test_grad_check_exact_for_linear_map():
 
 def test_grad_check_softmax():
     point = [np.random.default_rng(4).standard_normal((4, 6))]
-    report = grad_check(softmax_rows, point, eps=1e-5)
+    report = grad_check(OPS["softmax_rows"].op, point, eps=1e-5)
     assert report.finite
     assert report.max_rel_err <= 1e-4
 
 
 def test_grad_check_rejects_bad_eps():
     with pytest.raises(ValueError):
-        grad_check(softmax_rows, [np.eye(2)], eps=0.0)
+        grad_check(OPS["softmax_rows"].op, [np.eye(2)], eps=0.0)
 
 
 def test_grad_check_flags_nonfinite():
@@ -133,14 +137,22 @@ def test_grad_check_catches_wrong_vjp():
     assert report.max_rel_err > 1e-2
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
+@pytest.mark.parametrize("name", sorted(OPS))
 def test_every_registered_op_passes_grad_check(name):
-    op = REGISTRY[name]
-    assert op.sample_inputs is not None, f"{name} is registered without a sampler"
+    entry = OPS[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for trial in range(10):
-        point = op.sample_inputs(rng)
-        report = grad_check(op, point, eps=1e-5)
+        point = entry.sample(rng)
+        report = grad_check(entry.op, point, eps=1e-5)
         assert report.finite, f"{name} trial {trial}: non-finite"
         assert report.max_rel_err <= 1e-4, (
             f"{name} trial {trial}: max_rel_err={report.max_rel_err:.3e}")
+
+
+def test_every_stage_has_a_gradient_check():
+    covered = {entry.covers for entry in OPS.values()}
+    for attention, mode, frontend in itertools.product(ATTENTION_KINDS, MODES, FRONTENDS):
+        cfg = ModelConfig(feature_dim=3, classes=2, attention=attention, mode=mode,
+                          frontend=frontend, seq_len=6)
+        missing = {stage_key(cfg, stage.name) for stage in build_stages(cfg)} - covered
+        assert not missing, f"no gradient check in tests/registry.py for {missing}"

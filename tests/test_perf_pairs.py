@@ -1,11 +1,12 @@
-"""scripts/perf_pairs.py against two stub checkouts whose benchmark prints a
-fixed result, so the pairing, the order and the counts can be checked."""
+"""The checkout-pair scripts: perf_pairs.py against two stub checkouts whose
+benchmark prints a fixed result, so the pairing, the order and the counts can
+be checked; bitwise_pairs.py against this checkout on both sides."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "perf_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 STUB = """import json, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
@@ -25,8 +26,8 @@ SPEC = {"run_seconds": 20, "end_to_end": [
     {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPT)
+def load_script(name="perf_pairs"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -56,3 +57,9 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     assert "latency_ms_p50 (lower is better)" in out and "change won 2/2" in out
     assert "parent: failed/attempted 3/30" in out
     assert "change: failed/attempted 1/21" in out
+
+
+def test_bitwise_pairs_finds_this_checkout_equal_to_itself(capsys):
+    argv = ["--parent", str(ROOT), "--change", str(ROOT)]
+    assert load_script("bitwise_pairs").main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 differing fields of 63"

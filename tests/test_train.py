@@ -140,8 +140,11 @@ def test_kfold_deterministic():
 def test_kfold_rejects_more_folds_than_items():
     ds = gen_noisy_timestamps(classes=2, feature_dim=2, length=4,
                               signal_fraction=0.5, snr=1.0, count=4, seed=0)
-    with pytest.raises(ValueError, match="exceeds"):
-        kfold(ds, folds=5, seed=0)
+    twins = gen_order_task(feature_dim=3, length=6, count=8, seed=0)   # 4 label groups
+    for data, folds in ((ds, 5), (twins, 6)):
+        with pytest.raises(ConfigError,
+                           match=f"^folds is {folds}, the data has 4 label groups$"):
+            kfold(data, folds=folds, seed=0)
     with pytest.raises(ConfigError):
         kfold(ds, folds=1, seed=0)
 
