@@ -6,9 +6,11 @@ In each checkout, as a subprocess from the checkout's root with its ``src``
 first on the import path, every configuration of ``CONFIGS`` is built,
 trained by ``fit`` for 3 epochs on a 48-item noisy-timestamps set and then
 probed.  For each configuration it prints a sha256 of every field of
-``FIELDS``, then the fields whose digests differ between the two checkouts.
-Exit status: 0 when none differ, 1 when some do, 2 when a checkout fails to
-run.
+``FIELDS``; for every differing array field, the largest |change - parent|
+relative to the field's largest parent magnitude (checkpoint bytes are
+compared by digest only); then the fields whose digests differ between the
+two checkouts.  Exit status: 0 when none differ, 1 when some do, 2 when a
+checkout fails to run.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ FIELDS = ("initial_params", "loss_trace", "final_params", "loss_and_grad", "logi
 LENGTH = 12
 
 
-def digests() -> dict:
-    """Field digests of every configuration, run against the importable attnbof."""
+def probe(arrays_path: str) -> dict:
+    """Field digests of every configuration, run against the importable
+    attnbof; the arrays of every field go to the ``.npz`` at ``arrays_path``
+    as ``<field key>/<index>``."""
     import numpy as np
 
     import attnbof
@@ -52,6 +56,7 @@ def digests() -> dict:
     xs = np.stack([x for x, _ in data.items])
     labels = data.labels()
     out: dict = {"module": attnbof.__file__}
+    saved: dict = {}
     for name, extra in CONFIGS.items():
         net = Model.build(ModelConfig(feature_dim=4, classes=3, codewords=8, latent_dim=4,
                                       seq_len=LENGTH, seed=11, **extra))
@@ -75,14 +80,50 @@ def digests() -> dict:
                 h.update(repr(a.shape).encode())
                 h.update(np.ascontiguousarray(a, dtype=float).tobytes())
             out[f"{name}.{field}"] = h.hexdigest()
+            saved.update({f"{name}.{field}/{i}": a for i, a in enumerate(values)})
         out[f"{name}.checkpoint"] = hashlib.sha256(checkpoint).hexdigest()
+    np.savez(arrays_path, **saved)
     return out
 
 
-def run_checkout(checkout: Path) -> dict | None:
-    """The digests of one checkout, or None (with the reason on stderr)."""
+def load_fields(path: Path) -> dict[str, list]:
+    """Field key -> its arrays in order, from a ``probe`` archive."""
+    import numpy as np
+
+    fields: dict[str, list] = {}
+    with np.load(path) as archive:
+        for name in sorted(archive.files, key=lambda f: int(f.rsplit("/", 1)[1])):
+            fields.setdefault(name.rsplit("/", 1)[0], []).append(archive[name])
+    return fields
+
+
+def relative_drift(parent: list, change: list) -> float:
+    """max |change - parent| over a field's arrays, relative to the largest
+    parent magnitude; inf when the shapes differ, or when the parent is all
+    zero and the change is not."""
+    import numpy as np
+
+    if [a.shape for a in parent] != [a.shape for a in change]:
+        return float("inf")
+    diff = max((float(np.max(np.abs(c - p), initial=0.0)) for p, c in zip(parent, change)),
+               default=0.0)
+    scale = max((float(np.max(np.abs(p), initial=0.0)) for p in parent), default=0.0)
+    return diff / scale if scale > 0.0 else (0.0 if diff == 0.0 else float("inf"))
+
+
+def drift_lines(parent: dict[str, list], change: dict[str, list], keys: list[str]) -> list[str]:
+    """One report line per array field of ``keys``: its ``relative_drift``."""
+    return [f"{key:34s} max |change - parent| / max |parent| = "
+            f"{relative_drift(parent[key], change[key]):.3e}"
+            for key in keys if key in parent and key in change]
+
+
+def run_checkout(checkout: Path, arrays_path: Path) -> dict | None:
+    """The digests of one checkout, its arrays saved to ``arrays_path``, or
+    None (with the reason on stderr)."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--digest"],
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--digest",
+                           str(arrays_path)],
                           cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(f"{checkout}: exited {proc.returncode}\n{proc.stderr}")
@@ -98,21 +139,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
-    parser.add_argument("--digest", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--digest", metavar="ARRAYS", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.digest:
-        print(json.dumps(digests()))
+        print(json.dumps(probe(args.digest)))
         return 0
     if args.parent is None or args.change is None:
         parser.error("--parent and --change are required")
-    parent, change = run_checkout(args.parent), run_checkout(args.change)
-    if parent is None or change is None:
-        return 2
-    keys = [f"{name}.{field}" for name in CONFIGS for field in FIELDS]
-    differ = [key for key in keys if parent[key] != change[key]]
-    for key in keys:
-        mark = f"  DIFFERS, parent {parent[key]}" if key in differ else ""
-        print(f"{key:34s} {change[key]}{mark}")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {side: Path(tmp) / f"{side}.npz" for side in ("parent", "change")}
+        parent = run_checkout(args.parent, paths["parent"])
+        change = run_checkout(args.change, paths["change"])
+        if parent is None or change is None:
+            return 2
+        keys = [f"{name}.{field}" for name in CONFIGS for field in FIELDS]
+        differ = [key for key in keys if parent[key] != change[key]]
+        for key in keys:
+            mark = f"  DIFFERS, parent {parent[key]}" if key in differ else ""
+            print(f"{key:34s} {change[key]}{mark}")
+        if differ:
+            print("\n".join(drift_lines(load_fields(paths["parent"]),
+                                        load_fields(paths["change"]), differ)))
     print(f"{len(differ)} differing fields of {len(keys)}"
           + (": " + ", ".join(differ) if differ else ""))
     return 1 if differ else 0

@@ -22,8 +22,10 @@ The self-attention variants mix per head through one operator,
 ``P = alpha * I + (1-alpha) * A`` (ctsa: ``alpha + (1-alpha) * A``, applied
 elementwise), and stack head outputs along the codeword axis, so h heads
 yield an (h*K) x N result.  The model runs ``self_attention``, which returns
-its temporal mean; ``att_ctsa``/``att_csa``/``att_tsa`` return the matrix.
-Dropout on a head's attention matrix is training-only and inverted
+its temporal mean without forming P; ``att_ctsa``/``att_csa``/``att_tsa``
+return the matrix.  The cotangent of a pooled head's P is rank one, so
+``self_attention_vjp`` contracts it with one GEMV instead of a dense softmax
+VJP.  Dropout on a head's attention matrix is training-only and inverted
 (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.  Every
 VJP reads the cache its forward filled.
 """
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -168,23 +169,28 @@ def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
 #
 # One per-head core serves all three, in phi's (K, N) layout.  Per head, q
 # and k project the K rows of phi (``phi Wᵀ``) or its N columns
-# (``(W phi)ᵀ``), and a = act(q kᵀ / sqrt(d)) and alpha fold into one P:
+# (``(W phi)ᵀ``), q is scaled by 1/sqrt(d), and a = act(q kᵀ) and alpha
+# define one operator P:
 #
-#   variant  q     k     a                     P                       out r
-#   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a     (P * phi) r
-#   csa      rows  rows  softmax_rows, K x K   alpha I + (1-alpha) a   P (phi r)
-#   tsa      cols  cols  softmax_rows, N x N   alpha I + (1-alpha) a   phi (Pᵀ r)
+#   variant  q     k     a                     P
+#   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a
+#   csa      rows  rows  softmax_rows, K x K   alpha I + (1-alpha) a
+#   tsa      cols  cols  softmax_rows, N x N   alpha I + (1-alpha) a
+#
+# A head's output times r is computed without forming P, kappa = 1 - alpha:
+#
+#   ctsa     (P * phi) r = alpha phi r + kappa (a * phi) r
+#   csa      P (phi r)   = alpha phi r + kappa a (phi r)
+#   tsa      phi (Pᵀ r)  = phi (kappa aᵀ r + alpha r)
 #
 # r = 1/N (N x 1) gives the head's histogram without forming its K x N
-# output; r = I gives that output, exactly.  csa and tsa compute the
-# transposed scores k qᵀ, so their softmax normalizes along axis -2 (the
-# cache's row-stochastic ``a`` is a view), and keep Pᵀ.  Head i writes rows
-# i*K..(i+1)*K of one output; for item b it draws its dropout mask from
-# seed_b + i.
+# output; r = I gives that output, exactly.  a is a_used, the dropped-out a,
+# in training.  csa and tsa compute the transposed scores k qᵀ, so their
+# softmax normalizes along axis -2 (the cache's row-stochastic ``a`` is a
+# view).  Head i writes rows i*K..(i+1)*K of one output; for item b it draws
+# its dropout mask from seed_b + i.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
-_SOFTMAX_COLS = partial(numerics.softmax_rows, axis=-2)
-_SOFTMAX_COLS_VJP = partial(numerics.softmax_rows_vjp, axis=-2)
 
 
 def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
@@ -214,41 +220,49 @@ def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: 
                     seed, cache: dict | None, pooled: bool) -> Array:
     """Head outputs times r: (..., h*K) histograms if ``pooled``, else the matrix."""
     phi = numerics.as_stack(phi, f"{variant} input")
-    d = p.latent_dim
     kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
-    act = numerics.sigmoid if variant == "ctsa" else _SOFTMAX_COLS
+    scale = 1.0 / math.sqrt(p.latent_dim)
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
-    eye = np.arange(phi.shape[-1 if variant == "tsa" else -2])   # P's diagonal
     r = np.full((n, 1), 1.0 / n) if pooled else np.eye(n)
-    phi_r = phi @ r if variant == "csa" else None
+    phi_r = phi @ r if pooled else phi
     out = np.empty(phi.shape[:-2] + (len(p.heads) * kdim, r.shape[1]))
     heads: list[dict] = []
     for i, head in enumerate(p.heads):
-        _check_head_shapes(variant, phi, head, d)
-        q = phi @ head.wq.T if q_rows else swap(head.wq @ phi)
+        _check_head_shapes(variant, phi, head, p.latent_dim)
+        q = (phi @ head.wq.T if q_rows else swap(head.wq @ phi)) * scale
         k = phi @ head.wk.T if k_rows else swap(head.wk @ phi)
-        s = act((q @ swap(k) if variant == "ctsa" else k @ swap(q)) / math.sqrt(d))
+        if variant == "ctsa":
+            s = numerics.sigmoid(q @ swap(k))
+        else:
+            s = numerics.softmax_rows(k @ swap(q), axis=-2)
         used, mask = s, None
         if training and p.dropout_rate > 0.0:
             # drawn in the layout of the row-stochastic a, then mapped to s's
             mask = layout(_dropout_mask(s.shape, p.dropout_rate, np.asarray(seed) + i))
             used = s * mask
         alpha = _alpha(head.alpha_raw)
-        mix = (1.0 - alpha) * used      # P for ctsa, Pᵀ for csa and tsa
-        if variant == "ctsa":
-            mix += alpha
-            left, right = mix * phi, r
+        rows = out[..., i * kdim:(i + 1) * kdim, :]
+        c = {"q": q, "k": k, "s": s, "a": layout(s), "used": used, "mask": mask,
+             "alpha": alpha}
+        if variant == "tsa":
+            c["right"] = right = (1.0 - alpha) * (used @ r)     # Pᵀ r
+            right += alpha * r
+            np.matmul(phi, right, out=rows)
         else:
-            mix[..., eye, eye] += alpha
-            left, right = (swap(mix), phi_r) if variant == "csa" else (phi, mix @ r)
-        np.matmul(left, right, out=out[..., i * kdim:(i + 1) * kdim, :])
+            if variant == "ctsa":
+                c["up"] = used * phi
+                mixed = c["up"] @ r if pooled else c["up"]     # (a_used * phi) r
+            else:
+                mixed = swap(used) @ phi_r                      # a_used (phi r)
+            np.multiply(mixed, 1.0 - alpha, out=rows)
+            rows += alpha * phi_r
+            c["mixed"] = mixed
         if cache is not None:
-            heads.append({"q": q, "k": k, "s": s, "a": layout(s), "used": used,
-                          "mask": mask, "mix": mix, "right": right, "alpha": alpha})
+            heads.append(c)
     if cache is not None:
-        cache.update(heads=heads)
+        cache.update(heads=heads, phi_r=phi_r)
     return out[..., 0] if pooled else out
 
 
@@ -263,43 +277,60 @@ def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
                        upstream: Array, cache: dict) -> tuple[Array, ...]:
     """Cotangents of (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) of the
     ``self_attention`` call that filled ``cache``, given the histograms' u;
-    the weights' sum over a stack.  P's cotangent dP is rank one (csa
-    ``dPᵀ = (phi r) uᵀ``, tsa ``(phiᵀ u) rᵀ``, ctsa ``dP = (u rᵀ) * phi``);
-    alpha's is ``sum(dP * (I - a_used))`` (I all-ones for ctsa) and
-    a_used's ``(1 - alpha) dP``."""
+    the weights' sum over a stack.
+
+    With kappa = 1 - alpha, a_used's cotangent is kappa dP, and dP is rank
+    one: ``c gᵀ`` in s's layout, with c = phi r and g = u for csa, and
+    c = phiᵀ u / N and g = 1 for tsa.  The softmax VJP then needs one GEMV,
+    ``w = cᵀ a_used`` (csa's forward already holds it), and gives the scores'
+    cotangent ``kappa (a_used * c - s * wᵀ) * gᵀ``; alpha's is ``g·(c - w)``.
+    ctsa's ``dP = (u rᵀ) * phi`` makes its scores' cotangent
+    ``kappa (u/N) * (a_used * phi) * (1 - s)`` and alpha's
+    ``u·(phi r - (a_used * phi) r)``."""
     kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
-    act_vjp = numerics.sigmoid_vjp if variant == "ctsa" else _SOFTMAX_COLS_VJP
-    phi_t = swap(phi)
+    scale = 1.0 / math.sqrt(p.latent_dim)
+    phi_t, phi_r = swap(phi), cache["phi_r"]
     dphi = np.zeros_like(phi)
     grads: list[Array] = []
     for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
-        g = upstream[..., i * kdim:(i + 1) * kdim, None]          # (..., K, 1)
-        q, k, s, used, mix, alpha = c["q"], c["k"], c["s"], c["used"], c["mix"], c["alpha"]
+        u = upstream[..., i * kdim:(i + 1) * kdim, None]          # (..., K, 1)
+        q, k, s, used, alpha = c["q"], c["k"], c["s"], c["used"], c["alpha"]
+        kappa = 1.0 - alpha
         if variant == "ctsa":
-            g = g / n
-            dphi += mix * g
-            dmix = g * phi
-            eye_part = dmix.sum()
-        elif variant == "csa":
-            dphi += (mix @ g) / n
-            dmix = c["right"] * swap(g)
-            eye_part = np.vdot(c["right"], g)
+            un = u / n
+            dphi += used * (kappa * un)         # (P * u rᵀ): P = alpha + kappa a_used
+            dphi += alpha * un
+            dalpha = np.vdot(u, phi_r - c["mixed"])
+            ds = 1.0 - s
+            ds *= c["up"]
+            ds *= kappa * un
         else:
-            dphi += g * swap(c["right"])
-            dmix = (phi_t @ g) / n      # (..., N, 1): each row of dPᵀ is constant
-            eye_part = dmix.sum()
-        dalpha = float(eye_part - np.vdot(np.broadcast_to(dmix, used.shape), used))
-        ds = ((1.0 - alpha) / math.sqrt(p.latent_dim)) * dmix
-        if c["mask"] is not None:
-            ds = ds * c["mask"]
-        ds = act_vjp(s, ds)
+            if variant == "csa":
+                dphi += (kappa * (used @ u) + alpha * u) / n     # Pᵀ u rᵀ
+                cv, w, g = phi_r, c["mixed"], swap(u)
+                dalpha = np.vdot(u, cv - w)
+            else:
+                dphi += u * swap(c["right"])
+                cv = (phi_t @ u) / n                             # (..., N, 1)
+                w, g = swap(used) @ cv, None
+                dalpha = (cv - w).sum()
+            ck, wk = kappa * cv, kappa * swap(w)
+            if c["mask"] is None:
+                ds = ck - wk
+                ds *= s
+            else:
+                ds = used * ck
+                ds -= s * wk
+            if g is not None:
+                ds *= g
         dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
+        dq *= scale                     # the scores took q / sqrt(d)
         dp, dwq = _project_vjp(phi, phi_t, head.wq, q_rows, dq)
         dphi += dp
         dp, dwk = _project_vjp(phi, phi_t, head.wk, k_rows, dk)
         dphi += dp
-        grads += [dwq, dwk, _dalpha_raw(head.alpha_raw, dalpha)]
+        grads += [dwq, dwk, _dalpha_raw(head.alpha_raw, float(dalpha))]
     return (dphi, *grads)
 
 

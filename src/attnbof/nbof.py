@@ -72,12 +72,11 @@ def _weighted_distances(x: Array, v: Array, w: Array) -> Array:
     d2 = (2.0 * w2v) @ x
     np.subtract(scale, d2, out=d2)
     scale *= _NEAR_ZERO
-    near = d2 <= scale
-    if near.any():
-        near = np.nonzero(near)
-        *items, k, n = near
+    near = np.flatnonzero(d2 <= scale)
+    if near.size:
+        *items, k, n = np.unravel_index(near, d2.shape)
         t = (numerics.swap(x)[(*items, n)] - v[k]) * w[k]
-        d2[near] = (t * t).sum(axis=-1)
+        d2.flat[near] = (t * t).sum(axis=-1)
     return np.sqrt(d2, out=d2)
 
 
@@ -102,7 +101,7 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     dist = _weighted_distances(x, v, w)
     e = dist.min(axis=-2, keepdims=True) - dist   # <= 0, max exactly 0
     np.exp(e, out=e)
-    e /= e.sum(axis=-2, keepdims=True)
+    e *= 1.0 / numerics.col_sums(e)               # each sum >= exp(0) = 1
     if cache is not None:
         cache.update(dist=dist, w=w)
     return e
@@ -112,22 +111,27 @@ def quantize_vjp(inputs, output, upstream, cache: dict):
     """Cotangents of (x, v, w_raw) of the ``quantize_raw`` call that filled
     ``cache``; those of v and w_raw sum over a stack.
 
-    With ``coef = -ds / dist`` (zero at the apex, where the distance is not
-    differentiable), every cotangent is a contraction of ``coef`` against x,
-    x^2, v and w^2, so no (K, D, N) difference tensor is rebuilt.
+    With ``coef = ds / dist`` (one masked divide: zero at the apex, where
+    the distance is not differentiable), every cotangent is a contraction of
+    ``coef`` against x, x^2, v and w^2, so no (K, D, N) difference tensor is
+    rebuilt.  dx takes one GEMM of the stacked ``[w^2ᵀ; (w^2 v)ᵀ]`` against
+    ``coef``; the per-codeword sums of ``coef`` times x, x^2 and 1 that dv
+    and dw need take one batched GEMM of ``coef`` against ``[x; x^2; 1]``.
     """
     x, v, w_raw = inputs
     dist, w = cache["dist"], cache["w"]
+    dim = v.shape[1]
     ds = numerics.softmax_rows_vjp(output, upstream, axis=-2)   # per column
-    safe = np.where(dist > 0.0, dist, 1.0)
-    coef = np.where(dist > 0.0, -ds / safe, 0.0)      # (..., K, N)
+    coef = np.divide(ds, dist, out=np.zeros_like(dist), where=dist > 0.0)
     w2 = w * w
-    dx = x * (w2.T @ coef) - (w2 * v).T @ coef
-    csum = coef.reshape(-1, *coef.shape[-2:]).sum(axis=(0, 2))[:, None]   # (K, 1)
-    cx = numerics.sum_tn(numerics.swap(coef), numerics.swap(x))             # (K, D)
-    cxx = numerics.sum_tn(numerics.swap(coef), numerics.swap(x * x))
-    dv = -w2 * (cx - v * csum)
-    dw = w * (cxx - 2.0 * v * cx + v * v * csum)
+    both = np.concatenate([w2.T, (w2 * v).T]) @ coef                 # (..., 2D, N)
+    dx = both[..., dim:, :] - x * both[..., :dim, :]
+    xs = np.concatenate([x, x * x, np.ones(x.shape[:-2] + (1, x.shape[-1]))], axis=-2)
+    sums = coef @ numerics.swap(xs)                                  # (..., K, 2D + 1)
+    sums = sums.reshape(-1, *sums.shape[-2:]).sum(axis=0)
+    cx, cxx, csum = sums[:, :dim], sums[:, dim:2 * dim], sums[:, 2 * dim:]
+    dv = w2 * (cx - v * csum)
+    dw = w * (2.0 * v * cx - cxx - v * v * csum)
     dw_raw = dw * numerics.sigmoid(w_raw)        # softplus' = logistic
     return dx, dv, dw_raw
 

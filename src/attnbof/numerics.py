@@ -71,19 +71,33 @@ def sum_tn(a: Array, b: Array) -> Array:
 # elementary ops
 
 
+def col_sums(m: Array) -> Array:
+    """Sums along axis -2, kept as a length-1 axis: one GEMV against ones,
+    which numpy runs several times faster than a reduction across rows."""
+    return (np.ones(m.shape[-2]) @ m)[..., None, :]
+
+
 def softmax_rows(m: Array, axis: int = -1) -> Array:
     """Softmax along ``axis``, the rows by default."""
     m = np.asarray(m, dtype=float)
     # max subtraction keeps exp in range for entries anywhere in [-700, 700]
     e = m - m.max(axis=axis, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    if axis == -2:
+        # each sum holds an exp(0) = 1, so its reciprocal is finite
+        e *= 1.0 / col_sums(e)
+    else:
+        e /= e.sum(axis=axis, keepdims=True)
     return e
 
 
 def softmax_rows_vjp(s: Array, upstream: Array, axis: int = -1) -> Array:
     """Cotangent of the input of ``softmax_rows`` with output ``s``."""
-    return s * (upstream - (upstream * s).sum(axis=axis, keepdims=True))
+    us = upstream * s
+    sums = col_sums(us) if axis == -2 else us.sum(axis=axis, keepdims=True)
+    np.subtract(upstream, sums, out=us)
+    us *= s
+    return us
 
 
 def sigmoid(m: Array) -> Array:

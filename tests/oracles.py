@@ -1,10 +1,13 @@
-"""Independent loop-level reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here is written with explicit Python loops and scalar math so it
-shares no code path with the library's vectorized implementations.
+Everything here shares no code path with the library.  The forward
+references are written with explicit Python loops and scalar math;
+``dense_self_attention_vjp`` is the dense matrix form of the self-attention
+VJP, against which the library's rank-one form is pinned.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -164,6 +167,63 @@ def loop_tsa(phi, heads, d):
                 out_t[i, j] = alpha * phi_t[i, j] + (1.0 - alpha) * mixed[i, j]
         pieces.append(out_t.T)
     return np.concatenate(pieces, axis=0)
+
+
+def dense_self_attention_vjp(variant, phi, heads, d, masks, upstream):
+    """Cotangents (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) of the pooled
+    self-attention histograms ``(P * phi) r`` (ctsa), ``P phi r`` (csa) or
+    ``phi Pᵀ r`` (tsa), r = 1/N, given their cotangent ``upstream``.
+
+    Each head forms its operator ``P = alpha I + (1-alpha) (A * mask)`` (ctsa:
+    ``alpha + ...``) and the full cotangent dP, then runs the dense sigmoid
+    or row-softmax VJP over it.  ``phi`` is (K, N) or (B, K, N); ``heads`` is
+    a list of (wq, wk, alpha_raw); ``masks`` holds one mask per head in A's
+    layout.
+    """
+    swap = partial(np.swapaxes, axis1=-1, axis2=-2)
+    kdim, n = phi.shape[-2:]
+    r = np.full((n, 1), 1.0 / n)
+    q_src = phi if variant in ("ctsa", "csa") else swap(phi)
+    k_src = phi if variant == "csa" else swap(phi)
+    dphi = np.zeros_like(phi)
+    grads = []
+    for i, ((wq, wk, alpha_raw), mask) in enumerate(zip(heads, masks)):
+        alpha = 1.0 / (1.0 + math.exp(-float(alpha_raw[0, 0])))
+        u = upstream[..., i * kdim:(i + 1) * kdim, None]
+        q, k = q_src @ wq.T, k_src @ wk.T
+        z = q @ swap(k) / math.sqrt(d)
+        if variant == "ctsa":
+            a = 1.0 / (1.0 + np.exp(-z))
+            eye = 1.0
+        else:
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            a = e / e.sum(axis=-1, keepdims=True)
+            eye = np.eye(a.shape[-1])
+        used = a * mask
+        p = alpha * eye + (1.0 - alpha) * used
+        if variant == "ctsa":
+            dp = (u @ r.T) * phi
+            dphi += p * (u @ r.T)
+        elif variant == "csa":
+            dp = u @ swap(phi @ r)
+            dphi += (swap(p) @ u) @ r.T
+        else:
+            dp = r @ swap(swap(phi) @ u)
+            dphi += u @ swap(swap(p) @ r)
+        dalpha = float(np.sum(dp * (eye - used)))
+        da = (1.0 - alpha) * dp * mask
+        if variant == "ctsa":
+            dz = da * a * (1.0 - a)
+        else:
+            dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
+        dz /= math.sqrt(d)
+        dq, dk = dz @ k, swap(dz) @ q
+        for dproj, w, src in ((dq, wq, q_src), (dk, wk, k_src)):
+            dsrc = dproj @ w
+            dphi += dsrc if src is phi else swap(dsrc)
+            grads.append((swap(dproj) @ src).reshape(-1, *w.shape).sum(axis=0))
+        grads.append(np.array([[dalpha * alpha * (1.0 - alpha)]]))
+    return (dphi, *grads)
 
 
 def loop_conv1d_relu(x, k3, bias):

@@ -23,12 +23,14 @@ class Entry(NamedTuple):
     covers: tuple | None = None   # the stage_key of a layer op
 
 
-def stage_key(cfg: ModelConfig, stage: str) -> tuple:
+def stage_key(cfg: ModelConfig, stage: str, training: bool = False) -> tuple:
     """What a stage's code depends on: its name and, for the attention stage,
-    the attention kind and the 2da mode."""
+    the attention kind and the 2da mode, or whether self-attention drops out."""
     if stage != "attention":
         return (stage, None, None)
-    return (stage, cfg.attention, cfg.mode if cfg.attention == "2da" else None)
+    if cfg.attention == "2da":
+        return (stage, "2da", cfg.mode)
+    return (stage, cfg.attention, "dropout" if training and cfg.dropout_rate > 0.0 else None)
 
 
 def stage_op(name: str, stage_name: str, sample, training: bool = False, seed: int = 0,
@@ -46,7 +48,7 @@ def stage_op(name: str, stage_name: str, sample, training: bool = False, seed: i
         return stage.vjp(h, ps, stage.fwd(h, ps, cache, training, seed), upstream, cache)
 
     return Entry(DiffOp(name, lambda h, *ps: stage.fwd(h, ps, {}, training, seed), vjp),
-                 sample, stage_key(cfg, stage_name))
+                 sample, stage_key(cfg, stage_name, training))
 
 
 def normal(*shapes, fan_in=()):
@@ -95,6 +97,8 @@ OPS = {entry.op.name: entry for entry in [
       for mode, side in (("input", 4), ("codeword", 4), ("temporal", 5))),
     *(self_attention_op(variant, heads=2) for variant in VARIANTS),
     self_attention_op("csa", heads=1, training=True, dropout_rate=0.25, seed=99),
+    *(self_attention_op(variant, heads=2, training=True, dropout_rate=0.25, seed=99)
+      for variant in ("ctsa", "tsa")),
     stage_op("quantize", "quantize", normal((3, 5), (4, 3), (4, 3)), feature_dim=3,
              codewords=4),
     stage_op("frontend_conv", "conv", sample_conv, feature_dim=3, frontend="conv",

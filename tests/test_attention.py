@@ -5,11 +5,13 @@ import pytest
 
 from attnbof.attention import (Attention2DAParams, AttentionHead, MODES, VARIANTS,
                                SelfAttentionParams, _dropout_mask, att_2da, att_csa,
-                               att_ctsa, att_tsa, projection_widths, self_attention)
+                               att_ctsa, att_tsa, projection_widths, self_attention,
+                               self_attention_vjp)
 from attnbof.errors import ShapeError
 from attnbof.nbof import aggregate
 
-from .oracles import loop_2da, loop_csa, loop_ctsa, loop_flat_softmax, loop_tsa
+from .oracles import (dense_self_attention_vjp, loop_2da, loop_csa, loop_ctsa,
+                      loop_flat_softmax, loop_tsa)
 
 INF = float("inf")
 
@@ -300,6 +302,33 @@ def test_pooled_stage_is_the_mean_of_the_matrix_form(variant, heads, batch):
         assert len(cache["heads"]) == len(want_cache["heads"]) == heads
         for c, w in zip(cache["heads"], want_cache["heads"]):
             assert np.array_equal(c["a"], w["a"])
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["B1", "B3"])
+@pytest.mark.parametrize("rate", [0.0, 0.25])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_vjp_matches_the_dense_reference(variant, rate, batch):
+    # the rank-one VJP against dP broadcast to full size and the dense
+    # softmax/sigmoid VJP, in training mode with and without dropout
+    rng = np.random.default_rng(31)
+    k, n, d = 5, 7, 3
+    phi = rng.random((k, n) if batch is None else (batch, k, n))
+    seed = 11 if batch is None else rng.integers(2 ** 31, size=batch)
+    heads = make_heads(rng, variant, k, n, d, 2, araw=0.3)
+    heads[1].alpha_raw = alpha_raw(-1.1)
+    p = SelfAttentionParams(heads=heads, latent_dim=d, dropout_rate=rate)
+    cache = {}
+    upstream = rng.standard_normal(self_attention(variant, phi, p, True, seed, cache).shape)
+    got = self_attention_vjp(variant, phi, p, upstream, cache)
+    side = {"ctsa": (k, n), "csa": (k, k), "tsa": (n, n)}[variant]
+    masks = [_dropout_mask(phi.shape[:-2] + side, rate, np.asarray(seed) + i)
+             for i in range(len(heads))]
+    want = dense_self_attention_vjp(variant, phi, [(h.wq, h.wk, h.alpha_raw) for h in heads],
+                                    d, masks, upstream)
+    assert len(got) == len(want) == 1 + 3 * len(heads)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,12 @@ def test_every_registered_op_passes_grad_check(name):
 
 
 def test_every_stage_has_a_gradient_check():
+    # a self-attention variant needs one check without dropout and one with
     covered = {entry.covers for entry in OPS.values()}
-    for attention, mode, frontend in itertools.product(ATTENTION_KINDS, MODES, FRONTENDS):
+    for attention, mode, frontend, rate, training in itertools.product(
+            ATTENTION_KINDS, MODES, FRONTENDS, (0.0, 0.25), (False, True)):
         cfg = ModelConfig(feature_dim=3, classes=2, attention=attention, mode=mode,
-                          frontend=frontend, seq_len=6)
-        missing = {stage_key(cfg, stage.name) for stage in build_stages(cfg)} - covered
+                          frontend=frontend, seq_len=6, dropout_rate=rate)
+        missing = {stage_key(cfg, stage.name, training)
+                   for stage in build_stages(cfg)} - covered
         assert not missing, f"no gradient check in tests/registry.py for {missing}"

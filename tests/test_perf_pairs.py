@@ -1,10 +1,14 @@
 """The checkout-pair scripts: perf_pairs.py against two stub checkouts whose
 benchmark prints a fixed result, so the pairing, the order and the counts can
-be checked; bitwise_pairs.py against this checkout on both sides."""
+be checked; bitwise_pairs.py and step_pairs.py against this checkout on both
+sides, and bitwise_pairs.py's drift report on in-memory fields."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +67,34 @@ def test_bitwise_pairs_finds_this_checkout_equal_to_itself(capsys):
     argv = ["--parent", str(ROOT), "--change", str(ROOT)]
     assert load_script("bitwise_pairs").main(argv) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "0 differing fields of 63"
+
+
+def test_bitwise_pairs_reports_drift_relative_to_the_parent_field():
+    bitwise = load_script("bitwise_pairs")
+    parent = {"a.logits": [np.array([[1.0, -4.0]]), np.array([2.0])],
+              "a.loss_trace": [np.array([0.5, 0.25])],
+              "b.logits": [np.zeros(2)],
+              "b.final_params": [np.ones((2, 2))]}
+    change = {"a.logits": [np.array([[1.0, -4.0 + 2.0 ** -44]]), np.array([2.0 - 2.0 ** -40])],
+              "a.loss_trace": [np.array([0.5, 0.25])],
+              "b.logits": [np.array([0.0, 1e-300])],
+              "b.final_params": [np.ones((2, 3))]}
+    assert bitwise.relative_drift(parent["a.logits"], change["a.logits"]) == 2.0 ** -42
+    assert bitwise.relative_drift(parent["a.loss_trace"], change["a.loss_trace"]) == 0.0
+    assert math.isinf(bitwise.relative_drift(parent["b.logits"], change["b.logits"]))
+    assert math.isinf(bitwise.relative_drift(parent["b.final_params"],
+                                             change["b.final_params"]))
+    lines = bitwise.drift_lines(parent, change, ["a.logits", "b.final_params", "a.checkpoint"])
+    assert lines == [f"{'a.logits':34s} max |change - parent| / max |parent| = 2.274e-13",
+                     f"{'b.final_params':34s} max |change - parent| / max |parent| = inf"]
+
+
+def test_step_pairs_runs_this_checkout_against_itself(capsys):
+    step = load_script("step_pairs")
+    assert step.main(["--parent", str(ROOT), "--change", str(ROOT), "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "B=16 µs/item, median of 1 pairs (parent -> change)"
+    rows = [line.split() for line in lines[2:]]
+    assert [(r[0], r[1]) for r in rows] == [(k, f) for k in step.KINDS for f in step.FIGURES]
+    for row in rows:
+        assert float(row[2]) > 0.0 and float(row[3]) > 0.0 and row[5] in ("0/1", "1/1")
