@@ -5,9 +5,11 @@
 In each checkout, as a subprocess from the checkout's root with its ``src``
 first on the import path, every configuration of ``CONFIGS`` is built,
 trained by ``fit`` for 3 epochs on a 48-item noisy-timestamps set and then
-probed.  For each configuration it prints a sha256 of every field of
-``FIELDS``; for every differing array field, the largest |change - parent|
-relative to the field's largest parent magnitude (checkpoint bytes are
+probed; and every dataset of ``DATASETS`` is generated, written by
+``save_features`` and loaded back.  For each configuration and dataset it
+prints a sha256 of every field of ``FIELDS`` and ``DATA_FIELDS``; for every
+differing array field, the largest |change - parent| relative to the
+field's largest parent magnitude (checkpoint and feature-file bytes are
 compared by digest only); then the fields whose digests differ between the
 two checkouts.  Exit status: 0 when none differ, 1 when some do, 2 when a
 checkout fails to run.
@@ -38,6 +40,24 @@ CONFIGS = {
 FIELDS = ("initial_params", "loss_trace", "final_params", "loss_and_grad", "logits",
           "attention_matrices", "checkpoint")
 LENGTH = 12
+# the data path: generator, seed
+DATASETS = {f"{generator}-seed{seed}": (generator, seed)
+            for generator in ("order", "noisy") for seed in (3, 4)}
+# the file's bytes; the loaded items, labels and checksum()
+DATA_FIELDS = ("fseq", "loaded")
+
+
+def digest(arrays: list, *extra: bytes) -> str:
+    """sha256 over each array's shape and float64 bytes, then ``extra``."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    for chunk in extra:
+        h.update(chunk)
+    return h.hexdigest()
 
 
 def probe(arrays_path: str) -> dict:
@@ -47,7 +67,7 @@ def probe(arrays_path: str) -> dict:
     import numpy as np
 
     import attnbof
-    from attnbof.data import gen_noisy_timestamps
+    from attnbof.data import gen_noisy_timestamps, gen_order_task, load_features, save_features
     from attnbof.model import Model, ModelConfig, save_checkpoint
     from attnbof.train import TrainConfig, fit
 
@@ -75,13 +95,23 @@ def probe(arrays_path: str) -> dict:
             save_checkpoint(net, path)
             checkpoint = Path(path).read_bytes()
         for field, values in arrays.items():
-            h = hashlib.sha256()
-            for a in values:
-                h.update(repr(a.shape).encode())
-                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
-            out[f"{name}.{field}"] = h.hexdigest()
+            out[f"{name}.{field}"] = digest(values)
             saved.update({f"{name}.{field}/{i}": a for i, a in enumerate(values)})
         out[f"{name}.checkpoint"] = hashlib.sha256(checkpoint).hexdigest()
+    for name, (generator, seed) in DATASETS.items():
+        dataset = (gen_order_task(feature_dim=4, length=LENGTH, count=48, seed=seed)
+                   if generator == "order" else
+                   gen_noisy_timestamps(classes=3, feature_dim=4, length=LENGTH,
+                                        signal_fraction=0.25, snr=2.0, count=48, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.fseq")
+            save_features(dataset, path)
+            fseq = Path(path).read_bytes()
+            loaded = load_features(path)
+        values = [x for x, _ in loaded.items] + [loaded.labels()]
+        out[f"{name}.fseq"] = hashlib.sha256(fseq).hexdigest()
+        out[f"{name}.loaded"] = digest(values, loaded.checksum().encode())
+        saved.update({f"{name}.loaded/{i}": a for i, a in enumerate(values)})
     np.savez(arrays_path, **saved)
     return out
 
@@ -152,7 +182,8 @@ def main(argv=None) -> int:
         change = run_checkout(args.change, paths["change"])
         if parent is None or change is None:
             return 2
-        keys = [f"{name}.{field}" for name in CONFIGS for field in FIELDS]
+        keys = ([f"{name}.{field}" for name in CONFIGS for field in FIELDS]
+                + [f"{name}.{field}" for name in DATASETS for field in DATA_FIELDS])
         differ = [key for key in keys if parent[key] != change[key]]
         for key in keys:
             mark = f"  DIFFERS, parent {parent[key]}" if key in differ else ""

@@ -10,6 +10,7 @@ errors.  Commands are deterministic given their flags and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -251,24 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a feature file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck",
                        help="finite-difference check of the full loss gradient")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("gen", help="generate a synthetic feature file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("inspect-attention",
                        help="export per-head attention matrices as CSV and PGM")
@@ -276,20 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--item", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_inspect_attention)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # looked up by name at call time, so a patched or traced command runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         # the finite checks decide the exit code, with no numpy warning first
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return command(args)
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

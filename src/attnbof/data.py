@@ -88,6 +88,16 @@ class LabeledSequenceSet:
 # ---------------------------------------------------------------------------
 # generators
 
+# The most float64 values (1 GiB) a generator may draw; far above any shipped config.
+MAX_GENERATED_VALUES = 2 ** 27
+
+
+def _check_payload(count: int, feature_dim: int, length: int) -> None:
+    """Reject a dataset over the ceiling before anything is drawn."""
+    if (size := count * feature_dim * length) > MAX_GENERATED_VALUES:
+        raise ConfigError(f"count * feature_dim * length is {size} values, over the "
+                          f"generator limit of {MAX_GENERATED_VALUES}")
+
 
 def gen_noisy_timestamps(classes: int, feature_dim: int, length: int,
                          signal_fraction: float, snr: float, count: int,
@@ -100,6 +110,7 @@ def gen_noisy_timestamps(classes: int, feature_dim: int, length: int,
             f"signal_fraction must be in (0, 1], got {signal_fraction}")
     if classes < 2 or feature_dim < 1 or length < 1 or count < 1:
         raise ConfigError("classes >= 2, feature_dim/length/count >= 1 required")
+    _check_payload(count, feature_dim, length)
     rng = np.random.default_rng(seed)
     n_signal = math.ceil(signal_fraction * length)
     prototypes = np.zeros((classes, feature_dim))
@@ -135,17 +146,16 @@ def gen_order_task(feature_dim: int, length: int, count: int,
     if count < 2 or count % 2 != 0:
         raise ConfigError(f"order task generates twin pairs; count must be even, "
                           f"got {count}")
+    _check_payload(count, feature_dim, length)
     rng = np.random.default_rng(seed)
     half = length // 2
     symbol_a = rng.standard_normal(feature_dim)
     symbol_b = rng.standard_normal(feature_dim)
-    items = []
-    for _ in range(count // 2):
-        blocks = np.concatenate([np.tile(symbol_a[:, None], half),
-                                 np.tile(symbol_b[:, None], half)], axis=1)
-        forward = blocks + ORDER_NOISE * rng.standard_normal((feature_dim, length))
-        items.append((forward, 0))
-        items.append((forward[:, ::-1].copy(), 1))
+    blocks = np.repeat(np.stack([symbol_a, symbol_b], axis=1), half, axis=1)
+    # one draw yields the per-pair draws' stream, pair after pair
+    forward = blocks + ORDER_NOISE * rng.standard_normal((count // 2, feature_dim, length))
+    reverse = forward[:, :, ::-1].copy()
+    items = [item for f, r in zip(forward, reverse) for item in ((f, 0), (r, 1))]
     meta = {"generator": "order", "seed": seed, "feature_dim": feature_dim,
             "length": length, "count": count, "group_size": 2}
     return LabeledSequenceSet(items=items, classes=2, feature_dim=feature_dim,

@@ -130,7 +130,8 @@ def unpack_arrays(path: str, key: str, manifest, payload: bytes
 
     Entries carry ``key`` and int ``rows``, ``cols`` >= 1 and ``offset``,
     and tile the payload in order: each starts where the previous one ends,
-    and the last ends with the payload.  Every payload value is finite.
+    and the last ends with the payload.  Every payload value is finite.  The
+    payload is copied once; each matrix is a view into that copy.
     """
     if not isinstance(manifest, list):
         raise DataFormatError(f"{path}: manifest is not a list")
@@ -138,8 +139,9 @@ def unpack_arrays(path: str, key: str, manifest, payload: bytes
     for i, entry in enumerate(manifest):
         if not isinstance(entry, dict) or key not in entry:
             raise DataFormatError(f"{path}: manifest entry {i} has no {key!r}")
-        check_types(path, f"manifest entry {i}", entry, _ENTRY_TYPES)
-        rows, cols, offset = entry["rows"], entry["cols"], entry["offset"]
+        rows, cols, offset = entry.get("rows"), entry.get("cols"), entry.get("offset")
+        if not (type(rows) is type(cols) is type(offset) is int):
+            check_types(path, f"manifest entry {i}", entry, _ENTRY_TYPES)
         if rows < 1 or cols < 1 or offset != end:
             raise DataFormatError(
                 f"{path}: manifest entry {i} ({rows} x {cols} at byte {offset}) is "
@@ -149,12 +151,12 @@ def unpack_arrays(path: str, key: str, manifest, payload: bytes
     if end != len(payload):
         raise DataFormatError(
             f"{path}: manifest covers {end} payload bytes, payload has {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8")
+    flat = np.frombuffer(payload, dtype="<f8").copy()
     finite = np.isfinite(flat)
     if not finite.all():
         i = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1
         raise DataFormatError(f"{path}: manifest entry {i} ({key} "
                               f"{manifest[i][key]!r}) has non-finite values")
     return [(entry[key], flat[s:s + entry["rows"] * entry["cols"]]
-             .reshape(entry["rows"], entry["cols"]).copy())
+             .reshape(entry["rows"], entry["cols"]))
             for entry, s in zip(manifest, starts)]

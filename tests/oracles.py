@@ -249,3 +249,20 @@ def loop_cross_entropy(logits, label):
     exps = [math.exp(v) for v in logits]
     total = sum(exps)
     return -math.log(exps[label] / total)
+
+
+def loop_order_task(feature_dim, length, count, seed, noise=0.3):
+    """The order task's (item, label) list, one twin pair at a time: each pair
+    draws its own (feature_dim, length) noise and reverses its own copy."""
+    rng = np.random.default_rng(seed)
+    half = length // 2
+    symbol_a = rng.standard_normal(feature_dim)
+    symbol_b = rng.standard_normal(feature_dim)
+    items = []
+    for _ in range(count // 2):
+        blocks = np.concatenate([np.tile(symbol_a[:, None], half),
+                                 np.tile(symbol_b[:, None], half)], axis=1)
+        forward = blocks + noise * rng.standard_normal((feature_dim, length))
+        items.append((forward, 0))
+        items.append((forward[:, ::-1].copy(), 1))
+    return items

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnbof import attention
+from attnbof import attention, cli
 from attnbof import model as model_mod
 from attnbof import train as train_mod
 from attnbof.cli import main, parse_config
@@ -193,6 +193,27 @@ def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_main_builds_the_parser_once_and_looks_commands_up_by_name(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert main(["no-such-command"]) == 2
+    ran = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append(args.data) or 0)
+    assert main(["eval", "--checkpoint", "m.nbaf", "--data", "d.fseq"]) == 0
+    assert ran == ["d.fseq"] and built == [1]
+
+
+def test_gen_bounds_the_payload_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: pytest.fail("gen drew past the bound"))
+    conf = write(tmp_path / "gen.conf", "generator = order\nlength = 1000000000\n")
+    out = tmp_path / "big.fseq"
+    err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", str(out)])
+    assert "count * feature_dim * length" in err and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -351,6 +372,15 @@ def test_eval_rejects_checkpoint_manifest_entry_without_field(
     err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
                                          "--data", order_file])
     assert "manifest entry 1" in err
+
+
+@pytest.mark.parametrize("field", ["rows", "cols", "offset"])
+def test_eval_rejects_huge_feature_manifest_values(tmp_path, order_file, capsys, field):
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION,
+            lambda h: h["items"][5].update({field: 10**30}))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
+    assert "manifest" in err
 
 
 def test_eval_rejects_checkpoint_manifest_with_bad_types(tmp_path, order_file, capsys):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from attnbof.data import (LabeledSequenceSet, gen_noisy_timestamps,
-                          gen_order_task, load_csv_items, load_features,
-                          pad_or_clip, save_features)
+from attnbof.data import (MAX_GENERATED_VALUES, ORDER_NOISE, LabeledSequenceSet,
+                          gen_noisy_timestamps, gen_order_task, load_csv_items,
+                          load_features, pad_or_clip, save_features)
 from attnbof.errors import ChecksumError, ConfigError, DataFormatError
 from attnbof.model import Model, ModelConfig
 from attnbof.nbof import Codebook, W_RAW_UNIT, aggregate, quantize
 from attnbof.train import TrainConfig, evaluate, fit, holdout_split
+
+from .oracles import loop_order_task
 
 # pinned generator outputs; the byte-level fingerprints were recorded on the
 # first seeded run and guard against silent generator drift
@@ -63,6 +65,36 @@ def test_order_is_deterministic():
     assert a.checksum() == b.checksum()
     for (xa, la), (xb, lb) in zip(a.items, b.items):
         assert la == lb and np.array_equal(xa, xb)
+
+
+@pytest.mark.parametrize("count", [2, 10, 400])
+@pytest.mark.parametrize("feature_dim", [3, 4])
+@pytest.mark.parametrize("seed", [0, 11, 2024])
+def test_order_matches_the_per_pair_reference(count, feature_dim, seed):
+    ds = gen_order_task(feature_dim=feature_dim, length=6, count=count, seed=seed)
+    want = loop_order_task(feature_dim, 6, count, seed, noise=ORDER_NOISE)
+    assert [label for _, label in ds.items] == [label for _, label in want]
+    for (x, _), (ref, _) in zip(ds.items, want):
+        assert x.shape == ref.shape and np.array_equal(x, ref)
+
+
+@pytest.mark.parametrize("i", [0, 1, 4, 5])
+def test_writing_an_order_item_leaves_its_twin_and_neighbours_unchanged(i):
+    ds = order_ds(count=6)
+    before = [x.copy() for x, _ in ds.items]
+    ds.items[i][0][...] = -7.0
+    assert all(np.array_equal(x, b) for j, ((x, _), b) in enumerate(zip(ds.items, before))
+               if j != i)
+
+
+def test_generators_bound_the_payload_before_drawing(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: pytest.fail("a generator drew past the bound"))
+    with pytest.raises(ConfigError, match="count \\* feature_dim \\* length"):
+        gen_order_task(feature_dim=4, length=10**9, count=400, seed=0)
+    with pytest.raises(ConfigError, match="count \\* feature_dim \\* length"):
+        gen_noisy_timestamps(classes=3, feature_dim=8, length=30, signal_fraction=0.1,
+                             snr=2.0, count=MAX_GENERATED_VALUES, seed=0)
 
 
 def test_order_rejects_bad_shapes():

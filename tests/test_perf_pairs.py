@@ -64,9 +64,15 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
 
 
 def test_bitwise_pairs_finds_this_checkout_equal_to_itself(capsys):
+    bitwise = load_script("bitwise_pairs")
     argv = ["--parent", str(ROOT), "--change", str(ROOT)]
-    assert load_script("bitwise_pairs").main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "0 differing fields of 63"
+    assert bitwise.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "0 differing fields of 71"
+    data_keys = [line.split()[0] for line in lines[-9:-1]]
+    assert data_keys == ["order-seed3.fseq", "order-seed3.loaded", "order-seed4.fseq",
+                         "order-seed4.loaded", "noisy-seed3.fseq", "noisy-seed3.loaded",
+                         "noisy-seed4.fseq", "noisy-seed4.loaded"]
 
 
 def test_bitwise_pairs_reports_drift_relative_to_the_parent_field():
