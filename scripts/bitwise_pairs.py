@@ -84,8 +84,11 @@ def probe(arrays_path: str) -> dict:
         trace = fit(net, data, TrainConfig(epochs=3, batch_size=16, learning_rate=0.01), 3)
         arrays["loss_trace"] = [np.array(trace)]
         arrays["final_params"] = list(net.params.values())
-        losses, grads = net.loss_and_grad(xs, labels, training=True,
-                                          seed=np.arange(len(xs)) + 1000)
+        losses, grad = net.loss_and_grad(xs, labels, training=True,
+                                         seed=np.arange(len(xs)) + 1000)
+        # a name -> array dict from older checkouts, one vector laid out like
+        # ``net.flat`` from newer ones: either is digested per parameter
+        grads = grad if isinstance(grad, dict) else net.views(grad)
         arrays["loss_and_grad"] = [losses] + [grads[p] for p in net.params]
         arrays["logits"] = [net.forward(xs)]
         arrays["attention_matrices"] = [] if net.config.attention == "none" else [

@@ -15,8 +15,7 @@ import time
 from pathlib import Path
 
 from attnbof.cli import generate, model_config, parse_config, train_config
-from attnbof.model import Model
-from attnbof.train import train
+from attnbof.train import cross_validate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -37,8 +36,8 @@ def main() -> None:
     for attention in ("none", "tsa", "ctsa", "csa"):
         run = {**conf, "attention": attention}
         t0 = time.perf_counter()
-        net = Model.build(model_config(run, dataset, run["seed"]))
-        _, report = train(net, dataset, train_config(run, run["seed"]))
+        report = cross_validate(model_config(run, dataset, run["seed"]), dataset,
+                                train_config(run, run["seed"]))
         dt = time.perf_counter() - t0
         results[attention] = report.accuracy_mean
         print(f"{attention:5s}  acc {100 * report.accuracy_mean:.2f} + "

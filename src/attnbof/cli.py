@@ -198,12 +198,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _write_csv(path: Path, m: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for row in m:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _write_pgm(path: Path, m: np.ndarray) -> None:
     lo, hi = float(m.min()), float(m.max())
     if hi > lo:
@@ -229,7 +223,7 @@ def cmd_inspect_attention(args) -> int:
     for i, m in enumerate(matrices):
         csv_path = out_dir / f"head{i}.csv"
         pgm_path = out_dir / f"head{i}.pgm"
-        _write_csv(csv_path, m)
+        np.savetxt(csv_path, m, fmt="%.17g", delimiter=",")
         _write_pgm(pgm_path, m)
         written += [str(csv_path), str(pgm_path)]
     print(json.dumps({"attention": net.config.attention, "heads": len(matrices),

@@ -2,10 +2,11 @@
 
 Pipeline: optional temporal-conv frontend -> codebook quantization ->
 attention -> temporal averaging (self-attention folds it in) -> affine head
--> cross-entropy.  Every learnable matrix lives in a flat name -> array
-registry (``codebook.v``, ``att.head0.wq``, ...) shared by the optimizer and
-the checkpoint format.  Every stage pairs a layer's forward with its VJP
-under one calling convention; the backward pass runs the list in reverse.
+-> cross-entropy.  Every learnable matrix is a named view (``codebook.v``,
+``att.head0.wq``, ...) into one float64 vector, laid out in registry order,
+which the optimizer steps and the checkpoint stores as is.  Every stage
+pairs a layer's forward with its VJP under one calling convention; the
+backward pass runs the list in reverse.
 """
 
 from __future__ import annotations
@@ -269,13 +270,28 @@ def _finite(a: Array, what: str) -> Array:
 
 
 class Model:
-    """Parameter registry plus the stage list that runs over it."""
+    """One float64 parameter vector, ``flat`` (a copy of the one given), in
+    registry (and checkpoint) order, plus the stage list that runs over it;
+    ``params`` maps each name to a view into ``flat``."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Array]):
+    def __init__(self, config: ModelConfig, flat: Array):
         config.validate()
         self.config = config
-        self.params = params
+        self.shapes = param_shapes(config)
+        self.flat = np.array(flat, dtype=float)
+        self.params = self.views(self.flat)
         self.stages = build_stages(config)
+
+    def views(self, vec: Array) -> dict[str, Array]:
+        """Name -> view map of a vector laid out like ``flat``."""
+        size = sum(rows * cols for rows, cols in self.shapes.values())
+        if vec.shape != (size,):
+            raise ShapeError(f"parameter vector is {vec.shape}, the model has ({size},)")
+        views, start = {}, 0
+        for name, (rows, cols) in self.shapes.items():
+            views[name] = vec[start:start + rows * cols].reshape(rows, cols)
+            start += rows * cols
+        return views
 
     @classmethod
     def build(cls, config: ModelConfig) -> "Model":
@@ -285,27 +301,25 @@ class Model:
         training leaves it there."""
         config.validate()
         rng = np.random.default_rng(config.seed)
-        params: dict[str, Array] = {}
-        for name, shape in param_shapes(config).items():
-            if name.endswith(("bias", "alpha_raw")):
-                params[name] = np.zeros(shape)
-            elif name == "codebook.v":
-                params[name] = rng.standard_normal(shape)
+        size = sum(rows * cols for rows, cols in param_shapes(config).values())
+        net = cls(config, np.zeros(size))
+        for name, p in net.params.items():
+            if name == "codebook.v":
+                p[...] = rng.standard_normal(p.shape)
             elif name == "codebook.w_raw":
-                params[name] = np.full(shape, nbof.W_RAW_UNIT)
-            else:
-                half = 1.0 / np.sqrt(shape[1])
-                params[name] = rng.uniform(-half, half, size=shape)
-        if "att.w" in params:
-            np.fill_diagonal(params["att.w"], 1.0 / params["att.w"].shape[0])
-        return cls(config, params)
+                p[...] = nbof.W_RAW_UNIT
+            elif not name.endswith(("bias", "alpha_raw")):
+                half = 1.0 / np.sqrt(p.shape[1])
+                p[...] = rng.uniform(-half, half, size=p.shape)
+        if "att.w" in net.params:
+            np.fill_diagonal(net.params["att.w"], 1.0 / net.params["att.w"].shape[0])
+        return net
 
     def set_codebook(self, cb: nbof.Codebook) -> None:
-        want = param_shapes(self.config)["codebook.v"]
-        if cb.v.shape != want:
-            raise ShapeError(f"codebook is {cb.v.shape}, model expects {want}")
-        self.params["codebook.v"] = np.array(cb.v)
-        self.params["codebook.w_raw"] = np.array(cb.w_raw)
+        for name, arr in (("codebook.v", cb.v), ("codebook.w_raw", cb.w_raw)):
+            if arr.shape != self.shapes[name]:
+                raise ShapeError(f"codebook is {arr.shape}, model expects {self.shapes[name]}")
+            self.params[name][...] = arr
 
     # -- forward / backward -------------------------------------------------
 
@@ -343,8 +357,8 @@ class Model:
         return int(pred) if pred.ndim == 0 else pred
 
     def loss_and_grad(self, x: Array, label, training: bool = False,
-                      seed=0) -> tuple[float | Array, dict[str, Array]]:
-        """Loss plus one cotangent per registered parameter.
+                      seed=0) -> tuple[float | Array, Array]:
+        """Loss plus its gradient, one vector laid out like ``flat``.
 
         ``x`` is a (B, D, N) stack with B labels and, in training, B dropout
         seeds (item b, head i draws its mask from ``seed[b] + i``).  It
@@ -356,11 +370,17 @@ class Model:
         logits = self._run(x, training, seed, trail)
         loss = cross_entropy(logits, label)
         g = cross_entropy_vjp(logits, label, 1.0)
-        grads: dict[str, Array] = {}
+        grad = np.zeros(self.flat.size)
+        views = self.views(grad)
         for stage, (h, ps, out, cache) in zip(reversed(self.stages), reversed(trail)):
             g, *dps = stage.vjp(h, ps, out, g, cache)
-            grads.update(zip(stage.shapes, dps))
-        return loss, grads
+            for name, p, d in zip(stage.shapes, ps, dps + [None] * len(ps)):
+                shape = getattr(d, "shape", None)  # None: the stage returned too few
+                if shape != p.shape:
+                    raise ShapeError(f"stage {stage.name}: cotangent of {name!r} is "
+                                     f"{shape}, parameter is {p.shape}")
+                views[name][...] = d
+        return loss, grad
 
     def attention_matrices(self, x: Array) -> list[Array]:
         """Per-head attention matrices for one input, evaluation mode."""
@@ -378,18 +398,17 @@ def loss_op(model: Model, x: Array, label: int, training: bool = False,
             seed: int = 0) -> DiffOp:
     """The full loss as a DiffOp over the ordered parameter list, for
     gradient checking.  Input order is ``list(model.params)``."""
-    names = list(model.params)
     cfg = model.config
 
     def fwd(*arrs: Array) -> Array:
-        m = Model(cfg, dict(zip(names, [np.asarray(a, dtype=float) for a in arrs])))
+        m = Model(cfg, np.concatenate([np.ravel(a) for a in arrs]))
         return np.asarray(cross_entropy(m.forward(x, training, seed), label))
 
     def vjp(inputs, output, upstream):
-        m = Model(cfg, dict(zip(names, inputs)))
-        _, grads = m.loss_and_grad(x, label, training=training, seed=seed)
+        m = Model(cfg, np.concatenate([np.ravel(a) for a in inputs]))
+        _, grad = m.loss_and_grad(x, label, training=training, seed=seed)
         scale = float(np.asarray(upstream).reshape(()))
-        return tuple(grads[n] * scale for n in names)
+        return tuple(g * scale for g in m.views(grad).values())
 
     return DiffOp(f"model_loss_{cfg.attention}", fwd, vjp)
 
@@ -417,15 +436,10 @@ def load_checkpoint(path: str) -> Model:
     if cfg.attention in attention.VARIANTS and 3 * cfg.heads > len(arrays):
         raise DataFormatError(f"{path}: {cfg.heads} heads need {3 * cfg.heads} "
                               f"parameters, the manifest has {len(arrays)} entries")
-    expected = param_shapes(cfg)
-    params: dict[str, Array] = {}
-    for name, arr in arrays:
-        if not isinstance(name, str) or expected.get(name) != arr.shape or name in params:
-            raise DataFormatError(
-                f"{path}: parameter {name!r} with shape {arr.shape} does not match "
-                "the stored configuration")
-        params[name] = arr
-    missing = set(expected) - set(params)
-    if missing:
-        raise DataFormatError(f"{path}: missing parameters {sorted(missing)}")
-    return Model(cfg, params)
+    got = [(name, arr.shape) for name, arr in arrays] + [None]  # None: past the end
+    want = list(param_shapes(cfg).items()) + [None]
+    if got != want:
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        raise DataFormatError(f"{path}: manifest entry {i} is {got[i]}, the stored "
+                              f"configuration needs {want[i]}")
+    return Model(cfg, np.concatenate([arr.ravel() for _, arr in arrays]))

@@ -4,10 +4,11 @@ Matrices are 2-d ``numpy.ndarray`` of float64, row-major; vectors are 1-d.
 A stack of B equal-shape matrices is a 3-d (B, rows, cols) array; the model
 layers broadcast over that leading axis.
 Each elementary function ``f`` has a plain ``f_vjp`` that maps an upstream
-cotangent to the cotangents of its inputs.  The model graph is fixed, so
-there is no tape; the model's stages chain these VJPs explicitly.  A
-:class:`DiffOp` pairs a forward with a VJP over a flat list of array inputs,
-the form ``grad_check`` validates against central finite differences.
+cotangent to the cotangents of its inputs; the sigmoid's is inlined where
+the ctsa mask is differentiated.  The model graph is fixed, so there is no
+tape; the model's stages chain these VJPs explicitly.  A :class:`DiffOp`
+pairs a forward with a VJP over a flat list of array inputs, the form
+``grad_check`` validates against central finite differences.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ def sigmoid(m: Array) -> Array:
     # in exp for very negative m lands harmlessly on inf -> 0
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-m))
-
-
-def sigmoid_vjp(s: Array, upstream: Array) -> Array:
-    """Cotangent of the input of ``sigmoid`` with output ``s``."""
-    return upstream * s * (1.0 - s)
 
 
 def affine(w: Array, y: Array, b: Array) -> Array:

@@ -16,7 +16,7 @@ import numpy as np
 from . import nbof
 from .data import LabeledSequenceSet
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .model import Model, frontend_conv
+from .model import Model, ModelConfig, frontend_conv
 from .numerics import Array
 
 
@@ -59,47 +59,34 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: Array    # first moments of all parameters, flattened in registry order
+    m: Array    # first moments, laid out like ``Model.flat``
     v: Array    # second moments, likewise
     t: int = 0
 
 
-def init_adam(params: dict[str, Array]) -> AdamState:
-    size = sum(p.size for p in params.values())
-    return AdamState(m=np.zeros(size), v=np.zeros(size))
+def init_adam(params: Array) -> AdamState:
+    return AdamState(m=np.zeros(params.size), v=np.zeros(params.size))
 
 
-def flatten_grads(params: dict[str, Array], grads: dict[str, Array]) -> Array:
-    """One cotangent per parameter, as one vector in registry order."""
-    for name, p in params.items():
-        shape = grads[name].shape if name in grads else None
-        if shape != p.shape:
-            raise ShapeError(
-                f"adam_step: gradient for {name!r} is {shape}, parameter is {p.shape}")
-    return np.concatenate([grads[name].ravel() for name in params])
-
-
-def adam_step(params: dict[str, Array], grads: dict[str, Array] | Array, state: AdamState,
-              cfg: TrainConfig) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected moment update of every parameter, in place, from
-    ``grads`` by name or flattened (:func:`flatten_grads`).  A non-finite
-    step raises ``TrainingDiverged`` before any parameter moves."""
-    g = grads if isinstance(grads, np.ndarray) else flatten_grads(params, grads)
+def adam_step(params: Array, grad: Array, state: AdamState, cfg: TrainConfig
+              ) -> tuple[Array, AdamState]:
+    """One bias-corrected moment update of the parameter vector, in place.
+    A misshapen gradient raises ``ShapeError`` and a non-finite step
+    ``TrainingDiverged``, both before any parameter moves."""
+    if grad.shape != params.shape:
+        raise ShapeError(f"adam_step: gradient is {grad.shape}, parameters are {params.shape}")
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += (1.0 - b1) * grad
     state.v *= b2
-    state.v += (1.0 - b2) * (g * g)
+    state.v += (1.0 - b2) * (grad * grad)
     step = cfg.learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + cfg.adam_eps)
     if not np.isfinite(step).all():
         raise TrainingDiverged(f"non-finite Adam step {state.t}")
-    start = 0
-    for p in params.values():
-        p -= step[start:start + p.size].reshape(p.shape)
-        start += p.size
+    params -= step
     return params, state
 
 
@@ -292,7 +279,7 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
         kernel, bias = net.params["frontend.kernel"], net.params["frontend.bias"]
         features = [frontend_conv(x, kernel, bias) for x in features]
     net.set_codebook(nbof.init_codebook(features, net.config.codewords, seed=seed))
-    state = init_adam(net.params)
+    state = init_adam(net.flat)
     n = len(train_set)
     labels = train_set.labels()
     lengths = np.array([x.shape[1] for x, _ in train_set.items])
@@ -308,20 +295,33 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
             for length in dict.fromkeys(lengths[batch]):
                 sub = lengths[batch] == length
                 xs = np.stack([train_set.items[i][0] for i in batch[sub]])
-                losses, grads = net.loss_and_grad(xs, labels[batch[sub]], training=True,
-                                                  seed=seeds[sub])
+                losses, grad = net.loss_and_grad(xs, labels[batch[sub]], training=True,
+                                                 seed=seeds[sub])
                 if not np.all(np.isfinite(losses)):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}")
                 for loss in losses:  # item by item, as the per-item loop summed
                     epoch_loss += float(loss)
-                total += flatten_grads(net.params, grads)
+                total += grad
             if not np.isfinite(total).all():
                 raise TrainingDiverged(
                     f"non-finite gradient at epoch {epoch}, batch {batch_no}")
-            adam_step(net.params, total * (1.0 / len(batch)), state, cfg)
+            adam_step(net.flat, total * (1.0 / len(batch)), state, cfg)
         trace.append(epoch_loss / n)
     return trace
+
+
+def cross_validate(config: ModelConfig, dataset: LabeledSequenceSet, cfg: TrainConfig
+                   ) -> TrainReport:
+    """k-fold cross-validation (folds >= 2): a fresh model per fold, seeded
+    ``cfg.seed ^ fold``, trained on the other folds and scored on its own."""
+    results = []
+    for f, (train_set, val_set) in enumerate(kfold(dataset, cfg.folds, cfg.seed)):
+        fold_seed = cfg.seed ^ f
+        fold_net = Model.build(replace(config, seed=fold_seed))
+        trace = fit(fold_net, train_set, cfg, fold_seed)
+        results.append(FoldResult(f, trace, *evaluate(fold_net, val_set)))
+    return TrainReport(epochs=cfg.epochs, folds=results)
 
 
 def train(net: Model, dataset: LabeledSequenceSet, cfg: TrainConfig
@@ -329,9 +329,9 @@ def train(net: Model, dataset: LabeledSequenceSet, cfg: TrainConfig
     """Run the configured protocol and return (final model, report).
 
     folds == 1: one stratified holdout split; the given model is trained on
-    the train side and scored on the held-out side.  folds >= 2: k-fold
-    cross-validation with a fresh model per fold (seed ``cfg.seed ^ fold``)
-    for the report, then the given model is trained on the full dataset.
+    the train side and scored on the held-out side.  folds >= 2: the report
+    of :func:`cross_validate`, then the given model is trained on the full
+    dataset.
     """
     cfg.validate()
     if len(dataset) == 0:
@@ -339,16 +339,7 @@ def train(net: Model, dataset: LabeledSequenceSet, cfg: TrainConfig
     if cfg.folds == 1:
         train_set, val_set = holdout_split(dataset, cfg.holdout_fraction, cfg.seed)
         trace = fit(net, train_set, cfg, cfg.seed)
-        acc, f1 = evaluate(net, val_set)
-        report = TrainReport(epochs=cfg.epochs,
-                             folds=[FoldResult(0, trace, acc, f1)])
-        return net, report
-    results = []
-    for f, (train_set, val_set) in enumerate(kfold(dataset, cfg.folds, cfg.seed)):
-        fold_seed = cfg.seed ^ f
-        fold_net = Model.build(replace(net.config, seed=fold_seed))
-        trace = fit(fold_net, train_set, cfg, fold_seed)
-        acc, f1 = evaluate(fold_net, val_set)
-        results.append(FoldResult(f, trace, acc, f1))
+        return net, TrainReport(cfg.epochs, [FoldResult(0, trace, *evaluate(net, val_set))])
+    report = cross_validate(net.config, dataset, cfg)
     fit(net, dataset, cfg, cfg.seed)
-    return net, TrainReport(epochs=cfg.epochs, folds=results)
+    return net, report

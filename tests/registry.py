@@ -83,8 +83,6 @@ OPS = {entry.op.name: entry for entry in [
     Entry(DiffOp("softmax_rows", numerics.softmax_rows,
                  lambda inputs, out, g: (numerics.softmax_rows_vjp(out, g),)),
           normal((4, 6))),
-    Entry(DiffOp("sigmoid", numerics.sigmoid,
-                 lambda inputs, out, g: (numerics.sigmoid_vjp(out, g),)), normal((5, 3))),
     Entry(DiffOp("affine", numerics.affine,
                  lambda inputs, out, g: numerics.affine_vjp(*inputs[:2], g)),
           normal((3, 6), 6, 3)),

@@ -23,7 +23,7 @@ from attnbof.model import (Model, ModelConfig, load_checkpoint, loss_op,
                            save_checkpoint)
 from attnbof.nbof import Codebook, aggregate, quantize, quantize_raw
 from attnbof.numerics import grad_check
-from attnbof.train import TrainConfig, train
+from attnbof.train import TrainConfig, cross_validate, train
 
 from .oracles import loop_2da, loop_csa, loop_ctsa, loop_tsa
 from .test_attention import COUNTER_PERM, COUNTER_PHI, COUNTER_W
@@ -183,8 +183,11 @@ def _pinned_run(gen_conf: str, train_conf: str, attention: str):
     gen = parse_config(str(CONFIGS / gen_conf))
     dataset = generate(gen, gen["seed"])
     conf = {**parse_config(str(CONFIGS / train_conf)), "attention": attention}
-    net = Model.build(model_config(conf, dataset, conf["seed"]))
-    return train(net, dataset, train_config(conf, conf["seed"]))[1]
+    model_cfg = model_config(conf, dataset, conf["seed"])
+    train_cfg = train_config(conf, conf["seed"])
+    if train_cfg.folds == 1:  # holdout: the report scores the trained model itself
+        return train(Model.build(model_cfg), dataset, train_cfg)[1]
+    return cross_validate(model_cfg, dataset, train_cfg)
 
 
 def _order_accuracy(attention: str) -> float:

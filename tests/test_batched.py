@@ -33,13 +33,12 @@ def stack_case(model_kwargs, batch=5, length=8, seed=0):
 
 
 def per_item(net, xs, labels, seeds, training):
-    losses, sums = [], {k: np.zeros_like(p) for k, p in net.params.items()}
+    losses, total = [], np.zeros_like(net.flat)
     for x, label, s in zip(xs, labels, seeds):
-        loss, grads = net.loss_and_grad(x, int(label), training=training, seed=int(s))
+        loss, grad = net.loss_and_grad(x, int(label), training=training, seed=int(s))
         losses.append(loss)
-        for k, g in grads.items():
-            sums[k] += g
-    return np.array(losses), sums
+        total += grad
+    return np.array(losses), total
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.25])
@@ -55,25 +54,25 @@ def test_batched_matches_per_item(kind, frontend, dropout):
         assert logits.shape == want.shape
         assert np.max(np.abs(logits - want)) <= 1e-10
 
-        losses, grads = net.loss_and_grad(xs, labels, training=training, seed=seeds)
-        want_losses, want_grads = per_item(net, xs, labels, seeds, training)
+        losses, grad = net.loss_and_grad(xs, labels, training=training, seed=seeds)
+        want_losses, want_grad = per_item(net, xs, labels, seeds, training)
         assert losses.shape == (len(xs),)
         assert np.max(np.abs(losses - want_losses)) <= 1e-10
-        assert set(grads) == set(net.params)
-        for name, g in grads.items():
-            assert g.shape == net.params[name].shape
-            assert np.max(np.abs(g - want_grads[name])) <= 1e-10, name
+        assert grad.shape == net.flat.shape
+        want = net.views(want_grad)
+        for name, g in net.views(grad).items():
+            assert np.max(np.abs(g - want[name])) <= 1e-10, name
 
 
 def test_single_item_is_the_b1_case():
     net, xs, labels, seeds = stack_case(dict(attention="csa", heads=2,
                                              dropout_rate=0.25), batch=1)
-    loss, grads = net.loss_and_grad(xs[0], int(labels[0]), training=True,
-                                    seed=int(seeds[0]))
+    loss, grad = net.loss_and_grad(xs[0], int(labels[0]), training=True,
+                                   seed=int(seeds[0]))
     losses, stacked = net.loss_and_grad(xs, labels, training=True, seed=seeds)
     assert isinstance(loss, float)
     assert loss == losses[0]
-    assert all(np.array_equal(grads[k], stacked[k]) for k in grads)
+    assert np.array_equal(grad, stacked)
     assert isinstance(net.predict(xs[0]), int)
     assert net.predict(xs).tolist() == [net.predict(xs[0])]
 
@@ -112,7 +111,7 @@ def reference_fit(net, train_set, cfg, seed):
     rng = np.random.default_rng(seed)
     net.set_codebook(init_codebook([x for x, _ in train_set.items],
                                    net.config.codewords, seed=seed))
-    state = init_adam(net.params)
+    state = init_adam(net.flat)
     n = len(train_set)
     trace = []
     for _ in range(cfg.epochs):
@@ -120,16 +119,14 @@ def reference_fit(net, train_set, cfg, seed):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            sums = {k: np.zeros_like(p) for k, p in net.params.items()}
+            total = np.zeros_like(net.flat)
             for idx in batch:
                 x, label = train_set.items[idx]
-                loss, grads = net.loss_and_grad(x, label, training=True,
-                                                seed=int(rng.integers(2 ** 31)))
+                loss, grad = net.loss_and_grad(x, label, training=True,
+                                               seed=int(rng.integers(2 ** 31)))
                 epoch_loss += loss
-                for k, g in grads.items():
-                    sums[k] += g
-            scale = 1.0 / len(batch)
-            adam_step(net.params, {k: g * scale for k, g in sums.items()}, state, cfg)
+                total += grad
+            adam_step(net.flat, total * (1.0 / len(batch)), state, cfg)
         trace.append(epoch_loss / n)
     return trace
 

@@ -311,6 +311,19 @@ def test_inspect_attention_writes_one_pair_per_head(tmp_path, order_file):
     assert len(list(out_dir.glob("*.pgm"))) == 4
 
 
+def test_inspect_attention_csv_holds_shortest_round_trip_digits(
+        tmp_path, order_file, monkeypatch):
+    m = np.array([[-0.0, 5e-324, 1.0 / 3.0], [2.0 / 3.0, 1.0, 0.1]])
+    monkeypatch.setattr(Model, "attention_matrices", lambda self, x: [m])
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    out_dir = tmp_path / "mats"
+    assert main(["inspect-attention", "--checkpoint", ckpt, "--data", order_file,
+                 "--item", "0", "--out", str(out_dir)]) == 0
+    assert (out_dir / "head0.csv").read_bytes() == (
+        b"-0,4.9406564584124654e-324,0.33333333333333331\n"
+        b"0.66666666666666663,1,0.10000000000000001\n")
+
+
 def test_inspect_attention_rejects_plain_model(tmp_path, order_file, capsys):
     ckpt = make_checkpoint(tmp_path, attention="none")
     code = main(["inspect-attention", "--checkpoint", ckpt, "--data", order_file,
@@ -491,6 +504,21 @@ def test_eval_rejects_duplicated_checkpoint_manifest_entry(tmp_path, order_file,
     err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
                                          "--data", order_file])
     assert "manifest entry 3" in err
+
+
+def test_eval_rejects_checkpoint_manifest_out_of_order(tmp_path, order_file, capsys):
+    # codebook.v and codebook.w_raw have one shape: the swapped names still
+    # tile the payload, and only the registry order can reject them
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+
+    def swap(header):
+        first, second = header["manifest"][:2]
+        first["name"], second["name"] = second["name"], first["name"]
+
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, swap)
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "manifest entry 0 is ('codebook.w_raw', (5, 3))" in err
 
 
 def test_eval_rejects_checkpoint_with_unknown_2da_mode(tmp_path, order_file, capsys):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attnbof import nbof
 from attnbof.data import gen_noisy_timestamps
 from attnbof.errors import (ChecksumError, ConfigError, DataFormatError,
                             ShapeError, VersionError)
@@ -328,3 +329,70 @@ def test_param_shapes_cover_every_variant():
         groups = [next(i for i, g in enumerate(PARAM_GROUPS) if name.startswith(g))
                   for name, _ in shapes]
         assert groups == sorted(groups), shapes
+
+
+# ---------------------------------------------------------------------------
+# the parameter vector
+
+
+def assert_views_of_flat(net):
+    """Every parameter is a view of ``net.flat`` at its registry offset."""
+    start = 0
+    for name, p in net.params.items():
+        assert p.ctypes.data == net.flat.ctypes.data + 8 * start, name
+        start += p.size
+    assert start == net.flat.size
+    assert net.flat.flags.owndata
+
+
+def test_params_stay_views_of_flat(tmp_path):
+    net = desk_model(attention="csa", heads=2)
+    assert_views_of_flat(net)
+    data = gen_noisy_timestamps(classes=3, feature_dim=4, length=8,
+                                signal_fraction=0.25, snr=2.0, count=12, seed=3)
+    # fit sets the codebook, then takes one Adam step on flat
+    fit(net, data, TrainConfig(epochs=1, batch_size=12, learning_rate=0.05), seed=4)
+    assert_views_of_flat(net)
+    net.flat[-1] = 7.0
+    assert net.params["classifier.bias"][-1, 0] == 7.0
+    path = str(tmp_path / "model.nbaf")
+    save_checkpoint(net, path)
+    loaded = load_checkpoint(path)
+    assert_views_of_flat(loaded)
+    assert np.array_equal(loaded.flat, net.flat)
+
+
+def test_set_codebook_writes_into_flat():
+    net = desk_model()
+    x = np.random.default_rng(2).standard_normal((4, 8))
+    cb = nbof.init_codebook([x], 6, seed=1)
+    net.set_codebook(cb)
+    assert_views_of_flat(net)
+    assert np.array_equal(net.params["codebook.v"], cb.v)
+    assert np.array_equal(net.params["codebook.w_raw"], cb.w_raw)
+    with pytest.raises(ShapeError, match="codebook"):
+        net.set_codebook(nbof.init_codebook([x], 5, seed=1))
+
+
+def test_wrong_length_vector_raises_shape_error():
+    net = desk_model(attention="tsa", heads=2)
+    size = net.flat.size
+    for bad in (np.zeros(size + 1), np.zeros(size - 1), np.zeros((1, size))):
+        with pytest.raises(ShapeError, match="parameter vector"):
+            Model(net.config, bad)
+        with pytest.raises(ShapeError, match="parameter vector"):
+            net.views(bad)
+
+
+@pytest.mark.parametrize("cotangents,name", [
+    (lambda dh, dv, dw: (dh, dv[:, :-1], dw), "codebook.v"),
+    (lambda dh, dv, dw: (dh, dv), "codebook.w_raw"),
+], ids=["misshapen", "missing"])
+def test_misshapen_stage_cotangent_raises_shape_error(monkeypatch, cotangents, name):
+    quantize_vjp = nbof.quantize_vjp
+    monkeypatch.setattr(nbof, "quantize_vjp",
+                        lambda *args: cotangents(*quantize_vjp(*args)))
+    net = desk_model()
+    x = np.random.default_rng(3).standard_normal((4, 8))
+    with pytest.raises(ShapeError, match=f"stage quantize: cotangent of '{name}'"):
+        net.loss_and_grad(x, 1)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from attnbof import nbof
+from attnbof import train as train_mod
 from attnbof.data import LabeledSequenceSet, gen_noisy_timestamps, gen_order_task
 from attnbof.errors import ConfigError, ShapeError, TrainingDiverged
 from attnbof.model import Model, ModelConfig, frontend_conv
 from attnbof.nbof import init_codebook
-from attnbof.train import (TrainConfig, accuracy, adam_step, evaluate,
+from attnbof.train import (TrainConfig, accuracy, adam_step, cross_validate, evaluate,
                            fit, holdout_split, init_adam, kfold, macro_f1, train)
 
 from .test_batched import ragged_set
@@ -25,87 +26,82 @@ def make_cfg(**overrides):
 
 
 def test_adam_zero_gradient_keeps_parameters():
-    params = {"w": np.array([[1.0, -2.0]])}
-    state = init_adam(params)
-    adam_step(params, {"w": np.zeros((1, 2))}, state, make_cfg())
-    assert np.array_equal(params["w"], [[1.0, -2.0]])
+    params = np.array([1.0, -2.0])
+    adam_step(params, np.zeros(2), init_adam(params), make_cfg())
+    assert np.array_equal(params, [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_unit_step():
-    g = np.array([[0.3, -4.0, 1e-3]])
-    params = {"w": np.zeros((1, 3))}
-    state = init_adam(params)
-    cfg = make_cfg(learning_rate=0.01)
-    adam_step(params, {"w": g}, state, cfg)
+    g = np.array([0.3, -4.0, 1e-3])
+    params = np.zeros(3)
+    adam_step(params, g, init_adam(params), make_cfg(learning_rate=0.01))
     # bias-corrected first step: -lr * g / (|g| + eps)
-    assert np.allclose(params["w"], -0.01 * np.sign(g), rtol=1e-4)
+    assert np.allclose(params, -0.01 * np.sign(g), rtol=1e-4)
 
 
 def test_adam_zero_learning_rate_is_identity():
-    params = {"w": np.array([[0.5], [1.5]])}
-    state = init_adam(params)
+    params = np.array([0.5, 1.5])
     cfg = TrainConfig(learning_rate=0.0)  # bypasses validate on purpose
-    adam_step(params, {"w": np.ones((2, 1))}, state, cfg)
-    assert np.array_equal(params["w"], [[0.5], [1.5]])
+    adam_step(params, np.ones(2), init_adam(params), cfg)
+    assert np.array_equal(params, [0.5, 1.5])
 
 
 def test_adam_three_step_trace_matches_hand_loop():
     # minimize 0.5 * theta^2; gradient is theta
     cfg = make_cfg(learning_rate=0.1, adam_beta1=0.9, adam_beta2=0.999,
                    adam_eps=1e-8)
-    params = {"t": np.array([[2.0]])}
+    params = np.array([2.0])
     state = init_adam(params)
     theta = 2.0
     m = v = 0.0
     for step in range(1, 4):
-        g = float(params["t"][0, 0])
-        adam_step(params, {"t": np.array([[g]])}, state, cfg)
+        adam_step(params, params.copy(), state, cfg)
 
         m = 0.9 * m + 0.1 * theta
         v = 0.999 * v + 0.001 * theta * theta
         m_hat = m / (1.0 - 0.9 ** step)
         v_hat = v / (1.0 - 0.999 ** step)
         theta -= 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
-        assert math.isclose(params["t"][0, 0], theta, abs_tol=1e-12)
+        assert math.isclose(params[0], theta, abs_tol=1e-12)
 
 
 def test_adam_flat_update_is_bitwise_the_per_parameter_update():
+    # oracle: one moment pair per named parameter, updated in a hand loop
     rng = np.random.default_rng(3)
-    shapes = {"a": (3, 4), "b": (1, 1), "c": (5, 2)}
-    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
-    ref = {k: p.copy() for k, p in params.items()}
+    net = Model.build(ModelConfig(feature_dim=3, classes=2, codewords=4, latent_dim=2,
+                                  attention="csa", heads=2, seq_len=5, seed=3))
+    ref = {k: p.copy() for k, p in net.params.items()}
     cfg = make_cfg(learning_rate=0.01)
-    state = init_adam(params)
-    m = {k: np.zeros(s) for k, s in shapes.items()}
-    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = init_adam(net.flat)
+    m = {k: np.zeros(p.shape) for k, p in ref.items()}
+    v = {k: np.zeros(p.shape) for k, p in ref.items()}
     for t in range(1, 6):
-        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-6, 6)
-                 for k, s in reversed(shapes.items())}
-        adam_step(params, grads, state, cfg)
+        grads = {k: rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 6)
+                 for k, p in ref.items()}
+        adam_step(net.flat, np.concatenate([g.ravel() for g in grads.values()]), state, cfg)
         c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for k, g in grads.items():
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
             ref[k] -= 0.01 * (m[k] / c1) / (np.sqrt(v[k] / c2) + 1e-8)
-        assert all(np.array_equal(params[k], ref[k]) for k in shapes)
+        assert all(np.array_equal(net.params[k], ref[k]) for k in ref)
 
 
 def test_adam_rejects_non_finite_step_before_moving_parameters():
-    params = {"a": np.ones((1, 2)), "b": np.ones((2, 1))}
-    state = init_adam(params)
+    params = np.ones(4)
     with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged, match="step 1"):
-        adam_step(params, {"a": np.ones((1, 2)), "b": np.array([[1.0], [np.inf]])},
-                  state, make_cfg())
-    assert all(np.array_equal(p, np.ones(p.shape)) for p in params.values())
-
-
-def test_adam_names_missing_or_misshapen_gradient():
-    params = {"a": np.ones((1, 2)), "b": np.ones((2, 1))}
-    with pytest.raises(ShapeError, match="'b'"):
-        adam_step(params, {"a": np.ones((1, 2))}, init_adam(params), make_cfg())
-    with pytest.raises(ShapeError, match="'a'"):
-        adam_step(params, {"a": np.ones(2), "b": np.ones((2, 1))}, init_adam(params),
+        adam_step(params, np.array([1.0, 1.0, 1.0, np.inf]), init_adam(params),
                   make_cfg())
+    assert np.array_equal(params, np.ones(4))
+
+
+def test_adam_rejects_misshapen_gradient():
+    params, state = np.ones(3), init_adam(np.ones(3))
+    for shape in [(2,), (1,), (3, 1)]:  # (1,) would broadcast
+        with pytest.raises(ShapeError, match=rf"gradient is \({shape[0]},"):
+            adam_step(params, np.ones(shape), state, make_cfg())
+    assert state.t == 0 and not state.m.any()
+    assert np.array_equal(params, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +289,19 @@ def test_train_cross_validation_report_shape():
     table = report.to_markdown()
     assert table.count("\n") == 2 + len(report.folds)
     assert "mean + std" in table
+
+
+def test_cross_validate_is_the_report_of_train_without_the_final_fit(monkeypatch):
+    ds = separable_toy(count=30, seed=31)
+    cfg = make_cfg(epochs=2, batch_size=8, learning_rate=0.01, folds=3, seed=1)
+    model_cfg = ModelConfig(feature_dim=4, classes=3, codewords=5, seed=1)
+    _, want = train(Model.build(model_cfg), ds, cfg)
+    fits = []
+    monkeypatch.setattr(train_mod, "fit", lambda *args: fits.append(1) or fit(*args))
+    assert cross_validate(model_cfg, ds, cfg).to_dict() == want.to_dict()
+    assert len(fits) == 3
+    with pytest.raises(ConfigError, match="folds >= 2"):
+        cross_validate(model_cfg, ds, make_cfg(folds=1))
 
 
 def test_train_aborts_on_non_finite_loss():
