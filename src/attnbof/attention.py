@@ -28,12 +28,15 @@ return the matrix.  The cotangent of a pooled head's P is rank one, so
 VJP.  Dropout on a head's attention matrix is training-only and inverted
 (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.  Every
 VJP reads the cache its forward filled.
+
+Layers take the model's parameter arrays: ``att_2da`` takes ``w`` and
+``alpha_raw`` (alpha = logistic(alpha_raw)); self-attention takes the list
+``ps = [wq_0, wk_0, alpha_raw_0, wq_1, ...]``, with d being ``wq``'s row count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,45 +46,6 @@ from .numerics import Array, logistic_scalar, swap
 
 MODES = ("input", "codeword", "temporal")
 VARIANTS = ("ctsa", "csa", "tsa")
-
-
-@dataclass
-class Attention2DAParams:
-    """Directly learned mask parameters; ``w`` is square with pinned diagonal."""
-
-    w: Array            # (n, n) where n is the column count of the operand
-    alpha_raw: Array    # (1, 1); mixing strength alpha = logistic(alpha_raw)
-    mode: str = "temporal"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"2da mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass
-class AttentionHead:
-    wq: Array
-    wk: Array
-    alpha_raw: Array    # (1, 1)
-
-
-@dataclass
-class SelfAttentionParams:
-    heads: list[AttentionHead]
-    latent_dim: int
-    dropout_rate: float = 0.0
-
-    @classmethod
-    def from_flat(cls, arrs, latent_dim: int, dropout_rate: float = 0.0):
-        """Heads from the flat order (wq_0, wk_0, alpha_raw_0, wq_1, ...)."""
-        heads = [AttentionHead(*arrs[i:i + 3]) for i in range(0, len(arrs), 3)]
-        return cls(heads=heads, latent_dim=latent_dim, dropout_rate=dropout_rate)
-
-    def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ShapeError(f"latent dimension must be >= 1, got {self.latent_dim}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
 
 
 def _alpha(alpha_raw: Array) -> float:
@@ -128,49 +92,54 @@ def _2da_pinned(w: Array, n: int) -> Array:
     return pinned
 
 
-def att_2da(phi: Array, p: Attention2DAParams, cache: dict | None = None) -> Array:
+def att_2da(phi: Array, w: Array, alpha_raw: Array, mode: str = "temporal",
+            cache: dict | None = None) -> Array:
     """Mask-and-mix: ``alpha * (M * softmax_rows(M @ W)) + (1-alpha) * M``.
 
-    Returns a matrix of the same shape and orientation as ``phi``.  The
-    diagonal of ``W`` is treated as the constant 1/n regardless of the stored
-    values, so those entries are not free parameters.
+    Returns a matrix of the same shape and orientation as ``phi``.  ``w`` is
+    (n, n) for an operand M of n columns; its diagonal is treated as the
+    constant 1/n regardless of the stored values, so those entries are not
+    free parameters.
     """
+    if mode not in MODES:
+        raise ValueError(f"2da mode must be one of {MODES}, got {mode!r}")
     phi = numerics.as_stack(phi, "2da input")
-    m = _2da_orient(phi, p.mode)
-    w = _2da_pinned(p.w, m.shape[-1])
-    a = numerics.softmax_rows(m @ w)
-    alpha = _alpha(p.alpha_raw)
+    m = _2da_orient(phi, mode)
+    pinned = _2da_pinned(w, m.shape[-1])
+    a = numerics.softmax_rows(m @ pinned)
+    alpha = _alpha(alpha_raw)
     out = alpha * (m * a) + (1.0 - alpha) * m
     if cache is not None:
-        cache.update(w=w, a=a, alpha=alpha)
-    return _2da_orient(out, p.mode)
+        cache.update(w=pinned, a=a, alpha=alpha)
+    return _2da_orient(out, mode)
 
 
-def att_2da_vjp(phi: Array, p: Attention2DAParams, upstream: Array,
+def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Array,
                 cache: dict) -> tuple[Array, Array, Array]:
     """Cotangents of (phi, w, alpha_raw) of the ``att_2da`` call that filled
     ``cache``; those of w and alpha_raw sum over a stack."""
-    w, a, alpha = cache["w"], cache["a"], cache["alpha"]
-    m = _2da_orient(phi, p.mode)
-    g = _2da_orient(upstream, p.mode)
+    pinned, a, alpha = cache["w"], cache["a"], cache["alpha"]
+    m = _2da_orient(phi, mode)
+    g = _2da_orient(upstream, mode)
 
     dalpha = float(np.sum(g * (m * a - m)))
     da = alpha * g * m
     dm = alpha * g * a + (1.0 - alpha) * g
     dz = numerics.softmax_rows_vjp(a, da)
-    dm += dz @ w.T
+    dm += dz @ pinned.T
     dw = numerics.sum_tn(m, dz)
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
-    return _2da_orient(dm, p.mode), dw, _dalpha_raw(p.alpha_raw, dalpha)
+    return _2da_orient(dm, mode), dw, _dalpha_raw(alpha_raw, dalpha)
 
 
 # ---------------------------------------------------------------------------
 # self-attention variants
 #
-# One per-head core serves all three, in phi's (K, N) layout.  Per head, q
-# and k project the K rows of phi (``phi Wᵀ``) or its N columns
-# (``(W phi)ᵀ``), q is scaled by 1/sqrt(d), and a = act(q kᵀ) and alpha
-# define one operator P:
+# One per-head core serves all three, in phi's (K, N) layout.  Head i takes
+# ``ps[3i:3i+3] = (wq, wk, alpha_raw)``; wq and wk are d x (q or k width),
+# with d their row count.  q and k project the K rows of phi (``phi Wᵀ``) or
+# its N columns (``(W phi)ᵀ``), q is scaled by 1/sqrt(d), and a = act(q kᵀ)
+# and alpha define one operator P:
 #
 #   variant  q     k     a                     P
 #   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a
@@ -198,13 +167,16 @@ def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
     return {"ctsa": (n, k), "csa": (n, n), "tsa": (k, k)}[variant]
 
 
-def _check_head_shapes(variant: str, phi: Array, head: AttentionHead, d: int) -> None:
+def _check_params(variant: str, phi: Array, ps) -> None:
+    """``ps`` must be (wq, wk, alpha_raw) per head, at least one head, shaped
+    (d, q_cols), (d, k_cols), (1, 1) for phi with one d >= 1."""
+    d = np.shape(ps[0])[0] if ps else 0
     q_cols, k_cols = projection_widths(variant, *phi.shape[-2:])
-    want_q, want_k = (d, q_cols), (d, k_cols)
-    if head.wq.shape != want_q or head.wk.shape != want_k:
+    got = [np.shape(p) for p in ps]
+    if d < 1 or len(ps) % 3 or got != [(d, q_cols), (d, k_cols), (1, 1)] * (len(ps) // 3):
         raise ShapeError(
-            f"{variant}: head projections are wq {head.wq.shape} / wk {head.wk.shape}; "
-            f"phi {phi.shape} with latent dim {d} needs wq {want_q} / wk {want_k}")
+            f"{variant}: head parameters are {got}; phi {phi.shape} needs (wq, wk, "
+            f"alpha_raw) per head shaped (d, {q_cols}), (d, {k_cols}), (1, 1), d >= 1")
 
 
 def _project_vjp(phi: Array, phi_t: Array, w: Array, rows: bool,
@@ -216,33 +188,35 @@ def _project_vjp(phi: Array, phi_t: Array, w: Array, rows: bool,
     return w.T @ swap(dproj), numerics.sum_tn(dproj, phi_t)
 
 
-def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: bool,
+def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training: bool,
                     seed, cache: dict | None, pooled: bool) -> Array:
     """Head outputs times r: (..., h*K) histograms if ``pooled``, else the matrix."""
     phi = numerics.as_stack(phi, f"{variant} input")
+    _check_params(variant, phi, ps)
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
-    scale = 1.0 / math.sqrt(p.latent_dim)
+    scale = 1.0 / math.sqrt(ps[0].shape[0])
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
     r = np.full((n, 1), 1.0 / n) if pooled else np.eye(n)
     phi_r = phi @ r if pooled else phi
-    out = np.empty(phi.shape[:-2] + (len(p.heads) * kdim, r.shape[1]))
+    out = np.empty(phi.shape[:-2] + (len(ps) // 3 * kdim, r.shape[1]))
     heads: list[dict] = []
-    for i, head in enumerate(p.heads):
-        _check_head_shapes(variant, phi, head, p.latent_dim)
-        q = (phi @ head.wq.T if q_rows else swap(head.wq @ phi)) * scale
-        k = phi @ head.wk.T if k_rows else swap(head.wk @ phi)
+    for i, (wq, wk, alpha_raw) in enumerate(zip(ps[0::3], ps[1::3], ps[2::3])):
+        q = (phi @ wq.T if q_rows else swap(wq @ phi)) * scale
+        k = phi @ wk.T if k_rows else swap(wk @ phi)
         if variant == "ctsa":
             s = numerics.sigmoid(q @ swap(k))
         else:
             s = numerics.softmax_rows(k @ swap(q), axis=-2)
         used, mask = s, None
-        if training and p.dropout_rate > 0.0:
+        if training and dropout_rate > 0.0:
             # drawn in the layout of the row-stochastic a, then mapped to s's
-            mask = layout(_dropout_mask(s.shape, p.dropout_rate, np.asarray(seed) + i))
+            mask = layout(_dropout_mask(s.shape, dropout_rate, np.asarray(seed) + i))
             used = s * mask
-        alpha = _alpha(head.alpha_raw)
+        alpha = _alpha(alpha_raw)
         rows = out[..., i * kdim:(i + 1) * kdim, :]
         c = {"q": q, "k": k, "s": s, "a": layout(s), "used": used, "mask": mask,
              "alpha": alpha}
@@ -266,18 +240,18 @@ def _self_attention(variant: str, phi: Array, p: SelfAttentionParams, training: 
     return out[..., 0] if pooled else out
 
 
-def self_attention(variant: str, phi: Array, p: SelfAttentionParams,
+def self_attention(variant: str, phi: Array, ps, dropout_rate: float = 0.0,
                    training: bool = False, seed=0, cache: dict | None = None) -> Array:
     """Per-head histograms, (..., h*K): the temporal mean of ``att_<variant>``
     folded into each head's operator; ``cache`` receives what the VJP reads."""
-    return _self_attention(variant, phi, p, training, seed, cache, pooled=True)
+    return _self_attention(variant, phi, ps, dropout_rate, training, seed, cache, pooled=True)
 
 
-def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
-                       upstream: Array, cache: dict) -> tuple[Array, ...]:
-    """Cotangents of (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) of the
-    ``self_attention`` call that filled ``cache``, given the histograms' u;
-    the weights' sum over a stack.
+def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
+                       cache: dict) -> tuple[Array, ...]:
+    """Cotangents of (phi, *ps) = (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) of
+    the ``self_attention`` call that filled ``cache``, given the histograms'
+    u; the weights' sum over a stack.
 
     With kappa = 1 - alpha, a_used's cotangent is kappa dP, and dP is rank
     one: ``c gᵀ`` in s's layout, with c = phi r and g = u for csa, and
@@ -289,11 +263,12 @@ def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
     ``u·(phi r - (a_used * phi) r)``."""
     kdim, n = phi.shape[-2:]
     q_rows, k_rows = _PROJECTS_ROWS[variant]
-    scale = 1.0 / math.sqrt(p.latent_dim)
+    scale = 1.0 / math.sqrt(ps[0].shape[0])
     phi_t, phi_r = swap(phi), cache["phi_r"]
     dphi = np.zeros_like(phi)
     grads: list[Array] = []
-    for i, (head, c) in enumerate(zip(p.heads, cache["heads"])):
+    for i, c in enumerate(cache["heads"]):
+        wq, wk, alpha_raw = ps[3 * i:3 * i + 3]
         u = upstream[..., i * kdim:(i + 1) * kdim, None]          # (..., K, 1)
         q, k, s, used, alpha = c["q"], c["k"], c["s"], c["used"], c["alpha"]
         kappa = 1.0 - alpha
@@ -315,38 +290,38 @@ def self_attention_vjp(variant: str, phi: Array, p: SelfAttentionParams,
                 cv = (phi_t @ u) / n                             # (..., N, 1)
                 w, g = swap(used) @ cv, None
                 dalpha = (cv - w).sum()
-            ck, wk = kappa * cv, kappa * swap(w)
+            kc, kw = kappa * cv, kappa * swap(w)
             if c["mask"] is None:
-                ds = ck - wk
+                ds = kc - kw
                 ds *= s
             else:
-                ds = used * ck
-                ds -= s * wk
+                ds = used * kc
+                ds -= s * kw
             if g is not None:
                 ds *= g
         dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
         dq *= scale                     # the scores took q / sqrt(d)
-        dp, dwq = _project_vjp(phi, phi_t, head.wq, q_rows, dq)
+        dp, dwq = _project_vjp(phi, phi_t, wq, q_rows, dq)
         dphi += dp
-        dp, dwk = _project_vjp(phi, phi_t, head.wk, k_rows, dk)
+        dp, dwk = _project_vjp(phi, phi_t, wk, k_rows, dk)
         dphi += dp
-        grads += [dwq, dwk, _dalpha_raw(head.alpha_raw, float(dalpha))]
+        grads += [dwq, dwk, _dalpha_raw(alpha_raw, float(dalpha))]
     return (dphi, *grads)
 
 
-def att_ctsa(phi: Array, p: SelfAttentionParams, training: bool = False,
+def att_ctsa(phi: Array, ps, dropout_rate: float = 0.0, training: bool = False,
              seed=0, cache: dict | None = None) -> Array:
     """Joint codeword-temporal sigmoid mask, applied elementwise per head."""
-    return _self_attention("ctsa", phi, p, training, seed, cache, pooled=False)
+    return _self_attention("ctsa", phi, ps, dropout_rate, training, seed, cache, pooled=False)
 
 
-def att_csa(phi: Array, p: SelfAttentionParams, training: bool = False,
+def att_csa(phi: Array, ps, dropout_rate: float = 0.0, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Codeword-to-codeword attention in a learned latent space."""
-    return _self_attention("csa", phi, p, training, seed, cache, pooled=False)
+    return _self_attention("csa", phi, ps, dropout_rate, training, seed, cache, pooled=False)
 
 
-def att_tsa(phi: Array, p: SelfAttentionParams, training: bool = False,
+def att_tsa(phi: Array, ps, dropout_rate: float = 0.0, training: bool = False,
             seed=0, cache: dict | None = None) -> Array:
     """Timestamp-to-timestamp attention, computed on the transpose."""
-    return _self_attention("tsa", phi, p, training, seed, cache, pooled=False)
+    return _self_attention("tsa", phi, ps, dropout_rate, training, seed, cache, pooled=False)

@@ -88,15 +88,12 @@ class LabeledSequenceSet:
 # ---------------------------------------------------------------------------
 # generators
 
-# The most float64 values (1 GiB) a generator may draw; far above any shipped config.
-MAX_GENERATED_VALUES = 2 ** 27
-
 
 def _check_payload(count: int, feature_dim: int, length: int) -> None:
     """Reject a dataset over the ceiling before anything is drawn."""
-    if (size := count * feature_dim * length) > MAX_GENERATED_VALUES:
+    if (size := count * feature_dim * length) > numerics.MAX_VALUES:
         raise ConfigError(f"count * feature_dim * length is {size} values, over the "
-                          f"generator limit of {MAX_GENERATED_VALUES}")
+                          f"generator limit of {numerics.MAX_VALUES}")
 
 
 def gen_noisy_timestamps(classes: int, feature_dim: int, length: int,

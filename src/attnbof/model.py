@@ -73,6 +73,24 @@ class ModelConfig:
                 f"attention={self.attention}"
                 + (f" mode={self.mode}" if self.attention == "2da" else "")
                 + " sizes its weights by the sequence length; set seq_len >= 1")
+        if (count := self.parameter_count()) > numerics.MAX_VALUES:
+            raise ConfigError(f"the model would have {count} parameters, over the "
+                              f"limit of {numerics.MAX_VALUES}")
+
+    def parameter_count(self) -> int:
+        """The size of ``param_shapes(self)``, computed without building it."""
+        k, dq, width, count = self.codewords, self.feature_dim, self.codewords, 0
+        if self.frontend == "conv":
+            dq = self.conv_channels
+            count += dq * (self.feature_dim * self.conv_width + 1)
+        if self.attention == "2da":
+            side = {"temporal": self.seq_len, "codeword": k, "input": dq}[self.mode]
+            count += side * side + 1
+        elif self.attention in attention.VARIANTS:
+            q_cols, k_cols = attention.projection_widths(self.attention, k, self.seq_len)
+            count += self.heads * (self.latent_dim * (q_cols + k_cols) + 1)
+            width = k * self.heads
+        return count + 2 * k * dq + self.classes * (width + 1)
 
     @property
     def needs_seq_len(self) -> bool:
@@ -219,10 +237,8 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
         side = {"temporal": cfg.seq_len, "codeword": k, "input": dq}[cfg.mode]
         stages.insert(-1 if cfg.mode == "input" else len(stages), Stage(
             "attention", {"att.w": (side, side), "att.alpha_raw": (1, 1)},
-            lambda h, ps, c, *_: attention.att_2da(
-                h, attention.Attention2DAParams(*ps, cfg.mode), cache=c),
-            lambda h, ps, out, g, c: attention.att_2da_vjp(
-                h, attention.Attention2DAParams(*ps, cfg.mode), g, cache=c)))
+            lambda h, ps, c, *_: attention.att_2da(h, *ps, cfg.mode, cache=c),
+            lambda h, ps, out, g, c: attention.att_2da_vjp(h, *ps, cfg.mode, g, c)))
     elif cfg.attention in attention.VARIANTS:
         q_cols, k_cols = attention.projection_widths(cfg.attention, k, cfg.seq_len)
         shapes: dict[str, tuple[int, int]] = {}
@@ -231,17 +247,12 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
                            f"att.head{i}.wk": (cfg.latent_dim, k_cols),
                            f"att.head{i}.alpha_raw": (1, 1)})
         width = k * cfg.heads  # head outputs are stacked along the codeword axis
-
-        def params_self(ps):
-            return attention.SelfAttentionParams.from_flat(ps, cfg.latent_dim,
-                                                           cfg.dropout_rate)
-
         stages.append(Stage(
             "attention", shapes,
             lambda h, ps, c, training, seed: attention.self_attention(
-                cfg.attention, h, params_self(ps), training, seed, c),
+                cfg.attention, h, ps, cfg.dropout_rate, training, seed, c),
             lambda h, ps, out, g, c: attention.self_attention_vjp(
-                cfg.attention, h, params_self(ps), g, c)))
+                cfg.attention, h, ps, g, c)))
     if cfg.attention not in attention.VARIANTS:  # self-attention pools itself
         stages.append(Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
                             lambda h, ps, out, g, c: nbof.aggregate_vjp((h,), out, g)))
@@ -315,11 +326,13 @@ class Model:
             np.fill_diagonal(net.params["att.w"], 1.0 / net.params["att.w"].shape[0])
         return net
 
-    def set_codebook(self, cb: nbof.Codebook) -> None:
-        for name, arr in (("codebook.v", cb.v), ("codebook.w_raw", cb.w_raw)):
-            if arr.shape != self.shapes[name]:
-                raise ShapeError(f"codebook is {arr.shape}, model expects {self.shapes[name]}")
-            self.params[name][...] = arr
+    def set_codebook(self, v: Array) -> None:
+        """Write the (K, D) codewords ``v`` and reset the shape weights to one."""
+        if np.shape(v) != self.shapes["codebook.v"]:
+            raise ShapeError(f"codebook is {np.shape(v)}, model expects "
+                             f"{self.shapes['codebook.v']}")
+        self.params["codebook.v"][...] = v
+        self.params["codebook.w_raw"][...] = nbof.W_RAW_UNIT
 
     # -- forward / backward -------------------------------------------------
 

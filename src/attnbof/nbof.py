@@ -6,13 +6,12 @@ the membership of column x_n in codeword k is
 
     phi[k, n] = exp(-||(x_n - v_k) * w_k||_2) / sum_m exp(-||(x_n - v_m) * w_m||_2)
 
-where v_k is the codeword and w_k a positive per-dimension shape weight.
+where v_k is the codeword and w_k = softplus(w_raw_k) a positive per-dimension
+shape weight; the unconstrained ``w_raw`` is what the model stores and learns.
 Averaging the columns of phi yields a fixed-size histogram regardless of N.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,32 +21,6 @@ from .numerics import Array, softplus
 
 # softplus(W_RAW_UNIT) == 1, the all-ones initial shape weight
 W_RAW_UNIT = float(np.log(np.e - 1.0))
-
-
-@dataclass
-class Codebook:
-    """K codewords in D dimensions with unconstrained shape parameters.
-
-    ``w_raw`` is stored unconstrained; the effective weight is
-    ``softplus(w_raw)``, which keeps every shape weight strictly positive.
-    """
-
-    v: Array       # (K, D) codewords
-    w_raw: Array   # (K, D)
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
-        self.w_raw = np.asarray(self.w_raw, dtype=float)
-        if self.v.ndim != 2 or self.v.shape != self.w_raw.shape:
-            raise ShapeError(
-                f"codebook: v {self.v.shape} and w_raw {self.w_raw.shape} must be "
-                "equal 2-d shapes")
-        if self.v.shape[0] < 1 or self.v.shape[1] < 1:
-            raise ShapeError(f"codebook: need K >= 1 and D >= 1, got {self.v.shape}")
-
-    @property
-    def w(self) -> Array:
-        return softplus(self.w_raw)
 
 
 # A squared distance below this share of its scale (w^2).x^2 + sum w^2 v^2
@@ -136,10 +109,6 @@ def quantize_vjp(inputs, output, upstream, cache: dict):
     return dx, dv, dw_raw
 
 
-def quantize(x: Array, cb: Codebook) -> Array:
-    return quantize_raw(x, cb.v, cb.w_raw)
-
-
 def aggregate(phi: Array) -> Array:
     """Mean of the membership columns: a length-K histogram (one per item of
     a stack)."""
@@ -155,9 +124,10 @@ def aggregate_vjp(inputs, output, upstream):
     return (np.broadcast_to(upstream[..., None] / phi.shape[-1], phi.shape),)
 
 
-def init_codebook(samples: list[Array], size: int, seed: int) -> Codebook:
-    """Seeded codebook: ``size`` feature columns drawn without replacement
-    from the pooled samples; shape weights start at one."""
+def init_codebook(samples: list[Array], size: int, seed: int) -> Array:
+    """Seeded (size, D) codewords: ``size`` feature columns drawn without
+    replacement from the pooled samples.  ``Model.set_codebook`` writes them
+    and resets the shape weights to one."""
     if size < 1:
         raise ValueError(f"init_codebook: size must be >= 1, got {size}")
     pool = np.concatenate([numerics.as_matrix(s, "sample") for s in samples], axis=1)
@@ -167,5 +137,4 @@ def init_codebook(samples: list[Array], size: int, seed: int) -> Codebook:
             f"init_codebook: need at least {size} pooled columns, got {total}")
     rng = np.random.default_rng(seed)
     picks = rng.choice(total, size=size, replace=False)
-    v = pool[:, picks].T.copy()
-    return Codebook(v=v, w_raw=np.full_like(v, W_RAW_UNIT))
+    return pool[:, picks].T.copy()

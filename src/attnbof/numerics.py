@@ -22,6 +22,10 @@ from .errors import ShapeError
 
 Array = np.ndarray
 
+# The most float64 values (1 GiB) a generated dataset or a model's parameters
+# may hold; far above any shipped config.
+MAX_VALUES = 2 ** 27
+
 
 @dataclass(frozen=True)
 class DiffOp:

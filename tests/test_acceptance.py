@@ -13,15 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attnbof.attention import (Attention2DAParams, AttentionHead,
-                               SelfAttentionParams, att_2da, att_csa, att_ctsa,
-                               att_tsa)
+from attnbof.attention import att_2da, att_csa, att_ctsa, att_tsa
 from attnbof.cli import generate, model_config, parse_config, train_config
 from attnbof.data import gen_order_task, load_features, save_features
 from attnbof.errors import ChecksumError
 from attnbof.model import (Model, ModelConfig, load_checkpoint, loss_op,
                            save_checkpoint)
-from attnbof.nbof import Codebook, aggregate, quantize, quantize_raw
+from attnbof.nbof import aggregate, quantize_raw
 from attnbof.numerics import grad_check
 from attnbof.train import TrainConfig, cross_validate, train
 
@@ -105,21 +103,16 @@ def test_criterion_3_oracle_equivalence():
         side = n if mode == "temporal" else k
         w = rng.standard_normal((side, side)) / math.sqrt(side)
         alpha = float(rng.uniform(0.05, 0.95))
-        p = Attention2DAParams(w=w, alpha_raw=np.array([[math.log(alpha / (1 - alpha))]]),
-                               mode=mode)
-        got = att_2da(phi, p)
+        got = att_2da(phi, w, np.array([[math.log(alpha / (1 - alpha))]]), mode)
         worst = max(worst, float(np.abs(got - loop_2da(phi, w, alpha, mode)).max()))
 
         d = int(rng.integers(1, 7))
         h = int(rng.integers(1, 5))
         for variant in ("ctsa", "csa", "tsa"):
             heads = rand_heads(variant, k, n, d, h)
-            params = SelfAttentionParams(
-                heads=[AttentionHead(wq, wk,
-                                     np.array([[math.log(a / (1 - a))]]))
-                       for wq, wk, a in heads],
-                latent_dim=d)
-            got = fwds[variant](phi, params)
+            ps = [arr for wq, wk, a in heads
+                  for arr in (wq, wk, np.array([[math.log(a / (1 - a))]]))]
+            got = fwds[variant](phi, ps)
             want = loops[variant](phi, heads, d)
             assert got.shape == (h * k, n)
             worst = max(worst, float(np.abs(got - want).max()))
@@ -137,31 +130,30 @@ def test_criterion_4_equivariance_suite():
         phi = rng.random((k, n)) + 0.05
         d = int(rng.integers(1, 5))
 
-        heads = [AttentionHead(rng.standard_normal((d, k)) / math.sqrt(k),
-                               rng.standard_normal((d, k)) / math.sqrt(k),
-                               rng.standard_normal((1, 1)))
-                 for _ in range(2)]
-        p_tsa = SelfAttentionParams(heads=heads, latent_dim=d)
+        p_tsa = [arr for _ in range(2)
+                 for arr in (rng.standard_normal((d, k)) / math.sqrt(k),
+                             rng.standard_normal((d, k)) / math.sqrt(k),
+                             rng.standard_normal((1, 1)))]
         perm = rng.permutation(n)
         diff = np.abs(att_tsa(phi[:, perm], p_tsa) - att_tsa(phi, p_tsa)[:, perm])
         worst = max(worst, float(diff.max()))
 
-        head = [AttentionHead(rng.standard_normal((d, n)) / math.sqrt(n),
-                              rng.standard_normal((d, n)) / math.sqrt(n),
-                              rng.standard_normal((1, 1)))]
-        p_csa = SelfAttentionParams(heads=head, latent_dim=d)
+        p_csa = [rng.standard_normal((d, n)) / math.sqrt(n),
+                 rng.standard_normal((d, n)) / math.sqrt(n),
+                 rng.standard_normal((1, 1))]
         rperm = rng.permutation(k)
         diff = np.abs(att_csa(phi[rperm], p_csa) - att_csa(phi, p_csa)[rperm])
         worst = max(worst, float(diff.max()))
 
         x = rng.standard_normal((3, n))
-        cb = Codebook(v=rng.standard_normal((k, 3)), w_raw=rng.standard_normal((k, 3)))
-        diff = np.abs(aggregate(quantize(x[:, perm], cb)) - aggregate(quantize(x, cb)))
+        v, w_raw = rng.standard_normal((k, 3)), rng.standard_normal((k, 3))
+        diff = np.abs(aggregate(quantize_raw(x[:, perm], v, w_raw))
+                      - aggregate(quantize_raw(x, v, w_raw)))
         worst = max(worst, float(diff.max()))
 
-    p2da = Attention2DAParams(w=COUNTER_W, alpha_raw=np.zeros((1, 1)), mode="temporal")
-    violation = float(np.abs(att_2da(COUNTER_PHI[:, COUNTER_PERM], p2da)
-                             - att_2da(COUNTER_PHI, p2da)[:, COUNTER_PERM]).max())
+    p2da = (COUNTER_W, np.zeros((1, 1)), "temporal")
+    violation = float(np.abs(att_2da(COUNTER_PHI[:, COUNTER_PERM], *p2da)
+                             - att_2da(COUNTER_PHI, *p2da)[:, COUNTER_PERM]).max())
 
     ok = worst <= 1e-12 and violation >= 1e-3
     report(4, "equivariance suite", ok,
@@ -230,19 +222,18 @@ def test_criterion_7_alpha_reductions_exact():
     for variant, fwd in (("ctsa", att_ctsa), ("csa", att_csa), ("tsa", att_tsa)):
         q_cols = {"ctsa": 6, "csa": 6, "tsa": 4}[variant]
         k_cols = {"ctsa": 4, "csa": 6, "tsa": 4}[variant]
-        heads = [AttentionHead(rng.standard_normal((3, q_cols)),
-                               rng.standard_normal((3, k_cols)),
-                               np.array([[INF]]))  # logistic(+inf) = 1 exactly
-                 for _ in range(2)]
-        out = fwd(phi, SelfAttentionParams(heads=heads, latent_dim=3))
+        ps = [arr for _ in range(2)
+              for arr in (rng.standard_normal((3, q_cols)),
+                          rng.standard_normal((3, k_cols)),
+                          np.array([[INF]]))]  # logistic(+inf) = 1 exactly
+        out = fwd(phi, ps)
         exact = exact and np.array_equal(out, np.concatenate([phi, phi], axis=0))
 
     for mode in ("input", "codeword", "temporal"):
         side = 6 if mode == "temporal" else 4
-        p = Attention2DAParams(w=rng.standard_normal((side, side)),
-                               alpha_raw=np.array([[-INF]]),  # alpha = 0 exactly
-                               mode=mode)
-        exact = exact and np.array_equal(att_2da(phi, p), phi)
+        w = rng.standard_normal((side, side))
+        out = att_2da(phi, w, np.array([[-INF]]), mode)  # alpha = 0 exactly
+        exact = exact and np.array_equal(out, phi)
 
     report(7, "alpha reductions", exact,
            "alpha=1 self-attention and alpha=0 learned-mask outputs equal input "

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from attnbof.attention import (Attention2DAParams, AttentionHead, MODES, VARIANTS,
-                               SelfAttentionParams, _dropout_mask, att_2da, att_csa,
-                               att_ctsa, att_tsa, projection_widths, self_attention,
+from attnbof.attention import (MODES, VARIANTS, _dropout_mask, att_2da, att_csa, att_ctsa,
+                               att_tsa, projection_widths, self_attention,
                                self_attention_vjp)
 from attnbof.errors import ShapeError
 from attnbof.nbof import aggregate
@@ -21,11 +20,17 @@ def alpha_raw(value):
 
 
 def make_heads(rng, variant, k, n, d, heads, araw=0.0):
+    """The layers' parameter list: (wq, wk, alpha_raw) per head, flat."""
     q_cols, k_cols = projection_widths(variant, k, n)
-    return [AttentionHead(wq=rng.standard_normal((d, q_cols)) / math.sqrt(q_cols),
-                          wk=rng.standard_normal((d, k_cols)) / math.sqrt(k_cols),
-                          alpha_raw=alpha_raw(araw))
-            for _ in range(heads)]
+    return [a for _ in range(heads)
+            for a in (rng.standard_normal((d, q_cols)) / math.sqrt(q_cols),
+                      rng.standard_normal((d, k_cols)) / math.sqrt(k_cols),
+                      alpha_raw(araw))]
+
+
+def oracle_heads(ps, alpha):
+    """(wq, wk, alpha) per head, the loop oracles' form."""
+    return [(wq, wk, alpha) for wq, wk in zip(ps[0::3], ps[1::3])]
 
 
 # ---------------------------------------------------------------------------
@@ -35,18 +40,16 @@ def make_heads(rng, variant, k, n, d, heads, araw=0.0):
 def test_2da_zero_alpha_is_identity():
     rng = np.random.default_rng(0)
     phi = rng.random((3, 5))
-    p = Attention2DAParams(w=rng.standard_normal((5, 5)),
-                           alpha_raw=alpha_raw(-INF), mode="temporal")
-    assert np.array_equal(att_2da(phi, p), phi)
+    w = rng.standard_normal((5, 5))
+    assert np.array_equal(att_2da(phi, w, alpha_raw(-INF), "temporal"), phi)
 
 
 def test_2da_single_timestamp_softmax_is_ones():
     rng = np.random.default_rng(1)
     phi = rng.random((4, 1))
-    p = Attention2DAParams(w=np.array([[3.0]]), alpha_raw=alpha_raw(0.37),
-                           mode="temporal")
     cache = {}
-    assert np.allclose(att_2da(phi, p, cache=cache), phi, rtol=0, atol=1e-15)
+    assert np.allclose(att_2da(phi, np.array([[3.0]]), alpha_raw(0.37), "temporal",
+                               cache=cache), phi, rtol=0, atol=1e-15)
     assert np.array_equal(cache["a"], np.ones((4, 1)))
 
 
@@ -57,9 +60,8 @@ def test_2da_matches_loop_oracle(mode):
     side = 4 if mode == "temporal" else 3
     w = rng.standard_normal((side, side))
     raw = 0.4
-    p = Attention2DAParams(w=w, alpha_raw=alpha_raw(raw), mode=mode)
     alpha = 1.0 / (1.0 + math.exp(-raw))
-    assert np.allclose(att_2da(phi, p), loop_2da(phi, w, alpha, mode),
+    assert np.allclose(att_2da(phi, w, alpha_raw(raw), mode), loop_2da(phi, w, alpha, mode),
                        rtol=0, atol=1e-10)
 
 
@@ -67,18 +69,20 @@ def test_2da_pinned_diagonal_ignores_stored_values():
     rng = np.random.default_rng(3)
     phi = rng.random((3, 4))
     w = rng.standard_normal((4, 4))
-    p1 = Attention2DAParams(w=w, alpha_raw=alpha_raw(0.2), mode="temporal")
     w2 = w.copy()
     np.fill_diagonal(w2, 99.0)
-    p2 = Attention2DAParams(w=w2, alpha_raw=alpha_raw(0.2), mode="temporal")
-    assert np.array_equal(att_2da(phi, p1), att_2da(phi, p2))
+    assert np.array_equal(att_2da(phi, w, alpha_raw(0.2), "temporal"),
+                          att_2da(phi, w2, alpha_raw(0.2), "temporal"))
 
 
 def test_2da_weight_shape_error():
-    p = Attention2DAParams(w=np.zeros((3, 3)), alpha_raw=alpha_raw(0.0),
-                           mode="temporal")
     with pytest.raises(ShapeError):
-        att_2da(np.zeros((2, 4)), p)
+        att_2da(np.zeros((2, 4)), np.zeros((3, 3)), alpha_raw(0.0), "temporal")
+
+
+def test_2da_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="2da mode"):
+        att_2da(np.zeros((2, 4)), np.zeros((4, 4)), alpha_raw(0.0), "diagonal")
 
 
 # Frozen counterexample: swapping two timestamps does not commute with the
@@ -99,9 +103,8 @@ COUNTER_PERM = [1, 0, 2, 3]
 
 
 def test_2da_position_sensitivity_counterexample():
-    p = Attention2DAParams(w=COUNTER_W, alpha_raw=alpha_raw(0.0), mode="temporal")
-    lhs = att_2da(COUNTER_PHI[:, COUNTER_PERM], p)
-    rhs = att_2da(COUNTER_PHI, p)[:, COUNTER_PERM]
+    lhs = att_2da(COUNTER_PHI[:, COUNTER_PERM], COUNTER_W, alpha_raw(0.0), "temporal")
+    rhs = att_2da(COUNTER_PHI, COUNTER_W, alpha_raw(0.0), "temporal")[:, COUNTER_PERM]
     assert np.abs(lhs - rhs).max() >= 1e-3
 
 
@@ -112,39 +115,36 @@ def test_2da_position_sensitivity_counterexample():
 def test_ctsa_alpha_one_is_identity():
     rng = np.random.default_rng(4)
     phi = rng.random((4, 6))
-    p = SelfAttentionParams(heads=make_heads(rng, "ctsa", 4, 6, 3, 1, araw=INF),
-                            latent_dim=3)
-    assert np.array_equal(att_ctsa(phi, p), phi)
+    ps = make_heads(rng, "ctsa", 4, 6, 3, 1, araw=INF)
+    assert np.array_equal(att_ctsa(phi, ps), phi)
 
 
 def test_ctsa_zero_query_gives_uniform_mask():
     rng = np.random.default_rng(5)
     phi = rng.random((4, 6))
-    heads = make_heads(rng, "ctsa", 4, 6, 3, 1, araw=0.0)
-    heads[0].wq = np.zeros_like(heads[0].wq)
-    p = SelfAttentionParams(heads=heads, latent_dim=3)
+    ps = make_heads(rng, "ctsa", 4, 6, 3, 1, araw=0.0)
+    ps[0] = np.zeros_like(ps[0])   # wq
     # sigmoid(0) = 1/2, so the mix collapses to (alpha + (1-alpha)/2) * phi
-    assert np.allclose(att_ctsa(phi, p), 0.75 * phi, rtol=0, atol=1e-15)
+    assert np.allclose(att_ctsa(phi, ps), 0.75 * phi, rtol=0, atol=1e-15)
 
 
 def test_ctsa_matches_loop_oracle_two_heads():
     rng = np.random.default_rng(6)
     phi = rng.random((4, 6))
-    heads = make_heads(rng, "ctsa", 4, 6, 3, 2, araw=0.3)
-    p = SelfAttentionParams(heads=heads, latent_dim=3)
-    out = att_ctsa(phi, p)
+    ps = make_heads(rng, "ctsa", 4, 6, 3, 2, araw=0.3)
+    out = att_ctsa(phi, ps)
     assert out.shape == (8, 6)
     alpha = 1.0 / (1.0 + math.exp(-0.3))
-    oracle = loop_ctsa(phi, [(h.wq, h.wk, alpha) for h in heads], 3)
+    oracle = loop_ctsa(phi, oracle_heads(ps, alpha), 3)
     assert np.allclose(out, oracle, rtol=0, atol=1e-10)
 
 
 def test_ctsa_mask_entries_strictly_inside_unit_interval():
     rng = np.random.default_rng(7)
     phi = rng.random((5, 7))
-    p = SelfAttentionParams(heads=make_heads(rng, "ctsa", 5, 7, 4, 3), latent_dim=4)
+    ps = make_heads(rng, "ctsa", 5, 7, 4, 3)
     cache = {}
-    att_ctsa(phi, p, cache=cache)
+    att_ctsa(phi, ps, cache=cache)
     for a in [head["a"] for head in cache["heads"]]:
         assert a.shape == (5, 7)
         assert np.all((a > 0.0) & (a < 1.0))
@@ -153,24 +153,41 @@ def test_ctsa_mask_entries_strictly_inside_unit_interval():
 def test_ctsa_flat_softmax_variant_normalizes_whole_matrix():
     rng = np.random.default_rng(8)
     phi = rng.random((4, 6))
-    p = SelfAttentionParams(heads=make_heads(rng, "ctsa", 4, 6, 3, 1), latent_dim=3)
+    ps = make_heads(rng, "ctsa", 4, 6, 3, 1)
     assert math.isclose(loop_flat_softmax(rng.standard_normal((4, 6))).sum(), 1.0)
-    out = loop_ctsa(phi, [(h.wq, h.wk, 0.5) for h in p.heads], 3,
-                    squash=loop_flat_softmax)
+    out = loop_ctsa(phi, oracle_heads(ps, 0.5), 3, squash=loop_flat_softmax)
     assert out.shape == (4, 6)
-    assert not np.allclose(out, att_ctsa(phi, p))
+    assert not np.allclose(out, att_ctsa(phi, ps))
 
 
 def test_ctsa_shape_error():
     rng = np.random.default_rng(9)
-    p = SelfAttentionParams(heads=make_heads(rng, "ctsa", 4, 6, 3, 1), latent_dim=3)
+    ps = make_heads(rng, "ctsa", 4, 6, 3, 1)
     with pytest.raises(ShapeError):
-        att_ctsa(rng.random((4, 5)), p)  # wrong temporal length
+        att_ctsa(rng.random((4, 5)), ps)  # wrong temporal length
 
 
 def test_self_attention_rejects_zero_latent_dim():
+    ps = make_heads(np.random.default_rng(9), "csa", 4, 6, 3, 1)
+    ps[0:2] = [np.zeros((0, 6)), np.zeros((0, 6))]   # a zero-row wq and wk
     with pytest.raises(ShapeError):
-        SelfAttentionParams(heads=[], latent_dim=0)
+        self_attention("csa", np.ones((4, 6)), ps)
+
+
+@pytest.mark.parametrize("case", ["no-arrays", "four-arrays", "two-latent-dims",
+                                  "column-alpha-raw"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_self_attention_rejects_misshapen_params(variant, case):
+    rng = np.random.default_rng(25)
+    phi = rng.random((4, 6))
+    ps = make_heads(rng, variant, 4, 6, 3, 2)
+    other_d = make_heads(rng, variant, 4, 6, 2, 1)
+    bad = {"no-arrays": [], "four-arrays": ps[:4], "two-latent-dims": ps[:3] + other_d,
+           "column-alpha-raw": ps[:2] + [np.zeros((2, 1))]}[case]
+    with pytest.raises(ShapeError):
+        self_attention(variant, phi, bad)
+    with pytest.raises(ShapeError):
+        {"ctsa": att_ctsa, "csa": att_csa, "tsa": att_tsa}[variant](phi, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +197,32 @@ def test_self_attention_rejects_zero_latent_dim():
 def test_csa_single_codeword_is_identity():
     rng = np.random.default_rng(10)
     phi = rng.random((1, 6))
-    p = SelfAttentionParams(heads=make_heads(rng, "csa", 1, 6, 3, 1, araw=0.8),
-                            latent_dim=3)
-    assert np.allclose(att_csa(phi, p), phi, rtol=0, atol=1e-15)
+    ps = make_heads(rng, "csa", 1, 6, 3, 1, araw=0.8)
+    assert np.allclose(att_csa(phi, ps), phi, rtol=0, atol=1e-15)
 
 
 def test_csa_alpha_one_is_identity():
     rng = np.random.default_rng(11)
     phi = rng.random((4, 6))
-    p = SelfAttentionParams(heads=make_heads(rng, "csa", 4, 6, 3, 1, araw=INF),
-                            latent_dim=3)
-    assert np.array_equal(att_csa(phi, p), phi)
+    ps = make_heads(rng, "csa", 4, 6, 3, 1, araw=INF)
+    assert np.array_equal(att_csa(phi, ps), phi)
 
 
 def test_csa_matches_loop_oracle():
     rng = np.random.default_rng(12)
     phi = rng.random((4, 6))
-    heads = make_heads(rng, "csa", 4, 6, 3, 1, araw=-0.2)
-    p = SelfAttentionParams(heads=heads, latent_dim=3)
+    ps = make_heads(rng, "csa", 4, 6, 3, 1, araw=-0.2)
     alpha = 1.0 / (1.0 + math.exp(0.2))
-    oracle = loop_csa(phi, [(h.wq, h.wk, alpha) for h in heads], 3)
-    assert np.allclose(att_csa(phi, p), oracle, rtol=0, atol=1e-10)
+    oracle = loop_csa(phi, oracle_heads(ps, alpha), 3)
+    assert np.allclose(att_csa(phi, ps), oracle, rtol=0, atol=1e-10)
 
 
 def test_csa_mask_rows_sum_to_one():
     rng = np.random.default_rng(13)
     phi = rng.random((5, 7))
-    p = SelfAttentionParams(heads=make_heads(rng, "csa", 5, 7, 4, 2), latent_dim=4)
+    ps = make_heads(rng, "csa", 5, 7, 4, 2)
     cache = {}
-    att_csa(phi, p, cache=cache)
+    att_csa(phi, ps, cache=cache)
     for a in [head["a"] for head in cache["heads"]]:
         assert a.shape == (5, 5)
         assert np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -217,10 +231,10 @@ def test_csa_mask_rows_sum_to_one():
 def test_csa_codeword_permutation_equivariance():
     rng = np.random.default_rng(14)
     phi = rng.random((6, 5))
-    p = SelfAttentionParams(heads=make_heads(rng, "csa", 6, 5, 3, 1), latent_dim=3)
+    ps = make_heads(rng, "csa", 6, 5, 3, 1)
     perm = rng.permutation(6)
-    lhs = att_csa(phi[perm], p)
-    rhs = att_csa(phi, p)[perm]
+    lhs = att_csa(phi[perm], ps)
+    rhs = att_csa(phi, ps)[perm]
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -231,38 +245,35 @@ def test_csa_codeword_permutation_equivariance():
 def test_tsa_single_timestamp_is_identity():
     rng = np.random.default_rng(15)
     phi = rng.random((3, 1))
-    p = SelfAttentionParams(heads=make_heads(rng, "tsa", 3, 1, 4, 2, araw=-0.7),
-                            latent_dim=4)
-    out = att_tsa(phi, p)
+    ps = make_heads(rng, "tsa", 3, 1, 4, 2, araw=-0.7)
+    out = att_tsa(phi, ps)
     assert np.allclose(out, np.concatenate([phi, phi], axis=0), rtol=0, atol=1e-15)
 
 
 def test_tsa_alpha_one_replicates_input_per_head():
     rng = np.random.default_rng(16)
     phi = rng.random((3, 5))
-    p = SelfAttentionParams(heads=make_heads(rng, "tsa", 3, 5, 4, 2, araw=INF),
-                            latent_dim=4)
-    assert np.array_equal(att_tsa(phi, p), np.concatenate([phi, phi], axis=0))
+    ps = make_heads(rng, "tsa", 3, 5, 4, 2, araw=INF)
+    assert np.array_equal(att_tsa(phi, ps), np.concatenate([phi, phi], axis=0))
 
 
 def test_tsa_matches_loop_oracle_two_heads():
     rng = np.random.default_rng(17)
     phi = rng.random((3, 5))
-    heads = make_heads(rng, "tsa", 3, 5, 4, 2, araw=0.1)
-    p = SelfAttentionParams(heads=heads, latent_dim=4)
-    out = att_tsa(phi, p)
+    ps = make_heads(rng, "tsa", 3, 5, 4, 2, araw=0.1)
+    out = att_tsa(phi, ps)
     assert out.shape == (6, 5)
     alpha = 1.0 / (1.0 + math.exp(-0.1))
-    oracle = loop_tsa(phi, [(h.wq, h.wk, alpha) for h in heads], 4)
+    oracle = loop_tsa(phi, oracle_heads(ps, alpha), 4)
     assert np.allclose(out, oracle, rtol=0, atol=1e-10)
 
 
 def test_tsa_mask_rows_sum_to_one():
     rng = np.random.default_rng(18)
     phi = rng.random((4, 6))
-    p = SelfAttentionParams(heads=make_heads(rng, "tsa", 4, 6, 3, 2), latent_dim=3)
+    ps = make_heads(rng, "tsa", 4, 6, 3, 2)
     cache = {}
-    att_tsa(phi, p, cache=cache)
+    att_tsa(phi, ps, cache=cache)
     for a in [head["a"] for head in cache["heads"]]:
         assert a.shape == (6, 6)
         assert np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -271,10 +282,10 @@ def test_tsa_mask_rows_sum_to_one():
 def test_tsa_temporal_permutation_equivariance():
     rng = np.random.default_rng(19)
     phi = rng.random((4, 8))
-    p = SelfAttentionParams(heads=make_heads(rng, "tsa", 4, 8, 3, 2), latent_dim=3)
+    ps = make_heads(rng, "tsa", 4, 8, 3, 2)
     perm = rng.permutation(8)
-    lhs = att_tsa(phi[:, perm], p)
-    rhs = att_tsa(phi, p)[:, perm]
+    lhs = att_tsa(phi[:, perm], ps)
+    rhs = att_tsa(phi, ps)[:, perm]
     assert np.allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
@@ -291,12 +302,12 @@ def test_pooled_stage_is_the_mean_of_the_matrix_form(variant, heads, batch):
     phi = rng.random((k, n) if batch is None else (batch, k, n))
     seed = 11 if batch is None else rng.integers(2 ** 31, size=batch)
     matrix_form = {"ctsa": att_ctsa, "csa": att_csa, "tsa": att_tsa}[variant]
-    p = SelfAttentionParams(heads=make_heads(rng, variant, k, n, d, heads, araw=0.3),
-                            latent_dim=d, dropout_rate=0.25)
+    ps = make_heads(rng, variant, k, n, d, heads, araw=0.3)
     for training in (False, True):
         want_cache, cache = {}, {}
-        want = aggregate(matrix_form(phi, p, training=training, seed=seed, cache=want_cache))
-        got = self_attention(variant, phi, p, training, seed, cache)
+        want = aggregate(matrix_form(phi, ps, 0.25, training=training, seed=seed,
+                                     cache=want_cache))
+        got = self_attention(variant, phi, ps, 0.25, training, seed, cache)
         assert got.shape == want.shape == phi.shape[:-2] + (heads * k,)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert len(cache["heads"]) == len(want_cache["heads"]) == heads
@@ -314,18 +325,18 @@ def test_vjp_matches_the_dense_reference(variant, rate, batch):
     k, n, d = 5, 7, 3
     phi = rng.random((k, n) if batch is None else (batch, k, n))
     seed = 11 if batch is None else rng.integers(2 ** 31, size=batch)
-    heads = make_heads(rng, variant, k, n, d, 2, araw=0.3)
-    heads[1].alpha_raw = alpha_raw(-1.1)
-    p = SelfAttentionParams(heads=heads, latent_dim=d, dropout_rate=rate)
+    ps = make_heads(rng, variant, k, n, d, 2, araw=0.3)
+    ps[5] = alpha_raw(-1.1)   # head 1's
     cache = {}
-    upstream = rng.standard_normal(self_attention(variant, phi, p, True, seed, cache).shape)
-    got = self_attention_vjp(variant, phi, p, upstream, cache)
+    upstream = rng.standard_normal(
+        self_attention(variant, phi, ps, rate, True, seed, cache).shape)
+    got = self_attention_vjp(variant, phi, ps, upstream, cache)
     side = {"ctsa": (k, n), "csa": (k, k), "tsa": (n, n)}[variant]
     masks = [_dropout_mask(phi.shape[:-2] + side, rate, np.asarray(seed) + i)
-             for i in range(len(heads))]
-    want = dense_self_attention_vjp(variant, phi, [(h.wq, h.wk, h.alpha_raw) for h in heads],
+             for i in range(2)]
+    want = dense_self_attention_vjp(variant, phi, list(zip(ps[0::3], ps[1::3], ps[2::3])),
                                     d, masks, upstream)
-    assert len(got) == len(want) == 1 + 3 * len(heads)
+    assert len(got) == len(want) == 1 + len(ps)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
@@ -340,9 +351,9 @@ def dropout_outputs(seed, rate, training):
     rng = np.random.default_rng(seed)
     phi = rng.random((4, 5))
     for variant in VARIANTS:
-        heads = make_heads(rng, variant, 4, 5, 3, heads=2)
-        yield (self_attention(variant, phi, SelfAttentionParams(heads, 3, rate), training, 7),
-               self_attention(variant, phi, SelfAttentionParams(heads, 3)))
+        ps = make_heads(rng, variant, 4, 5, 3, heads=2)
+        yield (self_attention(variant, phi, ps, rate, training, 7),
+               self_attention(variant, phi, ps))
 
 
 def test_dropout_rate_zero_is_identity():
@@ -370,6 +381,8 @@ def test_dropout_deterministic_given_seed():
 
 
 def test_dropout_rejects_bad_rate():
+    ps = make_heads(np.random.default_rng(22), "csa", 4, 5, 3, 1)
     for rate in (1.0, -0.1):
-        with pytest.raises(ValueError):
-            SelfAttentionParams([], latent_dim=3, dropout_rate=rate)
+        for training in (False, True):
+            with pytest.raises(ValueError, match="dropout rate"):
+                self_attention("csa", np.ones((4, 5)), ps, rate, training)

@@ -4,7 +4,7 @@ batched training loop against a per-item reference loop."""
 import numpy as np
 import pytest
 
-from attnbof.attention import SelfAttentionParams, att_csa, att_ctsa, att_tsa
+from attnbof.attention import att_csa, att_ctsa, att_tsa
 from attnbof.data import LabeledSequenceSet, gen_noisy_timestamps
 from attnbof.model import Model, ModelConfig
 from attnbof.nbof import init_codebook
@@ -89,15 +89,14 @@ def test_dropout_masks_depend_only_on_the_item_seed():
 @pytest.mark.parametrize("fwd", [att_ctsa, att_csa, att_tsa])
 def test_item_b_head_i_uses_seed_b_plus_i(fwd):
     rng = np.random.default_rng(1)
-    heads = make_heads(rng, fwd.__name__[4:], 6, 8, 5, 3)
-    p = SelfAttentionParams(heads=heads, latent_dim=5, dropout_rate=0.5)
+    ps = make_heads(rng, fwd.__name__[4:], 6, 8, 5, 3)
     phi = rng.random((3, 6, 8))
     seeds = rng.integers(2 ** 31, size=3)
-    out = fwd(phi, p, training=True, seed=seeds)
+    out = fwd(phi, ps, 0.5, training=True, seed=seeds)
     for b in range(3):
-        for i, head in enumerate(heads):
-            one = SelfAttentionParams(heads=[head], latent_dim=5, dropout_rate=0.5)
-            want = fwd(phi[b], one, training=True, seed=int(seeds[b]) + i)
+        for i in range(3):
+            one = ps[3 * i:3 * i + 3]
+            want = fwd(phi[b], one, 0.5, training=True, seed=int(seeds[b]) + i)
             assert np.array_equal(out[b, 6 * i:6 * (i + 1)], want)
 
 

@@ -173,8 +173,8 @@ def test_train_exits_one_when_gradients_are_not_finite(tmp_path, order_file, cap
                                                        monkeypatch):
     conf = write(tmp_path / "train.conf", TRAIN_CONF)
 
-    def inf_vjp(phi, p, upstream, cache=None):
-        return np.full(phi.shape, np.inf), np.zeros_like(p.w), np.zeros((1, 1))
+    def inf_vjp(phi, w, alpha_raw, mode, upstream, cache):
+        return np.full(phi.shape, np.inf), np.zeros_like(w), np.zeros((1, 1))
 
     monkeypatch.setattr(attention, "att_2da_vjp", inf_vjp)
     out = tmp_path / "m.nbaf"
@@ -212,6 +212,48 @@ def test_gen_bounds_the_payload_before_drawing(tmp_path, capsys, monkeypatch):
     out = tmp_path / "big.fseq"
     err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", str(out)])
     assert "count * feature_dim * length" in err and not out.exists()
+
+
+# a conv + ctsa model for the order set, where each key of the test below
+# sizes some parameter
+BOUNDED_MODEL = dict(attention="ctsa", frontend="conv", conv_channels=2, codewords=4,
+                     latent_dim=2, heads=1, seq_len=6, feature_dim=3, classes=2)
+
+
+@pytest.mark.parametrize("key", ["latent_dim", "heads", "codewords", "seq_len",
+                                 "conv_channels"])
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_oversized_model_exits_two_before_the_build(tmp_path, order_file, capsys,
+                                                    monkeypatch, command, key):
+    fields = {**BOUNDED_MODEL, key: 10**9}
+    conf = write(tmp_path / "big.conf",
+                 "".join(f"{k} = {v}\n" for k, v in fields.items()) + "epochs = 1\n")
+
+    def unbounded(cfg):
+        raise AssertionError(f"model built with {cfg.parameter_count()} parameters")
+
+    monkeypatch.setattr(model_mod.Model, "build", unbounded)
+    out = tmp_path / "m.nbaf"
+    argv = {"train": ["train", "--config", conf, "--data", order_file, "--out", str(out)],
+            "gradcheck": ["gradcheck", "--config", conf]}[command]
+    err = assert_clean_exit_two(capsys, argv)
+    assert f"{ModelConfig(**fields).parameter_count()} parameters" in err
+    assert not out.exists()
+
+
+def test_eval_rejects_checkpoint_config_over_the_parameter_bound(tmp_path, order_file,
+                                                                capsys, monkeypatch):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+            lambda h: h["config"].update(latent_dim=10**9))
+
+    def unbounded(cfg):
+        raise AssertionError(f"shapes built for latent_dim {cfg.latent_dim}")
+
+    monkeypatch.setattr(model_mod, "param_shapes", unbounded)
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
+                                         "--data", order_file])
+    assert "parameters, over the limit" in err
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +294,8 @@ def test_gradcheck_fails_on_broken_vjp(tmp_path, capsys, monkeypatch):
                  "latent_dim = 5\nseq_len = 8\nattention = csa\n")
     true_vjp = attention.self_attention_vjp
 
-    def broken(variant, phi, params, upstream, cache):
-        dphi, *dweights = true_vjp(variant, phi, params, upstream, cache)
+    def broken(variant, phi, ps, upstream, cache):
+        dphi, *dweights = true_vjp(variant, phi, ps, upstream, cache)
         return dphi * 2.0, *dweights  # negative control
 
     monkeypatch.setattr(attention, "self_attention_vjp", broken)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from attnbof.data import (MAX_GENERATED_VALUES, ORDER_NOISE, LabeledSequenceSet,
+from attnbof.data import (ORDER_NOISE, LabeledSequenceSet,
                           gen_noisy_timestamps, gen_order_task, load_csv_items,
                           load_features, pad_or_clip, save_features)
 from attnbof.errors import ChecksumError, ConfigError, DataFormatError
 from attnbof.model import Model, ModelConfig
-from attnbof.nbof import Codebook, W_RAW_UNIT, aggregate, quantize
+from attnbof.nbof import W_RAW_UNIT, aggregate, quantize_raw
+from attnbof.numerics import MAX_VALUES
 from attnbof.train import TrainConfig, evaluate, fit, holdout_split
 
 from .oracles import loop_order_task
@@ -45,11 +46,10 @@ def test_order_twins_share_column_multiset():
 def test_order_twins_have_identical_histograms():
     ds = order_ds(count=10)
     rng = np.random.default_rng(0)
-    cb = Codebook(v=rng.standard_normal((6, 4)),
-                  w_raw=np.full((6, 4), W_RAW_UNIT))
+    v, w_raw = rng.standard_normal((6, 4)), np.full((6, 4), W_RAW_UNIT)
     for i in range(0, len(ds), 2):
-        ya = aggregate(quantize(ds.items[i][0], cb))
-        yb = aggregate(quantize(ds.items[i + 1][0], cb))
+        ya = aggregate(quantize_raw(ds.items[i][0], v, w_raw))
+        yb = aggregate(quantize_raw(ds.items[i + 1][0], v, w_raw))
         assert np.allclose(ya, yb, rtol=0, atol=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_generators_bound_the_payload_before_drawing(monkeypatch):
         gen_order_task(feature_dim=4, length=10**9, count=400, seed=0)
     with pytest.raises(ConfigError, match="count \\* feature_dim \\* length"):
         gen_noisy_timestamps(classes=3, feature_dim=8, length=30, signal_fraction=0.1,
-                             snr=2.0, count=MAX_GENERATED_VALUES, seed=0)
+                             snr=2.0, count=MAX_VALUES, seed=0)
 
 
 def test_order_rejects_bad_shapes():

@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attnbof import nbof
+from attnbof import nbof, numerics
+from attnbof.attention import MODES, VARIANTS
 from attnbof.data import gen_noisy_timestamps
 from attnbof.errors import (ChecksumError, ConfigError, DataFormatError,
                             ShapeError, VersionError)
-from attnbof.model import (Model, ModelConfig, cross_entropy, frontend_conv,
+from attnbof.model import (FRONTENDS, Model, ModelConfig, cross_entropy, frontend_conv,
                            load_checkpoint, loss_op, param_shapes,
                            save_checkpoint)
-from attnbof.numerics import grad_check
+from attnbof.numerics import grad_check, softplus
 from attnbof.train import TrainConfig, fit
 
 from .oracles import loop_conv1d_relu, loop_cross_entropy
@@ -331,6 +332,33 @@ def test_param_shapes_cover_every_variant():
         assert groups == sorted(groups), shapes
 
 
+@pytest.mark.parametrize("frontend", FRONTENDS)
+@pytest.mark.parametrize("kind", [dict(attention="none"),
+                                  *(dict(attention="2da", mode=m) for m in MODES),
+                                  *(dict(attention=v, heads=3) for v in VARIANTS)],
+                         ids=lambda kind: "-".join(kind.values()) if "mode" in kind
+                         else kind["attention"])
+def test_parameter_count_is_the_size_of_the_shapes(kind, frontend):
+    cfg = ModelConfig(**DESK, **kind, frontend=frontend, conv_width=5, conv_channels=7)
+    assert cfg.parameter_count() == sum(r * c for r, c in param_shapes(cfg).values())
+
+
+def test_config_validation_bounds_the_parameter_count(monkeypatch):
+    cfg = ModelConfig(**{**DESK, "attention": "tsa", "heads": 4})
+    monkeypatch.setattr(numerics, "MAX_VALUES", cfg.parameter_count())
+    cfg.validate()   # the ceiling itself is allowed
+    monkeypatch.setattr(numerics, "MAX_VALUES", cfg.parameter_count() - 1)
+    with pytest.raises(ConfigError, match=f"{cfg.parameter_count()} parameters"):
+        cfg.validate()
+
+
+def test_star_import_binds_every_public_name():
+    # a stale ``__all__`` entry makes the star import itself fail
+    namespace: dict = {}
+    exec("from attnbof import *", namespace)
+    assert {"Model", "att_2da", "init_codebook", "quantize_raw"} <= set(namespace)
+
+
 # ---------------------------------------------------------------------------
 # the parameter vector
 
@@ -365,11 +393,14 @@ def test_params_stay_views_of_flat(tmp_path):
 def test_set_codebook_writes_into_flat():
     net = desk_model()
     x = np.random.default_rng(2).standard_normal((4, 8))
-    cb = nbof.init_codebook([x], 6, seed=1)
-    net.set_codebook(cb)
+    net.params["codebook.w_raw"][...] = 0.3
+    v = nbof.init_codebook([x], 6, seed=1)
+    net.set_codebook(v)
     assert_views_of_flat(net)
-    assert np.array_equal(net.params["codebook.v"], cb.v)
-    assert np.array_equal(net.params["codebook.w_raw"], cb.w_raw)
+    assert np.array_equal(net.params["codebook.v"], v)
+    # the shape weights restart at one
+    assert np.array_equal(net.params["codebook.w_raw"], np.full((6, 4), nbof.W_RAW_UNIT))
+    assert np.allclose(softplus(net.params["codebook.w_raw"]), 1.0, rtol=0, atol=1e-15)
     with pytest.raises(ShapeError, match="codebook"):
         net.set_codebook(nbof.init_codebook([x], 5, seed=1))
 

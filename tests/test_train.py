@@ -221,7 +221,7 @@ def test_fit_conv_frontend_with_other_channel_count():
     assert len(trace) == 1 and np.isfinite(trace[0])
     # the codewords are drawn from the initial kernel's features
     features = np.concatenate([frontend_conv(x, kernel, bias) for x, _ in ds.items], axis=1)
-    start = init_codebook([features], 5, seed=0).v
+    start = init_codebook([features], 5, seed=0)
     assert start.shape == net.params["codebook.v"].shape == (5, 6)
     assert np.max(np.abs(start - net.params["codebook.v"])) < 0.1
 
@@ -319,8 +319,8 @@ def test_fit_rejects_non_finite_gradient_before_moving_parameters(monkeypatch):
     set_codebook = net.set_codebook
     start = {}
 
-    def keep_start(cb):
-        set_codebook(cb)
+    def keep_start(v):
+        set_codebook(v)
         start.update({k: p.copy() for k, p in net.params.items()})
 
     monkeypatch.setattr(net, "set_codebook", keep_start)
