@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -106,25 +107,15 @@ def train_config(conf: dict, seed: int) -> train_mod.TrainConfig:
 
 
 def generate(conf: dict, seed: int) -> data_mod.LabeledSequenceSet:
-    """The dataset a generator config describes."""
+    """The dataset a generator config describes; keys the generator's
+    signature does not name are ignored, and unset ones take its defaults."""
     name = conf.get("generator")
-    if name == "noisy":
-        return data_mod.gen_noisy_timestamps(
-            classes=conf.get("classes", 3),
-            feature_dim=conf.get("feature_dim", 8),
-            length=conf.get("length", 30),
-            signal_fraction=conf.get("signal_fraction", 0.1),
-            snr=conf.get("snr", 2.0),
-            count=conf.get("count", 600),
-            seed=seed)
-    if name == "order":
-        return data_mod.gen_order_task(
-            feature_dim=conf.get("feature_dim", 4),
-            length=conf.get("length", 20),
-            count=conf.get("count", 400),
-            seed=seed)
-    raise ConfigError(
-        f"unknown generator {name!r}; expected one of {data_mod.GENERATORS}")
+    if name not in data_mod.GENERATORS:
+        raise ConfigError(
+            f"unknown generator {name!r}; expected one of {tuple(data_mod.GENERATORS)}")
+    gen = data_mod.GENERATORS[name]
+    params = inspect.signature(gen).parameters
+    return gen(**{**{k: v for k, v in conf.items() if k in params}, "seed": seed})
 
 
 def _seed(args, conf: dict) -> int:
@@ -166,8 +157,11 @@ def cmd_gradcheck(args) -> int:
     conf = parse_config(args.config)
     seed = _seed(args, conf)
     model_cfg = model_config(conf, None, seed)
-    rng = np.random.default_rng(seed)
     n = model_cfg.seq_len if model_cfg.seq_len is not None else 8
+    if (size := model_cfg.feature_dim * n) > numerics.MAX_VALUES:
+        raise ConfigError(f"feature_dim * seq_len is {size} input values, over the "
+                          f"gradcheck limit of {numerics.MAX_VALUES}")
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((model_cfg.feature_dim, n))
     label = int(rng.integers(model_cfg.classes))
     net = model_mod.Model.build(model_cfg)
@@ -223,7 +217,8 @@ def cmd_inspect_attention(args) -> int:
     for i, m in enumerate(matrices):
         csv_path = out_dir / f"head{i}.csv"
         pgm_path = out_dir / f"head{i}.pgm"
-        np.savetxt(csv_path, m, fmt="%.17g", delimiter=",")
+        csv_path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                    for row in m.tolist()))
         _write_pgm(pgm_path, m)
         written += [str(csv_path), str(pgm_path)]
     print(json.dumps({"attention": net.config.attention, "heads": len(matrices),

@@ -13,12 +13,9 @@ generators exercise the properties attention is supposed to buy:
 
 from __future__ import annotations
 
-import csv
 import math
-import re
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -96,9 +93,9 @@ def _check_payload(count: int, feature_dim: int, length: int) -> None:
                           f"generator limit of {numerics.MAX_VALUES}")
 
 
-def gen_noisy_timestamps(classes: int, feature_dim: int, length: int,
-                         signal_fraction: float, snr: float, count: int,
-                         seed: int) -> LabeledSequenceSet:
+def gen_noisy_timestamps(classes: int = 3, feature_dim: int = 8, length: int = 30,
+                         signal_fraction: float = 0.1, snr: float = 2.0, count: int = 600,
+                         seed: int = 0) -> LabeledSequenceSet:
     """Per item: ceil(signal_fraction * length) random columns hold the class
     prototype (a one-hot unit vector scaled by snr), the rest are standard
     Gaussian noise.  Labels cycle round-robin so classes stay balanced."""
@@ -110,15 +107,14 @@ def gen_noisy_timestamps(classes: int, feature_dim: int, length: int,
     _check_payload(count, feature_dim, length)
     rng = np.random.default_rng(seed)
     n_signal = math.ceil(signal_fraction * length)
-    prototypes = np.zeros((classes, feature_dim))
-    for c in range(classes):
-        prototypes[c, c % feature_dim] = snr
     items = []
     for i in range(count):
         label = i % classes
         x = rng.standard_normal((feature_dim, length))
         spots = rng.choice(length, size=n_signal, replace=False)
-        x[:, spots] = prototypes[label][:, None]
+        # the class prototype, written in place, so memory does not grow with classes
+        x[:, spots] = 0.0
+        x[label % feature_dim, spots] = snr
         items.append((x, label))
     meta = {"generator": "noisy", "seed": seed, "classes": classes,
             "feature_dim": feature_dim, "length": length,
@@ -130,8 +126,8 @@ def gen_noisy_timestamps(classes: int, feature_dim: int, length: int,
 ORDER_NOISE = 0.3
 
 
-def gen_order_task(feature_dim: int, length: int, count: int,
-                   seed: int) -> LabeledSequenceSet:
+def gen_order_task(feature_dim: int = 4, length: int = 20, count: int = 400,
+                   seed: int = 0) -> LabeledSequenceSet:
     """Twin pairs around two fixed symbols: a class-0 item is [symbol A block,
     symbol B block] with per-column Gaussian jitter, and its class-1 twin is
     the exact column reversal of that item.  Twins therefore share the exact
@@ -159,7 +155,9 @@ def gen_order_task(feature_dim: int, length: int, count: int,
                               metadata=meta)
 
 
-GENERATORS = ("noisy", "order")
+# the ``generator`` name of a config -> its function; a config's other keys
+# reach the function only where its signature names them
+GENERATORS = {"noisy": gen_noisy_timestamps, "order": gen_order_task}
 
 
 # ---------------------------------------------------------------------------
@@ -202,37 +200,3 @@ def load_features(path: str) -> LabeledSequenceSet:
                               classes=header["classes"],
                               feature_dim=header["feature_dim"],
                               metadata=header.get("metadata", {}))
-
-
-_CSV_LABEL = re.compile(r"_(\d+)$")
-
-
-def load_csv_items(paths: list[str | Path], classes: int | None = None
-                   ) -> LabeledSequenceSet:
-    """Interop import: one item per CSV file (rows = features, columns =
-    timestamps), label taken from the ``_<label>`` filename suffix."""
-    items = []
-    feature_dim = None
-    for p in sorted(Path(p) for p in paths):
-        m = _CSV_LABEL.search(p.stem)
-        if m is None:
-            raise DataFormatError(
-                f"{p}: filename must end with _<label> before the extension")
-        label = int(m.group(1))
-        with open(p, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        if not rows:
-            raise DataFormatError(f"{p}: empty CSV")
-        x = np.array(rows, dtype=float)
-        if feature_dim is None:
-            feature_dim = x.shape[0]
-        elif x.shape[0] != feature_dim:
-            raise DataFormatError(
-                f"{p}: {x.shape[0]} feature rows, earlier files had {feature_dim}")
-        items.append((x, label))
-    if feature_dim is None:
-        raise DataFormatError("no CSV files given")
-    n_classes = classes if classes is not None else max(l for _, l in items) + 1
-    return LabeledSequenceSet(items=items, classes=n_classes,
-                              feature_dim=feature_dim,
-                              metadata={"generator": "csv-import"})

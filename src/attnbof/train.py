@@ -8,7 +8,6 @@ run uses the derived seed ``seed ^ f``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,9 +25,6 @@ class TrainConfig:
     epochs: int = 90
     batch_size: int = 256
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     folds: int = 1                 # 1 = single stratified holdout split
     holdout_fraction: float = 0.2
     seed: int = 0
@@ -40,12 +36,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            b = getattr(self, name)
-            if not 0.0 < b < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {b}")
-        if self.adam_eps <= 0.0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.folds < 1:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -55,6 +45,9 @@ class TrainConfig:
 
 # ---------------------------------------------------------------------------
 # Adam
+
+# the moment decays and the denominator guard of Kingma & Ba, used by every run
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -76,14 +69,14 @@ def adam_step(params: Array, grad: Array, state: AdamState, cfg: TrainConfig
     if grad.shape != params.shape:
         raise ShapeError(f"adam_step: gradient is {grad.shape}, parameters are {params.shape}")
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     state.m *= b1
     state.m += (1.0 - b1) * grad
     state.v *= b2
     state.v += (1.0 - b2) * (grad * grad)
-    step = cfg.learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + cfg.adam_eps)
+    step = cfg.learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
     if not np.isfinite(step).all():
         raise TrainingDiverged(f"non-finite Adam step {state.t}")
     params -= step
@@ -246,9 +239,6 @@ class TrainReport:
             "accuracy": {"mean": self.accuracy_mean, "std": self.accuracy_std},
             "macro_f1": {"mean": self.f1_mean, "std": self.f1_std},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_markdown(self) -> str:
         lines = ["| fold | accuracy | macro-F1 |", "|---|---|---|"]

@@ -1,11 +1,15 @@
 import contextlib
+import functools
 import hashlib
+import inspect
 import io
 import json
+import math
 import struct
 import tempfile
 import warnings
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnbof import attention, cli
+from attnbof import data as data_mod
 from attnbof import model as model_mod
+from attnbof import numerics
 from attnbof import train as train_mod
 from attnbof.cli import main, parse_config
 from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_order_task,
@@ -22,6 +28,8 @@ from attnbof.errors import ConfigError
 from attnbof.io_container import read_container, write_container
 from attnbof.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model, ModelConfig,
                            load_checkpoint, save_checkpoint)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write(path, text):
@@ -59,6 +67,37 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     path = write(tmp_path / "c.conf", "coedwords = 8\n")
     with pytest.raises(ConfigError, match="coedwords"):
         parse_config(path)
+
+
+def test_config_schema_names_only_what_a_config_can_set():
+    confs = sorted(CONFIGS.glob("*.conf"))
+    assert confs
+    for path in confs:
+        parse_config(str(path))
+    gen_types = {name: hint for gen in data_mod.GENERATORS.values()
+                 for name, hint in get_type_hints(gen).items() if name != "return"}
+    fields = {*cli._MODEL_FIELDS, *cli._TRAIN_FIELDS}
+    assert set(cli._SCHEMA) - fields - set(gen_types) == {"generator"}
+    assert all(cli._SCHEMA[name][0] is hint for name, hint in gen_types.items())
+
+
+def test_adam_constants_are_not_config_keys(tmp_path, order_file, capsys):
+    conf = write(tmp_path / "train.conf", TRAIN_CONF + "adam_eps = 1e-7\n")
+    out = tmp_path / "m.nbaf"
+    err = assert_clean_exit_two(capsys, ["train", "--config", conf, "--data", order_file,
+                                         "--out", str(out)])
+    assert "unknown key 'adam_eps'" in err and not out.exists()
+
+
+@pytest.mark.parametrize("name, seed, checksum", [("order", 11, "9b179895"),
+                                                  ("noisy", 7, "1f2c0741")])
+def test_gen_defaults_are_the_generator_signature_defaults(tmp_path, capsys, name, seed,
+                                                           checksum):
+    # checksums of configs/gen-{order,noisy}.conf, which spell the defaults out
+    conf = write(tmp_path / "gen.conf", f"generator = {name}\n")
+    out = str(tmp_path / "x.fseq")
+    assert main(["gen", "--config", conf, "--out", out, "--seed", str(seed)]) == 0
+    assert json.loads(capsys.readouterr().out)["checksum"] == checksum
 
 
 def test_gen_order_prints_frozen_checksum(tmp_path, capsys):
@@ -286,6 +325,15 @@ def test_gradcheck_passes_for_plain_model(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report["groups"]) == {"codebook.v", "codebook.w_raw",
                                      "classifier.weight", "classifier.bias"}
+
+
+def test_gradcheck_bounds_its_input_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: pytest.fail("gradcheck drew past the bound"))
+    conf = write(tmp_path / "g.conf", "feature_dim = 4\nclasses = 3\nattention = none\n"
+                                      "seq_len = 1000000000\n")
+    err = assert_clean_exit_two(capsys, ["gradcheck", "--config", conf])
+    assert "feature_dim * seq_len is 4000000000 input values" in err
 
 
 def test_gradcheck_fails_on_broken_vjp(tmp_path, capsys, monkeypatch):
@@ -686,3 +734,85 @@ def test_fuzzed_files_keep_the_exit_code_contract(data):
                     contextlib.redirect_stderr(io.StringIO()), \
                     np.errstate(all="ignore"):
                 assert main(argv) in (0, 1, 2), argv
+
+
+# ---------------------------------------------------------------------------
+# fuzzed config files
+
+
+class Reached(Exception):
+    """A command passed its config checks and got to its first allocation."""
+
+
+def stop_at_first_allocation(patch):
+    """Stop each command where its config first sizes an allocation: raise
+    ``Reached`` when the size is within ``numerics.MAX_VALUES``, and fail
+    the test when it is not, so that nothing large is ever allocated."""
+    def build(cfg):
+        assert cfg.parameter_count() <= numerics.MAX_VALUES, f"built {cfg}"
+        raise Reached
+
+    class Draws:   # gradcheck's input
+        def __init__(self, seed):
+            pass
+
+        def standard_normal(self, size):
+            values = math.prod(size) if isinstance(size, tuple) else size
+            assert values <= numerics.MAX_VALUES, f"drew {values} values"
+            raise Reached
+
+    def bounded(gen):
+        @functools.wraps(gen)
+        def run(**kwargs):
+            args = inspect.signature(gen).bind(**kwargs)
+            args.apply_defaults()
+            size = math.prod(args.arguments[k] for k in ("count", "feature_dim", "length"))
+            if size <= numerics.MAX_VALUES:
+                raise Reached
+            try:   # over the ceiling: the generator must reject the config
+                return gen(**kwargs)
+            except Reached:
+                pytest.fail(f"{gen.__name__} drew {size} values")
+        return run
+
+    patch.setattr(Model, "build", build)
+    patch.setattr(np.random, "default_rng", Draws)
+    patch.setattr(data_mod, "GENERATORS",
+                  {name: bounded(gen) for name, gen in data_mod.GENERATORS.items()})
+
+
+CONF_VALUES = {
+    int: st.integers(0, 10**9) | st.sampled_from([10**300, -10**300]),
+    float: st.floats() | st.sampled_from([1e300, -1e300]),
+    str: st.sampled_from(model_mod.ATTENTION_KINDS + attention.MODES + model_mod.FRONTENDS
+                         + tuple(data_mod.GENERATORS) + ("warp",)),
+}
+# each command's valid starting config, which the drawn lines override
+CONF_BASES = {"gen": "generator = order\n", "train": TRAIN_CONF,
+              "gradcheck": "feature_dim = 4\nclasses = 3\ncodewords = 6\n"}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_configs_keep_the_exit_code_contract(data):
+    command = data.draw(st.sampled_from(sorted(CONF_BASES)))
+    keys = data.draw(st.lists(st.sampled_from(sorted(cli._SCHEMA)), min_size=1,
+                              max_size=4, unique=True))
+    lines = "".join(f"{k} = {data.draw(CONF_VALUES[cli._SCHEMA[k][0]])}\n" for k in keys)
+    with tempfile.TemporaryDirectory() as d:
+        conf = write(Path(d) / "run.conf", CONF_BASES[command] + lines)
+        fseq, out = str(Path(d) / "s.fseq"), str(Path(d) / "out")
+        save_features(gen_order_task(feature_dim=3, length=6, count=8, seed=2), fseq)
+        argv = {"gen": ["gen", "--config", conf, "--out", out],
+                "train": ["train", "--config", conf, "--data", fseq, "--out", out],
+                "gradcheck": ["gradcheck", "--config", conf]}[command]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            stop_at_first_allocation(patch)
+            try:
+                code = main(argv)
+            except Reached:
+                return
+    assert code == 2, argv   # every command stops at its first allocation
+    assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1

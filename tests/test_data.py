@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from attnbof.data import (ORDER_NOISE, LabeledSequenceSet,
-                          gen_noisy_timestamps, gen_order_task, load_csv_items,
+                          gen_noisy_timestamps, gen_order_task,
                           load_features, pad_or_clip, save_features)
 from attnbof.errors import ChecksumError, ConfigError, DataFormatError
 from attnbof.model import Model, ModelConfig
@@ -113,6 +115,18 @@ def test_noisy_rejects_degenerate_fraction():
         with pytest.raises(ConfigError):
             gen_noisy_timestamps(classes=3, feature_dim=4, length=10,
                                  signal_fraction=bad, snr=2.0, count=6, seed=0)
+
+
+def test_noisy_memory_does_not_grow_with_classes():
+    tracemalloc.start()
+    try:
+        ds = gen_noisy_timestamps(classes=10**6, feature_dim=2, length=4, signal_fraction=0.5,
+                                  snr=2.0, count=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20   # a (classes, feature_dim) table would take 16 MB
+    assert ds.labels().tolist() == [0, 1, 2]
 
 
 def test_noisy_checksum_frozen():
@@ -227,22 +241,3 @@ def test_feature_file_detects_flipped_byte(tmp_path):
     with pytest.raises(ChecksumError):
         load_features(path)
 
-
-def test_csv_import(tmp_path):
-    rng = np.random.default_rng(6)
-    want = []
-    for i, label in enumerate([0, 2, 1]):
-        x = rng.standard_normal((3, 4))
-        want.append((x, label))
-        lines = "\n".join(",".join(f"{v:.17g}" for v in row) for row in x)
-        (tmp_path / f"item{i}_{label}.csv").write_text(lines + "\n")
-    ds = load_csv_items(sorted(tmp_path.glob("*.csv")))
-    assert ds.classes == 3 and ds.feature_dim == 3
-    for (xa, la), (xb, lb) in zip(ds.items, want):
-        assert la == lb and np.allclose(xa, xb, rtol=0, atol=0)
-
-
-def test_csv_import_requires_label_suffix(tmp_path):
-    (tmp_path / "nolabel.csv").write_text("1.0,2.0\n")
-    with pytest.raises(DataFormatError, match="label"):
-        load_csv_items([tmp_path / "nolabel.csv"])

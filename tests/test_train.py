@@ -48,8 +48,7 @@ def test_adam_zero_learning_rate_is_identity():
 
 def test_adam_three_step_trace_matches_hand_loop():
     # minimize 0.5 * theta^2; gradient is theta
-    cfg = make_cfg(learning_rate=0.1, adam_beta1=0.9, adam_beta2=0.999,
-                   adam_eps=1e-8)
+    cfg = make_cfg(learning_rate=0.1)
     params = np.array([2.0])
     state = init_adam(params)
     theta = 2.0
@@ -283,9 +282,6 @@ def test_train_cross_validation_report_shape():
     accs = [f.accuracy for f in report.folds]
     assert math.isclose(report.accuracy_mean, float(np.mean(accs)))
     assert math.isclose(report.accuracy_std, float(np.std(accs, ddof=1)))
-    # serializations
-    as_json = report.to_json()
-    assert '"macro_f1"' in as_json
     table = report.to_markdown()
     assert table.count("\n") == 2 + len(report.folds)
     assert "mean + std" in table
@@ -335,8 +331,6 @@ def test_fit_rejects_non_finite_gradient_before_moving_parameters(monkeypatch):
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         make_cfg(epochs=0)
-    with pytest.raises(ConfigError):
-        make_cfg(adam_beta1=1.0)
     with pytest.raises(ConfigError):
         make_cfg(holdout_fraction=0.0)
     with pytest.raises(ConfigError):
