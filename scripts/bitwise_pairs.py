@@ -32,6 +32,7 @@ CONFIGS = {
     "2da-codeword": {"attention": "2da", "mode": "codeword"},
     "2da-input": {"attention": "2da", "mode": "input"},
     "ctsa-h2": {"attention": "ctsa", "heads": 2},
+    "ctsa-h2-dropout": {"attention": "ctsa", "heads": 2, "dropout_rate": 0.25},
     "csa-h2-dropout": {"attention": "csa", "heads": 2, "dropout_rate": 0.25},
     "tsa-h2-dropout": {"attention": "tsa", "heads": 2, "dropout_rate": 0.1},
     "conv-csa": {"frontend": "conv", "attention": "csa"},

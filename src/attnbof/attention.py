@@ -164,7 +164,7 @@ _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, Fal
 
 def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
     """Column counts of a head's (wq, wk) for K codewords and N timestamps."""
-    return {"ctsa": (n, k), "csa": (n, n), "tsa": (k, k)}[variant]
+    return tuple(n if rows else k for rows in _PROJECTS_ROWS[variant])
 
 
 def _check_params(variant: str, phi: Array, ps) -> None:

@@ -13,6 +13,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -53,6 +54,8 @@ def parse_config(path: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            if isinstance(conf[key], float) and not math.isfinite(conf[key]):
+                raise ConfigError(f"{path}:{lineno}: {key!r} must be finite, got {value}")
     return conf
 
 

@@ -102,6 +102,8 @@ def gen_noisy_timestamps(classes: int = 3, feature_dim: int = 8, length: int = 3
     if not 0.0 < signal_fraction <= 1.0:
         raise ConfigError(
             f"signal_fraction must be in (0, 1], got {signal_fraction}")
+    if not math.isfinite(snr):
+        raise ConfigError(f"snr must be finite, got {snr}")
     if classes < 2 or feature_dim < 1 or length < 1 or count < 1:
         raise ConfigError("classes >= 2, feature_dim/length/count >= 1 required")
     _check_payload(count, feature_dim, length)
@@ -134,6 +136,8 @@ def gen_order_task(feature_dim: int = 4, length: int = 20, count: int = 400,
     column multiset, so any timestamp-permutation-invariant classifier is
     stuck at accuracy 1/2, while the block order itself is a stable, learnable
     rule (the symbols are fixed per dataset)."""
+    if feature_dim < 1:
+        raise ConfigError(f"feature_dim must be >= 1, got {feature_dim}")
     if length < 2 or length % 2 != 0:
         raise ConfigError(f"order task needs an even length >= 2, got {length}")
     if count < 2 or count % 2 != 0:

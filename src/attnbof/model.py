@@ -76,21 +76,13 @@ class ModelConfig:
         if (count := self.parameter_count()) > numerics.MAX_VALUES:
             raise ConfigError(f"the model would have {count} parameters, over the "
                               f"limit of {numerics.MAX_VALUES}")
+        if self.heads > numerics.MAX_HEADS:
+            raise ConfigError(f"{self.heads} heads are over the limit of {numerics.MAX_HEADS}")
 
     def parameter_count(self) -> int:
-        """The size of ``param_shapes(self)``, computed without building it."""
-        k, dq, width, count = self.codewords, self.feature_dim, self.codewords, 0
-        if self.frontend == "conv":
-            dq = self.conv_channels
-            count += dq * (self.feature_dim * self.conv_width + 1)
-        if self.attention == "2da":
-            side = {"temporal": self.seq_len, "codeword": k, "input": dq}[self.mode]
-            count += side * side + 1
-        elif self.attention in attention.VARIANTS:
-            q_cols, k_cols = attention.projection_widths(self.attention, k, self.seq_len)
-            count += self.heads * (self.latent_dim * (q_cols + k_cols) + 1)
-            width = k * self.heads
-        return count + 2 * k * dq + self.classes * (width + 1)
+        """The size of ``param_shapes(self)``, computed without listing the heads."""
+        return sum(stage.repeat * rows * cols for stage in build_stages(self)
+                   for rows, cols in stage.shapes.values())
 
     @property
     def needs_seq_len(self) -> bool:
@@ -203,12 +195,20 @@ def cross_entropy_vjp(logits: Array, label, upstream) -> Array:
 class Stage(NamedTuple):
     """A layer under one convention: ``fwd(h, ps, cache, training, seed) -> out``
     fills ``cache``, ``vjp(h, ps, out, upstream, cache) -> (dh, *dps)`` reads
-    it, and ``ps`` holds the stage's parameters in the order of ``shapes``."""
+    it, and ``ps`` holds the stage's parameters in the order of ``params()``.
+    ``shapes`` lists one unit's parameters and the stage has ``repeat`` units
+    (one per self-attention head); ``{i}`` in a name is the unit's index."""
 
     name: str
     shapes: dict[str, tuple[int, int]]
     fwd: Callable
     vjp: Callable
+    repeat: int = 1
+
+    def params(self) -> list[tuple[str, tuple[int, int]]]:
+        """(name, shape) of every parameter, unit after unit."""
+        return [(name.format(i=i), shape) for i in range(self.repeat)
+                for name, shape in self.shapes.items()]
 
 
 def _head_vjp(h, ps, out, upstream, cache):
@@ -241,18 +241,15 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
             lambda h, ps, out, g, c: attention.att_2da_vjp(h, *ps, cfg.mode, g, c)))
     elif cfg.attention in attention.VARIANTS:
         q_cols, k_cols = attention.projection_widths(cfg.attention, k, cfg.seq_len)
-        shapes: dict[str, tuple[int, int]] = {}
-        for i in range(cfg.heads):
-            shapes.update({f"att.head{i}.wq": (cfg.latent_dim, q_cols),
-                           f"att.head{i}.wk": (cfg.latent_dim, k_cols),
-                           f"att.head{i}.alpha_raw": (1, 1)})
         width = k * cfg.heads  # head outputs are stacked along the codeword axis
         stages.append(Stage(
-            "attention", shapes,
+            "attention", {"att.head{i}.wq": (cfg.latent_dim, q_cols),
+                          "att.head{i}.wk": (cfg.latent_dim, k_cols),
+                          "att.head{i}.alpha_raw": (1, 1)},
             lambda h, ps, c, training, seed: attention.self_attention(
                 cfg.attention, h, ps, cfg.dropout_rate, training, seed, c),
             lambda h, ps, out, g, c: attention.self_attention_vjp(
-                cfg.attention, h, ps, g, c)))
+                cfg.attention, h, ps, g, c), repeat=cfg.heads))
     if cfg.attention not in attention.VARIANTS:  # self-attention pools itself
         stages.append(Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
                             lambda h, ps, out, g, c: nbof.aggregate_vjp((h,), out, g)))
@@ -267,10 +264,14 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
 _PARAM_ORDER = ("conv", "quantize", "attention", "aggregate", "head")
 
 
+def _registry(stages: list[Stage]) -> dict[str, tuple[int, int]]:
+    ordered = sorted(stages, key=lambda st: _PARAM_ORDER.index(st.name))
+    return dict(param for stage in ordered for param in stage.params())
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     """Stable name -> shape map; defines registry and checkpoint order."""
-    stages = sorted(build_stages(cfg), key=lambda st: _PARAM_ORDER.index(st.name))
-    return {name: shape for stage in stages for name, shape in stage.shapes.items()}
+    return _registry(build_stages(cfg))
 
 
 def _finite(a: Array, what: str) -> Array:
@@ -283,26 +284,28 @@ def _finite(a: Array, what: str) -> Array:
 class Model:
     """One float64 parameter vector, ``flat`` (a copy of the one given), in
     registry (and checkpoint) order, plus the stage list that runs over it;
-    ``params`` maps each name to a view into ``flat``."""
+    ``params`` maps each name to a view into ``flat``.  Each stage's views and
+    the slices its gradients fill are bound once, here."""
 
     def __init__(self, config: ModelConfig, flat: Array):
         config.validate()
         self.config = config
-        self.shapes = param_shapes(config)
+        self.stages = build_stages(config)
+        self._layout, self.size = {}, 0
+        for name, (rows, cols) in _registry(self.stages).items():
+            self._layout[name] = (slice(self.size, self.size + rows * cols), (rows, cols))
+            self.size += rows * cols
         self.flat = np.array(flat, dtype=float)
         self.params = self.views(self.flat)
-        self.stages = build_stages(config)
+        self._bound = [([self.params[name] for name, _ in stage.params()],
+                        [(name, self._layout[name][0]) for name, _ in stage.params()])
+                       for stage in self.stages]
 
     def views(self, vec: Array) -> dict[str, Array]:
         """Name -> view map of a vector laid out like ``flat``."""
-        size = sum(rows * cols for rows, cols in self.shapes.values())
-        if vec.shape != (size,):
-            raise ShapeError(f"parameter vector is {vec.shape}, the model has ({size},)")
-        views, start = {}, 0
-        for name, (rows, cols) in self.shapes.items():
-            views[name] = vec[start:start + rows * cols].reshape(rows, cols)
-            start += rows * cols
-        return views
+        if vec.shape != (self.size,):
+            raise ShapeError(f"parameter vector is {vec.shape}, the model has ({self.size},)")
+        return {name: vec[where].reshape(shape) for name, (where, shape) in self._layout.items()}
 
     @classmethod
     def build(cls, config: ModelConfig) -> "Model":
@@ -312,8 +315,7 @@ class Model:
         training leaves it there."""
         config.validate()
         rng = np.random.default_rng(config.seed)
-        size = sum(rows * cols for rows, cols in param_shapes(config).values())
-        net = cls(config, np.zeros(size))
+        net = cls(config, np.zeros(config.parameter_count()))
         for name, p in net.params.items():
             if name == "codebook.v":
                 p[...] = rng.standard_normal(p.shape)
@@ -328,9 +330,9 @@ class Model:
 
     def set_codebook(self, v: Array) -> None:
         """Write the (K, D) codewords ``v`` and reset the shape weights to one."""
-        if np.shape(v) != self.shapes["codebook.v"]:
-            raise ShapeError(f"codebook is {np.shape(v)}, model expects "
-                             f"{self.shapes['codebook.v']}")
+        want = self.params["codebook.v"].shape
+        if np.shape(v) != want:
+            raise ShapeError(f"codebook is {np.shape(v)}, model expects {want}")
         self.params["codebook.v"][...] = v
         self.params["codebook.w_raw"][...] = nbof.W_RAW_UNIT
 
@@ -338,8 +340,8 @@ class Model:
 
     def _run(self, x: Array, training: bool, seed, trail: list | None = None) -> Array:
         """Logits of one D x N sequence, (C,), or of a (B, D, N) stack, (B, C).
-        A ``trail`` list receives each stage's (input, parameters, output,
-        cache) for the backward pass; without one, no stage keeps a cache."""
+        A ``trail`` list receives each stage's (input, output, cache) for the
+        backward pass; without one, no stage keeps a cache."""
         cfg = self.config
         h = numerics.as_stack(x, "stage input")
         n = h.shape[-1]
@@ -351,12 +353,11 @@ class Model:
         if cfg.needs_seq_len and n != cfg.seq_len:
             raise ShapeError(
                 f"stage attention: sequence length {n} != configured seq_len {cfg.seq_len}")
-        for stage in self.stages:
+        for stage, (ps, _) in zip(self.stages, self._bound):
             cache = None if trail is None else {}
-            ps = [self.params[p] for p in stage.shapes]
             out = stage.fwd(h, ps, cache, training, seed)
             if trail is not None:
-                trail.append((h, ps, out, cache))
+                trail.append((h, out, cache))
             h = out
         return h
 
@@ -383,16 +384,16 @@ class Model:
         logits = self._run(x, training, seed, trail)
         loss = cross_entropy(logits, label)
         g = cross_entropy_vjp(logits, label, 1.0)
-        grad = np.zeros(self.flat.size)
-        views = self.views(grad)
-        for stage, (h, ps, out, cache) in zip(reversed(self.stages), reversed(trail)):
+        grad = np.zeros(self.size)
+        for stage, (ps, slots), (h, out, cache) in zip(
+                reversed(self.stages), reversed(self._bound), reversed(trail)):
             g, *dps = stage.vjp(h, ps, out, g, cache)
-            for name, p, d in zip(stage.shapes, ps, dps + [None] * len(ps)):
+            for (name, where), p, d in zip(slots, ps, dps + [None] * len(ps)):
                 shape = getattr(d, "shape", None)  # None: the stage returned too few
                 if shape != p.shape:
                     raise ShapeError(f"stage {stage.name}: cotangent of {name!r} is "
                                      f"{shape}, parameter is {p.shape}")
-                views[name][...] = d
+                grad[where] = d.ravel()
         return loss, grad
 
     def attention_matrices(self, x: Array) -> list[Array]:
@@ -402,7 +403,7 @@ class Model:
             raise ConfigError("model has attention=none; no matrices to inspect")
         trail: list = []
         self._run(numerics.as_matrix(x, "input"), False, 0, trail)
-        cache = trail[names.index("attention")][3]
+        cache = trail[names.index("attention")][2]
         return [_finite(head["a"], "attention matrix")
                 for head in cache.get("heads", [cache])]
 
@@ -446,9 +447,6 @@ def load_checkpoint(path: str) -> Model:
     check_types(path, "checkpoint config", vars(cfg), _CONFIG_TYPES)
     cfg.validate()
     arrays = unpack_arrays(path, "name", manifest, payload)
-    if cfg.attention in attention.VARIANTS and 3 * cfg.heads > len(arrays):
-        raise DataFormatError(f"{path}: {cfg.heads} heads need {3 * cfg.heads} "
-                              f"parameters, the manifest has {len(arrays)} entries")
     got = [(name, arr.shape) for name, arr in arrays] + [None]  # None: past the end
     want = list(param_shapes(cfg).items()) + [None]
     if got != want:

@@ -25,6 +25,11 @@ Array = np.ndarray
 # The most float64 values (1 GiB) a generated dataset or a model's parameters
 # may hold; far above any shipped config.
 MAX_VALUES = 2 ** 27
+# The most self-attention heads a model may have; far above any shipped
+# config.  Each head costs Python work in every layer call whatever its size,
+# which MAX_VALUES does not bound: Model.build at this many heads (tsa,
+# K = d = 1) takes ~30 ms on a 2-vCPU Xeon VM, ~28 µs a head.
+MAX_HEADS = 2 ** 10
 
 
 @dataclass(frozen=True)

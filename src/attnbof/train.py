@@ -34,8 +34,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.folds < 1:
             raise ConfigError(f"folds must be >= 1, got {self.folds}")
         if not 0.0 < self.holdout_fraction < 1.0:

@@ -69,6 +69,16 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("key", sorted(k for k, types in cli._SCHEMA.items()
+                                       if types[0] is float))
+def test_non_finite_config_value_exits_two_naming_the_key(tmp_path, capsys, key, value):
+    conf = write(tmp_path / "c.conf", f"generator = noisy\ncount = 6\n{key} = {value}\n")
+    out = tmp_path / "out.fseq"
+    err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", str(out)])
+    assert f"{key!r} must be finite" in err and not out.exists()
+
+
 def test_config_schema_names_only_what_a_config_can_set():
     confs = sorted(CONFIGS.glob("*.conf"))
     assert confs
@@ -744,10 +754,17 @@ class Reached(Exception):
     """A command passed its config checks and got to its first allocation."""
 
 
+# the most values a fuzzed ``gen`` config may generate for real; above this,
+# up to ``numerics.MAX_VALUES``, it stops at its first allocation
+GEN_RUNS = 2 ** 18
+REAL_RNG = np.random.default_rng
+
+
 def stop_at_first_allocation(patch):
     """Stop each command where its config first sizes an allocation: raise
     ``Reached`` when the size is within ``numerics.MAX_VALUES``, and fail
-    the test when it is not, so that nothing large is ever allocated."""
+    the test when it is not, so that nothing large is ever allocated.  A
+    generator whose dataset holds at most ``GEN_RUNS`` values runs."""
     def build(cfg):
         assert cfg.parameter_count() <= numerics.MAX_VALUES, f"built {cfg}"
         raise Reached
@@ -767,6 +784,10 @@ def stop_at_first_allocation(patch):
             args = inspect.signature(gen).bind(**kwargs)
             args.apply_defaults()
             size = math.prod(args.arguments[k] for k in ("count", "feature_dim", "length"))
+            if size <= GEN_RUNS:
+                with pytest.MonkeyPatch.context() as real:
+                    real.setattr(np.random, "default_rng", REAL_RNG)
+                    return gen(**kwargs)
             if size <= numerics.MAX_VALUES:
                 raise Reached
             try:   # over the ceiling: the generator must reject the config
@@ -783,7 +804,7 @@ def stop_at_first_allocation(patch):
 
 CONF_VALUES = {
     int: st.integers(0, 10**9) | st.sampled_from([10**300, -10**300]),
-    float: st.floats() | st.sampled_from([1e300, -1e300]),
+    float: st.floats() | st.sampled_from([1e300, -1e300, math.nan, math.inf, -math.inf]),
     str: st.sampled_from(model_mod.ATTENTION_KINDS + attention.MODES + model_mod.FRONTENDS
                          + tuple(data_mod.GENERATORS) + ("warp",)),
 }
@@ -798,7 +819,9 @@ def test_fuzzed_configs_keep_the_exit_code_contract(data):
     command = data.draw(st.sampled_from(sorted(CONF_BASES)))
     keys = data.draw(st.lists(st.sampled_from(sorted(cli._SCHEMA)), min_size=1,
                               max_size=4, unique=True))
-    lines = "".join(f"{k} = {data.draw(CONF_VALUES[cli._SCHEMA[k][0]])}\n" for k in keys)
+    values = {k: data.draw(CONF_VALUES[cli._SCHEMA[k][0]]) for k in keys}
+    lines = "".join(f"{k} = {v}\n" for k, v in values.items())
+    non_finite = [k for k, v in values.items() if isinstance(v, float) and not math.isfinite(v)]
     with tempfile.TemporaryDirectory() as d:
         conf = write(Path(d) / "run.conf", CONF_BASES[command] + lines)
         fseq, out = str(Path(d) / "s.fseq"), str(Path(d) / "out")
@@ -813,6 +836,11 @@ def test_fuzzed_configs_keep_the_exit_code_contract(data):
             try:
                 code = main(argv)
             except Reached:
+                assert not non_finite, f"{argv} ran with non-finite {non_finite}"
                 return
-    assert code == 2, argv   # every command stops at its first allocation
+        if code == 0 and command == "gen" and not non_finite:
+            load_features(out)   # what gen writes, train and eval read
+            return
+    # every other run stops at its first allocation or exits 2
+    assert code == 2, argv
     assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1

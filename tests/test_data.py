@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,13 @@ def test_order_rejects_bad_shapes():
 
 # ---------------------------------------------------------------------------
 # noisy-timestamp task
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+def test_noisy_rejects_non_finite_snr(snr):
+    with pytest.raises(ConfigError, match="snr"):
+        gen_noisy_timestamps(classes=3, feature_dim=4, length=10,
+                             signal_fraction=0.5, snr=snr, count=6, seed=0)
 
 
 def test_noisy_rejects_degenerate_fraction():

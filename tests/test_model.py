@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attnbof import model as model_mod
 from attnbof import nbof, numerics
 from attnbof.attention import MODES, VARIANTS
 from attnbof.data import gen_noisy_timestamps
@@ -350,6 +351,39 @@ def test_config_validation_bounds_the_parameter_count(monkeypatch):
     monkeypatch.setattr(numerics, "MAX_VALUES", cfg.parameter_count() - 1)
     with pytest.raises(ConfigError, match=f"{cfg.parameter_count()} parameters"):
         cfg.validate()
+
+
+def test_config_validation_bounds_the_heads_before_listing_them(monkeypatch):
+    def listed(*args):
+        raise AssertionError("the heads were listed before the bound")
+
+    monkeypatch.setattr(model_mod, "param_shapes", listed)
+    monkeypatch.setattr(Model, "build", listed)
+    cfg = ModelConfig(feature_dim=1, classes=2, codewords=1, latent_dim=1,
+                      attention="tsa", heads=numerics.MAX_HEADS)
+    cfg.validate()   # the ceiling itself is allowed
+    cfg.heads += 1
+    with pytest.raises(ConfigError, match=f"^{numerics.MAX_HEADS + 1} heads"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("kind", [dict(attention="tsa", heads=2, dropout_rate=0.25),
+                                  dict(attention="2da", mode="input", frontend="conv")],
+                         ids=["tsa-h2-dropout", "conv-2da-input"])
+def test_built_model_never_rebuilds_its_stage_table(monkeypatch, kind):
+    net = desk_model(**kind)
+    xs = np.random.default_rng(0).standard_normal((3, 4, 8))
+
+    def rebuilt(cfg):
+        raise AssertionError("the stage table was rebuilt")
+
+    monkeypatch.setattr(model_mod, "build_stages", rebuilt)
+    monkeypatch.setattr(model_mod, "param_shapes", rebuilt)
+    for x, label, seed in ((xs[0], 1, 5), (xs, np.array([0, 1, 2]), np.arange(3))):
+        net.forward(x)
+        net.predict(x)
+        _, grad = net.loss_and_grad(x, label, training=True, seed=seed)
+        assert grad.shape == net.flat.shape
 
 
 def test_star_import_binds_every_public_name():

@@ -68,7 +68,7 @@ def test_bitwise_pairs_finds_this_checkout_equal_to_itself(capsys):
     argv = ["--parent", str(ROOT), "--change", str(ROOT)]
     assert bitwise.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "0 differing fields of 71"
+    assert lines[-1] == "0 differing fields of 78"
     data_keys = [line.split()[0] for line in lines[-9:-1]]
     assert data_keys == ["order-seed3.fseq", "order-seed3.loaded", "order-seed4.fseq",
                          "order-seed4.loaded", "noisy-seed3.fseq", "noisy-seed3.loaded",

@@ -328,6 +328,12 @@ def test_fit_rejects_non_finite_gradient_before_moving_parameters(monkeypatch):
     assert all(np.array_equal(net.params[k], p) for k, p in start.items())
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_train_config_rejects_non_finite_learning_rate(rate):
+    with pytest.raises(ConfigError, match="learning_rate"):
+        make_cfg(learning_rate=rate)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         make_cfg(epochs=0)
