@@ -306,6 +306,7 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
         dp, dwk = _project_vjp(phi, phi_t, wk, k_rows, dk)
         dphi += dp
         grads += [dwq, dwk, _dalpha_raw(alpha_raw, float(dalpha))]
+        del ds, dq, dk, dp      # freed before the next head allocates its own
     return (dphi, *grads)
 
 

@@ -84,6 +84,30 @@ class ModelConfig:
         return sum(stage.repeat * rows * cols for stage in build_stages(self)
                    for rows, cols in stage.shapes.values())
 
+    def stage_values(self, n: int) -> int:
+        """The number of values in the largest array a stage allocates for one item of
+        length ``n``: the conv patches, the quantizer's input and memberships,
+        or one self-attention head's projections and scores."""
+        k, dq = self.codewords, self.feature_dim
+        sizes = [k * n]
+        if self.frontend == "conv":
+            sizes.append(dq * self.conv_width * n)
+            dq = self.conv_channels
+        sizes.append(dq * n)
+        if self.attention in attention.VARIANTS:
+            # a projection has a row per entry of the axis its weight does not span
+            q_len, k_len = attention.projection_widths(self.attention, n, k)
+            sizes += [self.latent_dim * max(q_len, k_len), q_len * k_len]
+        return max(sizes)
+
+    def check_stack(self, batch: int, n: int) -> None:
+        """Reject a stack of ``batch`` items of length ``n`` whose largest
+        stage array would hold more than ``numerics.MAX_VALUES`` values."""
+        if (size := batch * self.stage_values(n)) > numerics.MAX_VALUES:
+            raise ConfigError(f"a stack of {batch} sequence(s) of length {n} needs a "
+                              f"{size}-value stage array, over the limit of "
+                              f"{numerics.MAX_VALUES}")
+
     @property
     def needs_seq_len(self) -> bool:
         if self.attention in ("ctsa", "csa"):
@@ -353,6 +377,7 @@ class Model:
         if cfg.needs_seq_len and n != cfg.seq_len:
             raise ShapeError(
                 f"stage attention: sequence length {n} != configured seq_len {cfg.seq_len}")
+        cfg.check_stack(h.shape[0] if h.ndim == 3 else 1, n)
         for stage, (ps, _) in zip(self.stages, self._bound):
             cache = None if trail is None else {}
             out = stage.fwd(h, ps, cache, training, seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import nbof
+from . import nbof, numerics
 from .data import LabeledSequenceSet
 from .errors import ConfigError, ShapeError, TrainingDiverged
 from .model import Model, ModelConfig, frontend_conv
@@ -186,14 +186,15 @@ def evaluate(net: Model, dataset: LabeledSequenceSet) -> tuple[float, float]:
 
     Items of one sequence length are predicted in stacked ``predict`` calls
     of at most ``_EVAL_STACK_ELEMENTS`` memberships each (but two items at
-    least), in dataset order.
+    least, where two fit under ``numerics.MAX_VALUES``), in dataset order.
     """
     items = dataset.items
     lengths = np.array([x.shape[1] for x, _ in items])
     preds = np.zeros(len(items), dtype=int)
     for length in dict.fromkeys(lengths.tolist()):
         idx = np.flatnonzero(lengths == length)
-        step = max(2, _EVAL_STACK_ELEMENTS // (net.config.codewords * length))
+        step = min(max(2, _EVAL_STACK_ELEMENTS // (net.config.codewords * length)),
+                   max(1, numerics.MAX_VALUES // net.config.stage_values(length)))
         for start in range(0, len(idx), step):
             chunk = idx[start:start + step]
             preds[chunk] = net.predict(np.stack([items[i][0] for i in chunk]))
@@ -264,6 +265,11 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
     cfg.validate()
     if len(train_set) == 0:
         raise ValueError("fit: empty training set")
+    lengths = np.array([x.shape[1] for x, _ in train_set.items])
+    # the largest stack of each length, before the conv draw below runs the
+    # frontend outside Model._run
+    for length, count in zip(*np.unique(lengths, return_counts=True)):
+        net.config.check_stack(min(cfg.batch_size, int(count)), int(length))
     rng = np.random.default_rng(seed)
     features = [x for x, _ in train_set.items]
     if net.config.frontend == "conv":
@@ -273,7 +279,6 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
     state = init_adam(net.flat)
     n = len(train_set)
     labels = train_set.labels()
-    lengths = np.array([x.shape[1] for x, _ in train_set.items])
     trace: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,29 @@ def test_vjp_matches_the_dense_reference(variant, rate, batch):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_vjp_frees_each_heads_temporaries_before_the_next_head(variant):
+    # at B=16, K=16, N=30, d=8 two more heads may add their weight
+    # cotangents to the VJP's peak, not a second head's (B, N, N) or
+    # (B, K, K) score cotangent and projection cotangents
+    rng = np.random.default_rng(5)
+    phi = rng.random((16, 16, 30))
+    peaks = []
+    for heads in (1, 3):
+        ps = make_heads(rng, variant, 16, 30, 8, heads)
+        cache = {}
+        upstream = rng.standard_normal(
+            self_attention(variant, phi, ps, 0.0, False, 0, cache).shape)
+        tracemalloc.start()
+        try:
+            self_attention_vjp(variant, phi, ps, upstream, cache)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    weights = ps[0].nbytes + ps[1].nbytes
+    assert peaks[1] - peaks[0] <= 2 * weights + 4096
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from attnbof import model as model_mod
 from attnbof import numerics
 from attnbof import train as train_mod
 from attnbof.cli import main, parse_config
-from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_order_task,
-                          load_features, save_features)
+from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_noisy_timestamps,
+                          gen_order_task, load_features, save_features)
 from attnbof.errors import ConfigError
 from attnbof.io_container import read_container, write_container
 from attnbof.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model, ModelConfig,
@@ -261,6 +261,57 @@ def test_gen_bounds_the_payload_before_drawing(tmp_path, capsys, monkeypatch):
     out = tmp_path / "big.fseq"
     err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", str(out)])
     assert "count * feature_dim * length" in err and not out.exists()
+
+
+def test_gen_charges_each_item_an_overhead_before_drawing(tmp_path, capsys, monkeypatch):
+    # 2**26 two-value items hold exactly MAX_VALUES values, but the items
+    # themselves would take ~46 GB
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: pytest.fail("gen drew past the bound"))
+    conf = write(tmp_path / "gen.conf",
+                 "generator = order\nfeature_dim = 1\nlength = 2\ncount = 67108864\n")
+    out = tmp_path / "big.fseq"
+    err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", str(out)])
+    assert f"{data_mod.ITEM_OVERHEAD} charged per item" in err and not out.exists()
+
+
+def test_conv_train_exits_two_before_the_patches_are_allocated(tmp_path, capsys,
+                                                               monkeypatch):
+    # each item's conv patches hold 2 x 2000001 x 30 values, so the 16-item
+    # training stack's (16, 2 * 2000001, 30) patches would be 14.3 GiB
+    data = str(tmp_path / "noisy.fseq")
+    save_features(gen_noisy_timestamps(feature_dim=2, length=30, count=20, seed=0), data)
+    conf = write(tmp_path / "conv.conf", "frontend = conv\nconv_width = 2000001\n"
+                 "conv_channels = 1\ncodewords = 2\nbatch_size = 16\n")
+    monkeypatch.setattr(model_mod, "_conv_pre",
+                        lambda *args: pytest.fail("conv patches allocated"))
+    out = tmp_path / "m.nbaf"
+    err = assert_clean_exit_two(capsys, ["train", "--config", conf, "--data", data,
+                                         "--out", str(out)])
+    assert "a stack of 16 sequence(s) of length 30" in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect-attention", "train"])
+def test_tsa_on_long_sequences_exits_two_before_the_scores_are_allocated(
+        tmp_path, capsys, monkeypatch, command):
+    # a tsa model for the order task of configs/gen-order.conf, run on 4 items
+    # of length 60000: one head's scores alone are 60000 x 60000 per item
+    ckpt, data = str(tmp_path / "tsa.nbaf"), str(tmp_path / "long.fseq")
+    save_checkpoint(Model.build(ModelConfig(feature_dim=4, classes=2, attention="tsa")), ckpt)
+    gen = write(tmp_path / "gen.conf",
+                "generator = order\nfeature_dim = 4\nlength = 60000\ncount = 4\n")
+    assert main(["gen", "--config", gen, "--out", data]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(attention, "_self_attention",
+                        lambda *args, **kwargs: pytest.fail("attention scores allocated"))
+    train = write(tmp_path / "tsa.conf", "attention = tsa\nfolds = 2\nepochs = 1\n")
+    argv = {"eval": ["eval", "--checkpoint", ckpt, "--data", data],
+            "inspect-attention": ["inspect-attention", "--checkpoint", ckpt, "--data", data,
+                                  "--out", str(tmp_path / "mats")],
+            "train": ["train", "--config", train, "--data", data,
+                      "--out", str(tmp_path / "m.nbaf")]}[command]
+    err = assert_clean_exit_two(capsys, argv)
+    assert "sequence(s) of length 60000 needs a" in err
 
 
 # a conv + ctsa model for the order set, where each key of the test below
@@ -788,7 +839,7 @@ def stop_at_first_allocation(patch):
                 with pytest.MonkeyPatch.context() as real:
                     real.setattr(np.random, "default_rng", REAL_RNG)
                     return gen(**kwargs)
-            if size <= numerics.MAX_VALUES:
+            if size + args.arguments["count"] * data_mod.ITEM_OVERHEAD <= numerics.MAX_VALUES:
                 raise Reached
             try:   # over the ceiling: the generator must reject the config
                 return gen(**kwargs)

@@ -353,6 +353,35 @@ def test_config_validation_bounds_the_parameter_count(monkeypatch):
         cfg.validate()
 
 
+@pytest.mark.parametrize("fields, n, largest", [
+    (dict(codewords=5000), 30, 5000 * 30),                                 # memberships
+    (dict(frontend="conv", conv_width=101, conv_channels=2), 30, 4 * 101 * 30),  # patches
+    (dict(attention="tsa", latent_dim=3), 600, 600 * 600),                 # a head's scores
+    (dict(attention="csa", codewords=40, latent_dim=50, seq_len=6), 6, 40 * 50),  # its q, k
+    (dict(attention="ctsa", codewords=40, latent_dim=2, seq_len=90), 90, 40 * 90),
+], ids=["memberships", "conv-patches", "tsa-scores", "csa-projections", "ctsa-scores"])
+def test_stack_bound_is_the_largest_stage_array(fields, n, largest):
+    cfg = ModelConfig(feature_dim=4, classes=2, **fields)
+    assert cfg.stage_values(n) == largest
+    cfg.check_stack(numerics.MAX_VALUES // largest, n)   # the ceiling itself is allowed
+    with pytest.raises(ConfigError, match=f"{(numerics.MAX_VALUES // largest + 1) * largest}"):
+        cfg.check_stack(numerics.MAX_VALUES // largest + 1, n)
+
+
+def test_stack_bound_holds_every_array_the_forward_caches():
+    for kind in [dict(attention="none", frontend="conv", conv_width=5),
+                 *(dict(attention="2da", mode=m) for m in MODES),
+                 *(dict(attention=v, heads=2) for v in VARIANTS)]:
+        net = desk_model(**kind)
+        xs = np.random.default_rng(3).standard_normal((3, 4, 8))
+        trail = []
+        net._run(xs, True, np.arange(3), trail)
+        arrays = [a for _, out, cache in trail for a in [out, *cache.values()]
+                  + [b for head in cache.get("heads", []) for b in head.values()]]
+        assert max(np.size(a) for a in arrays if isinstance(a, np.ndarray)) \
+            <= 3 * net.config.stage_values(8), kind
+
+
 def test_config_validation_bounds_the_heads_before_listing_them(monkeypatch):
     def listed(*args):
         raise AssertionError("the heads were listed before the bound")

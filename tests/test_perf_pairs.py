@@ -1,14 +1,10 @@
 """The checkout-pair scripts: perf_pairs.py against two stub checkouts whose
 benchmark prints a fixed result, so the pairing, the order and the counts can
-be checked; bitwise_pairs.py and step_pairs.py against this checkout on both
-sides, and bitwise_pairs.py's drift report on in-memory fields."""
+be checked; step_pairs.py against this checkout on both sides."""
 
 import importlib.util
 import json
-import math
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,38 +57,6 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     assert "latency_ms_p50 (lower is better)" in out and "change won 2/2" in out
     assert "parent: failed/attempted 3/30" in out
     assert "change: failed/attempted 1/21" in out
-
-
-def test_bitwise_pairs_finds_this_checkout_equal_to_itself(capsys):
-    bitwise = load_script("bitwise_pairs")
-    argv = ["--parent", str(ROOT), "--change", str(ROOT)]
-    assert bitwise.main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "0 differing fields of 78"
-    data_keys = [line.split()[0] for line in lines[-9:-1]]
-    assert data_keys == ["order-seed3.fseq", "order-seed3.loaded", "order-seed4.fseq",
-                         "order-seed4.loaded", "noisy-seed3.fseq", "noisy-seed3.loaded",
-                         "noisy-seed4.fseq", "noisy-seed4.loaded"]
-
-
-def test_bitwise_pairs_reports_drift_relative_to_the_parent_field():
-    bitwise = load_script("bitwise_pairs")
-    parent = {"a.logits": [np.array([[1.0, -4.0]]), np.array([2.0])],
-              "a.loss_trace": [np.array([0.5, 0.25])],
-              "b.logits": [np.zeros(2)],
-              "b.final_params": [np.ones((2, 2))]}
-    change = {"a.logits": [np.array([[1.0, -4.0 + 2.0 ** -44]]), np.array([2.0 - 2.0 ** -40])],
-              "a.loss_trace": [np.array([0.5, 0.25])],
-              "b.logits": [np.array([0.0, 1e-300])],
-              "b.final_params": [np.ones((2, 3))]}
-    assert bitwise.relative_drift(parent["a.logits"], change["a.logits"]) == 2.0 ** -42
-    assert bitwise.relative_drift(parent["a.loss_trace"], change["a.loss_trace"]) == 0.0
-    assert math.isinf(bitwise.relative_drift(parent["b.logits"], change["b.logits"]))
-    assert math.isinf(bitwise.relative_drift(parent["b.final_params"],
-                                             change["b.final_params"]))
-    lines = bitwise.drift_lines(parent, change, ["a.logits", "b.final_params", "a.checkpoint"])
-    assert lines == [f"{'a.logits':34s} max |change - parent| / max |parent| = 2.274e-13",
-                     f"{'b.final_params':34s} max |change - parent| / max |parent| = inf"]
 
 
 def test_step_pairs_runs_this_checkout_against_itself(capsys):

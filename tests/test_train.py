@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attnbof import nbof
+from attnbof import nbof, numerics
 from attnbof import train as train_mod
 from attnbof.data import LabeledSequenceSet, gen_noisy_timestamps, gen_order_task
 from attnbof.errors import ConfigError, ShapeError, TrainingDiverged
@@ -233,19 +233,23 @@ def long_toy(length=300, count=5):
     return LabeledSequenceSet(items=items, classes=3, feature_dim=2)
 
 
-@pytest.mark.parametrize("model_kwargs,make_set,stacks", [
+@pytest.mark.parametrize("model_kwargs,make_set,stacks,limit", [
     (dict(feature_dim=4, codewords=6, attention="csa", latent_dim=4, seq_len=6,
-          heads=2), lambda: separable_toy(count=36), [36]),
+          heads=2), lambda: separable_toy(count=36), [36], None),
     (dict(feature_dim=4, codewords=6, attention="tsa", latent_dim=4), ragged_set,
-     [10, 10, 10]),
-    (dict(feature_dim=2, codewords=64), long_toy, [2, 2, 1]),
+     [10, 10, 10], None),
+    (dict(feature_dim=2, codewords=64), long_toy, [2, 2, 1], None),
     (dict(feature_dim=2, codewords=64, attention="csa", latent_dim=4, seq_len=256,
           heads=2, frontend="conv", conv_channels=2),
-     lambda: long_toy(length=256, count=6), [2, 2, 2]),
-], ids=["equal-length", "ragged", "over-budget", "long-sequence"])
-def test_stacked_evaluate_matches_predict_loop(model_kwargs, make_set, stacks,
+     lambda: long_toy(length=256, count=6), [2, 2, 2], None),
+    # one item's memberships are the most a stack may hold: no two-item floor
+    (dict(feature_dim=2, codewords=64), long_toy, [1] * 5, 64 * 300),
+], ids=["equal-length", "ragged", "over-budget", "long-sequence", "one-item-bound"])
+def test_stacked_evaluate_matches_predict_loop(model_kwargs, make_set, stacks, limit,
                                                monkeypatch):
     net = Model.build(ModelConfig(classes=3, seed=4, **model_kwargs))
+    if limit is not None:
+        monkeypatch.setattr(numerics, "MAX_VALUES", limit)
     ds = make_set()
     net.set_codebook(init_codebook([x for x, _ in ds.items], net.config.codewords, 4))
     # label each item with its own per-item prediction: evaluate must score 1
