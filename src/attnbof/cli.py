@@ -161,9 +161,7 @@ def cmd_gradcheck(args) -> int:
     seed = _seed(args, conf)
     model_cfg = model_config(conf, None, seed)
     n = model_cfg.seq_len if model_cfg.seq_len is not None else 8
-    if (size := model_cfg.feature_dim * n) > numerics.MAX_VALUES:
-        raise ConfigError(f"feature_dim * seq_len is {size} input values, over the "
-                          f"gradcheck limit of {numerics.MAX_VALUES}")
+    model_cfg.check_stack(1, n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((model_cfg.feature_dim, n))
     label = int(rng.integers(model_cfg.classes))

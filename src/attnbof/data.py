@@ -198,11 +198,11 @@ def pad_or_clip(x: Array, target_len: int) -> Array:
 
 
 def save_features(dataset: LabeledSequenceSet, path: str) -> None:
-    manifest, payload = pack_arrays(
+    manifest, arrays = pack_arrays(
         "label", ((int(label), x) for x, label in dataset.items))
     header = {"classes": dataset.classes, "feature_dim": dataset.feature_dim,
               "metadata": dataset.metadata, "items": manifest}
-    write_container(path, FEATURES_MAGIC, FEATURES_VERSION, header, payload)
+    write_container(path, FEATURES_MAGIC, FEATURES_VERSION, header, *arrays)
 
 
 def load_features(path: str) -> LabeledSequenceSet:

@@ -24,25 +24,24 @@ _U32 = struct.Struct("<I")
 
 
 def write_container(path: str, magic: bytes, version: int, header: dict,
-                    payload: bytes) -> None:
-    """Write atomically: a partial file is never left at ``path``."""
+                    *payload) -> None:
+    """Write atomically: a partial file is never left at ``path``.  The
+    payload is ``payload``'s buffers (bytes or C-contiguous arrays) in order,
+    each written as it stands."""
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    blob = b"".join([
-        magic,
-        _U32.pack(version),
-        _U32.pack(len(header_bytes)),
-        header_bytes,
-        payload,
-        _U32.pack(zlib.crc32(payload) & 0xFFFFFFFF),
-    ])
     # a unique sibling, so concurrent writers and stale files cannot collide
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(magic + _U32.pack(version) + _U32.pack(len(header_bytes)) + header_bytes)
+            crc = 0
+            for buf in payload:
+                fh.write(buf)
+                crc = zlib.crc32(buf, crc)
+            fh.write(_U32.pack(crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -110,18 +109,19 @@ def check_types(path: str, what: str, values: dict,
 _ENTRY_TYPES = {"rows": (int,), "cols": (int,), "offset": (int,)}
 
 
-def pack_arrays(key: str, entries) -> tuple[list[dict], bytes]:
-    """Manifest and payload for ``(value, matrix)`` pairs: each matrix is
-    stored row-major as little-endian float64, right after the previous one,
-    under a ``{key: value, rows, cols, offset}`` entry."""
-    manifest, chunks, offset = [], [], 0
+def pack_arrays(key: str, entries) -> tuple[list[dict], list[np.ndarray]]:
+    """Manifest and payload buffers for ``(value, matrix)`` pairs: each matrix
+    is stored row-major as little-endian float64, right after the previous
+    one, under a ``{key: value, rows, cols, offset}`` entry.  A matrix already
+    in that form is its own buffer; any other is copied into one."""
+    manifest, arrays, offset = [], [], 0
     for value, arr in entries:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({key: value, "rows": int(arr.shape[0]),
                          "cols": int(arr.shape[1]), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
-    return manifest, b"".join(chunks)
+        arrays.append(arr)
+        offset += arr.nbytes
+    return manifest, arrays
 
 
 def unpack_arrays(path: str, key: str, manifest, payload: bytes

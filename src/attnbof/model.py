@@ -457,9 +457,9 @@ def loss_op(model: Model, x: Array, label: int, training: bool = False,
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    manifest, payload = pack_arrays("name", model.params.items())
+    manifest, arrays = pack_arrays("name", model.params.items())
     header = {"config": asdict(model.config), "manifest": manifest}
-    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, payload)
+    write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, *arrays)
 
 
 def load_checkpoint(path: str) -> Model:

@@ -1,11 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The training-based criteria (5 and 6) are seeded end to end and read
-their data and hyperparameters from configs/, as ``attnbof gen`` and
-``attnbof train`` do; only the attention variant is swapped.
+lines.  The training-based criteria (5 and 6) are seeded end to end and run
+the experiments of scripts/experiments.py, which defines their data,
+hyperparameters and attention variants.
 """
 
+import importlib.util
 import math
 import time
 from pathlib import Path
@@ -14,17 +15,22 @@ import numpy as np
 import pytest
 
 from attnbof.attention import att_2da, att_csa, att_ctsa, att_tsa
-from attnbof.cli import generate, model_config, parse_config, train_config
 from attnbof.data import gen_order_task, load_features, save_features
 from attnbof.errors import ChecksumError
 from attnbof.model import (Model, ModelConfig, load_checkpoint, loss_op,
                            save_checkpoint)
 from attnbof.nbof import aggregate, quantize_raw
 from attnbof.numerics import grad_check
-from attnbof.train import TrainConfig, cross_validate, train
+from attnbof.train import TrainConfig, train
 
 from .oracles import loop_2da, loop_csa, loop_ctsa, loop_tsa
 from .test_attention import COUNTER_PERM, COUNTER_PHI, COUNTER_W
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("experiments",
+                                               ROOT / "scripts" / "experiments.py")
+experiments = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(experiments)
 
 INF = float("inf")
 
@@ -162,34 +168,14 @@ def test_criterion_4_equivariance_suite():
 
 
 # ---------------------------------------------------------------------------
-# seeded synthetic-task thresholds (hyperparameters frozen after calibration
-# in configs/, which scripts/run_order_task.py and scripts/run_denoising.py
-# read too)
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def _pinned_run(gen_conf: str, train_conf: str, attention: str):
-    """Train one attention variant on the generated set; every other setting
-    comes from the two configs."""
-    gen = parse_config(str(CONFIGS / gen_conf))
-    dataset = generate(gen, gen["seed"])
-    conf = {**parse_config(str(CONFIGS / train_conf)), "attention": attention}
-    model_cfg = model_config(conf, dataset, conf["seed"])
-    train_cfg = train_config(conf, conf["seed"])
-    if train_cfg.folds == 1:  # holdout: the report scores the trained model itself
-        return train(Model.build(model_cfg), dataset, train_cfg)[1]
-    return cross_validate(model_cfg, dataset, train_cfg)
-
-
-def _order_accuracy(attention: str) -> float:
-    return _pinned_run("gen-order.conf", "order-2da.conf", attention).folds[0].accuracy
+# seeded synthetic-task thresholds (hyperparameters frozen after calibration)
 
 
 @pytest.mark.slow
 def test_criterion_5_order_task_discrimination():
     start = time.perf_counter()
-    acc = {att: _order_accuracy(att) for att in ("none", "tsa", "2da")}
+    acc = {att: experiments.run("order", att).accuracy_mean
+           for att in experiments.EXPERIMENTS["order"].variants}
     elapsed = time.perf_counter() - start
     ok = (0.45 <= acc["none"] <= 0.55 and 0.45 <= acc["tsa"] <= 0.55
           and acc["2da"] >= 0.90 and elapsed < 300.0)
@@ -203,12 +189,12 @@ def test_criterion_6_denoising_task():
     # observed at this pinned seed: none 0.9167, tsa 1.0000, ctsa 0.9350,
     # csa 0.9817 (none takes the config's heads = 2, but has no head
     # parameters, so it builds the same model as with 1 head)
-    means = {attention: _pinned_run("gen-noisy.conf", "denoise-tsa.conf",
-                                    attention).accuracy_mean
-             for attention in ("none", "tsa", "ctsa", "csa")}
+    means = {att: experiments.run("denoising", att).accuracy_mean
+             for att in experiments.EXPERIMENTS["denoising"].variants}
     base = means["none"]
-    floor_ok = all(means[a] >= base - 0.02 for a in ("tsa", "ctsa", "csa"))
-    gain_ok = max(means[a] for a in ("tsa", "ctsa", "csa")) >= base + 0.03
+    others = [mean for att, mean in means.items() if att != "none"]
+    floor_ok = all(mean >= base - 0.02 for mean in others)
+    gain_ok = max(others) >= base + 0.03
     ok = floor_ok and gain_ok
     report(6, "denoising task", ok,
            "5-fold means: " + ", ".join(f"{a} {means[a]:.4f}" for a in means))

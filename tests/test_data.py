@@ -229,6 +229,19 @@ def test_feature_file_empty_set_is_valid(tmp_path):
     assert len(loaded) == 0 and loaded.feature_dim == 3
 
 
+def test_generating_and_writing_holds_the_payload_about_once(tmp_path):
+    # the items are written as they stand, not copied into bytes first
+    count, feature_dim, length = 250, 4, 1000
+    tracemalloc.start()
+    try:
+        ds = gen_order_task(feature_dim=feature_dim, length=length, count=count, seed=0)
+        save_features(ds, str(tmp_path / "big.fseq"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * count * feature_dim * length
+
+
 def test_feature_file_detects_truncation(tmp_path):
     ds = LabeledSequenceSet(items=[(np.ones((2, 4)), 0)], classes=1, feature_dim=2)
     path = str(tmp_path / "cut.fseq")

@@ -34,7 +34,8 @@ def fseq_like():
                          ids=["checkpoint", "fseq"])
 def test_mixed_shapes_round_trip_bit_exactly(key, entries):
     assert len({a.shape for _, a in entries}) > 1
-    manifest, payload = pack_arrays(key, entries)
+    manifest, arrays = pack_arrays(key, entries)
+    payload = b"".join(arrays)
     loaded = unpack_arrays("f", key, manifest, payload)
     assert [v for v, _ in loaded] == [v for v, _ in entries]
     for (_, got), (_, want) in zip(loaded, entries):
@@ -76,7 +77,8 @@ DEFECTS = [_drop_rows, _bool_cols, _shift_offset, _zero_rows, _nan_value]
 @pytest.mark.parametrize("defect", DEFECTS, ids=lambda f: f.__name__[1:])
 @pytest.mark.parametrize("i", [0, 3, 6])
 def test_a_defect_is_reported_against_its_own_entry(defect, i):
-    manifest, payload = pack_arrays("label", fseq_like())
+    manifest, arrays = pack_arrays("label", fseq_like())
+    payload = b"".join(arrays)
     payload = defect(manifest, payload, i)
     with pytest.raises(DataFormatError, match=f"manifest entry {i} "):
         unpack_arrays("f", "label", manifest, payload)
@@ -85,7 +87,8 @@ def test_a_defect_is_reported_against_its_own_entry(defect, i):
 @pytest.mark.parametrize("field", ["rows", "cols", "offset"])
 @pytest.mark.parametrize("i", [0, 3, 6])
 def test_huge_manifest_values_are_format_errors(field, i):
-    manifest, payload = pack_arrays("label", fseq_like())
+    manifest, arrays = pack_arrays("label", fseq_like())
+    payload = b"".join(arrays)
     manifest[i][field] = 10**30
     with pytest.raises(DataFormatError):
         unpack_arrays("f", "label", manifest, payload)
