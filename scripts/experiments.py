@@ -43,8 +43,7 @@ EXPERIMENTS = {
 
 
 def dataset(name: str) -> LabeledSequenceSet:
-    gen = parse_config(str(CONFIGS / EXPERIMENTS[name].gen_conf))
-    return generate(gen, gen["seed"])
+    return generate(parse_config(str(CONFIGS / EXPERIMENTS[name].gen_conf)))
 
 
 def run(name: str, attention: str, epochs: int | None = None) -> TrainReport:
@@ -56,8 +55,8 @@ def run(name: str, attention: str, epochs: int | None = None) -> TrainReport:
             "attention": attention}
     if epochs is not None:
         conf["epochs"] = epochs
-    model_cfg = model_config(conf, data, conf["seed"])
-    train_cfg = train_config(conf, conf["seed"])
+    model_cfg = model_config(conf, data)
+    train_cfg = train_config(conf)
     if train_cfg.folds == 1:
         return train(Model.build(model_cfg), data, train_cfg)[1]
     return cross_validate(model_cfg, data, train_cfg)

@@ -67,7 +67,8 @@ def probe() -> dict[str, list[np.ndarray]]:
         net = Model.build(ModelConfig(feature_dim=4, classes=3, codewords=8, latent_dim=4,
                                       seq_len=LENGTH, seed=11, **extra))
         initial = [a.copy() for a in net.params.values()]
-        trace = fit(net, data, TrainConfig(epochs=3, batch_size=16, learning_rate=0.01), 3)
+        trace = fit(net, data, TrainConfig(epochs=3, batch_size=16, learning_rate=0.01,
+                                           seed=3))
         losses, grad = net.loss_and_grad(xs, labels, training=True,
                                          seed=np.arange(len(xs)) + 1000)
         with tempfile.TemporaryDirectory() as tmp:

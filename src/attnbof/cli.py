@@ -28,12 +28,11 @@ from .io_container import field_types
 
 GRAD_TOLERANCE = 1e-4
 
-_MODEL_FIELDS = field_types(model_mod.ModelConfig)
-_TRAIN_FIELDS = field_types(train_mod.TrainConfig)
-_SCHEMA = {**_MODEL_FIELDS, **_TRAIN_FIELDS,
-           # generators only
-           "generator": (str,), "length": (int,), "count": (int,),
-           "signal_fraction": (float,), "snr": (float,)}
+# the generator's name, and the hinted parameters of the configs and generators
+_SCHEMA = {"generator": (str,),
+           **{name: types for source in (model_mod.ModelConfig, train_mod.TrainConfig,
+                                         *data_mod.GENERATORS.values())
+              for name, types in field_types(source).items()}}
 
 
 def parse_config(path: str) -> dict:
@@ -64,16 +63,20 @@ def _uniform_length(dataset: data_mod.LabeledSequenceSet) -> int | None:
     return lengths.pop() if len(lengths) == 1 else None
 
 
-def model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None,
-                 seed: int) -> model_mod.ModelConfig:
-    fields = {k: v for k, v in conf.items() if k in _MODEL_FIELDS}
+def _named(fn, conf: dict) -> dict:
+    """The keys of ``conf`` that ``fn``'s signature names."""
+    params = inspect.signature(fn).parameters
+    return {k: v for k, v in conf.items() if k in params}
+
+
+def model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None
+                 ) -> model_mod.ModelConfig:
     if dataset is not None:
-        fields.setdefault("feature_dim", dataset.feature_dim)
-        fields.setdefault("classes", dataset.classes)
+        conf = {"feature_dim": dataset.feature_dim, "classes": dataset.classes, **conf}
     for key in ("feature_dim", "classes"):
-        if key not in fields:
+        if key not in conf:
             raise ConfigError(f"config needs {key!r} (no dataset to derive it from)")
-    cfg = model_mod.ModelConfig(**{**fields, "seed": seed})
+    cfg = model_mod.ModelConfig(**_named(model_mod.ModelConfig, conf))
     if cfg.needs_seq_len and cfg.seq_len is None and dataset is not None:
         n = _uniform_length(dataset)
         if n is None:
@@ -102,14 +105,13 @@ def _check_fits(cfg: model_mod.ModelConfig, dataset: data_mod.LabeledSequenceSet
             raise ConfigError(f"{key} is {getattr(cfg, key)}, the data has {data_has}")
 
 
-def train_config(conf: dict, seed: int) -> train_mod.TrainConfig:
-    fields = {k: v for k, v in conf.items() if k in _TRAIN_FIELDS}
-    cfg = train_mod.TrainConfig(**{**fields, "seed": seed})
+def train_config(conf: dict) -> train_mod.TrainConfig:
+    cfg = train_mod.TrainConfig(**_named(train_mod.TrainConfig, conf))
     cfg.validate()
     return cfg
 
 
-def generate(conf: dict, seed: int) -> data_mod.LabeledSequenceSet:
+def generate(conf: dict) -> data_mod.LabeledSequenceSet:
     """The dataset a generator config describes; keys the generator's
     signature does not name are ignored, and unset ones take its defaults."""
     name = conf.get("generator")
@@ -117,14 +119,15 @@ def generate(conf: dict, seed: int) -> data_mod.LabeledSequenceSet:
         raise ConfigError(
             f"unknown generator {name!r}; expected one of {tuple(data_mod.GENERATORS)}")
     gen = data_mod.GENERATORS[name]
-    params = inspect.signature(gen).parameters
-    return gen(**{**{k: v for k, v in conf.items() if k in params}, "seed": seed})
+    return gen(**_named(gen, conf))
 
 
-def _seed(args, conf: dict) -> int:
+def _read_config(args) -> dict:
+    """The ``--config`` file's keys; ``--seed``, when given, is its ``seed``."""
+    conf = parse_config(args.config)
     if args.seed is not None:
-        return args.seed
-    return conf.get("seed", 0)
+        conf["seed"] = args.seed
+    return conf
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +135,10 @@ def _seed(args, conf: dict) -> int:
 
 
 def cmd_train(args) -> int:
-    conf = parse_config(args.config)
+    conf = _read_config(args)
     dataset = data_mod.load_features(args.data)
-    seed = _seed(args, conf)
-    model_cfg = model_config(conf, dataset, seed)
-    train_cfg = train_config(conf, seed)
+    model_cfg = model_config(conf, dataset)
+    train_cfg = train_config(conf)
     net = model_mod.Model.build(model_cfg)
     net, report = train_mod.train(net, dataset, train_cfg)
     model_mod.save_checkpoint(net, args.out)
@@ -157,12 +159,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    conf = parse_config(args.config)
-    seed = _seed(args, conf)
-    model_cfg = model_config(conf, None, seed)
+    model_cfg = model_config(_read_config(args), None)
     n = model_cfg.seq_len if model_cfg.seq_len is not None else 8
     model_cfg.check_stack(1, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(model_cfg.seed)
     x = rng.standard_normal((model_cfg.feature_dim, n))
     label = int(rng.integers(model_cfg.classes))
     net = model_mod.Model.build(model_cfg)
@@ -184,8 +184,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    conf = parse_config(args.config)
-    dataset = generate(conf, _seed(args, conf))
+    dataset = generate(_read_config(args))
     data_mod.save_features(dataset, args.out)
     print(json.dumps({"path": args.out, "items": len(dataset),
                       "classes": dataset.classes, "checksum": dataset.checksum()},

@@ -206,7 +206,7 @@ def save_features(dataset: LabeledSequenceSet, path: str) -> None:
 
 
 def load_features(path: str) -> LabeledSequenceSet:
-    _, header, payload = read_container(path, FEATURES_MAGIC, FEATURES_VERSION)
+    header, payload = read_container(path, FEATURES_MAGIC, FEATURES_VERSION)
     check_types(path, "feature header", header, {"classes": (int,), "feature_dim": (int,)})
     arrays = unpack_arrays(path, "label", header.get("items"), payload)
     return LabeledSequenceSet(items=[(x, label) for label, x in arrays],

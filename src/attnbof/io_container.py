@@ -49,14 +49,17 @@ def write_container(path: str, magic: bytes, version: int, header: dict,
         raise
 
 
-def read_container(path: str, magic: bytes, max_version: int) -> tuple[int, dict, bytes]:
+def read_container(path: str, magic: bytes, max_version: int) -> tuple[dict, memoryview]:
+    """The header and payload of a container; the file is read once into one
+    buffer, and the payload is a writable view of it."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
     if len(blob) < 12:
         raise DataFormatError(f"{path}: truncated (only {len(blob)} bytes)")
     if blob[:4] != magic:
         raise DataFormatError(
-            f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
+            f"{path}: bad magic {bytes(blob[:4])!r}, expected {magic!r}")
     version = _U32.unpack_from(blob, 4)[0]
     if version > max_version or version < 1:
         raise VersionError(
@@ -70,27 +73,28 @@ def read_container(path: str, magic: bytes, max_version: int) -> tuple[int, dict
         raise DataFormatError(f"{path}: malformed header ({exc})") from exc
     if not isinstance(header, dict):
         raise DataFormatError(f"{path}: header is not a JSON object")
-    payload = blob[12 + header_len:-4]
+    payload = memoryview(blob)[12 + header_len:-4]
     stored = _U32.unpack_from(blob, len(blob) - 4)[0]
     actual = zlib.crc32(payload) & 0xFFFFFFFF
     if stored != actual:
         raise ChecksumError(
             f"{path}: payload CRC32 {actual:08x} does not match stored {stored:08x}")
-    return version, header, payload
+    return header, payload
 
 
 # ---------------------------------------------------------------------------
 # schema
 
 
-def field_types(cls) -> dict[str, tuple[type, ...]]:
+def field_types(source) -> dict[str, tuple[type, ...]]:
     """Field name -> the types its value may have, from the type hints of a
-    config dataclass.  ``int | None`` allows (int, NoneType) and an int
-    stands for a float; the first type parses the field from text."""
+    config dataclass or a function's parameters.  ``int | None`` allows (int,
+    NoneType) and an int stands for a float; the first type parses from text."""
     types = {}
-    for name, hint in get_type_hints(cls).items():
-        allowed = get_args(hint) or (hint,)
-        types[name] = allowed + (int,) if float in allowed else allowed
+    for name, hint in get_type_hints(source).items():
+        if name != "return":
+            allowed = get_args(hint) or (hint,)
+            types[name] = allowed + (int,) if float in allowed else allowed
     return types
 
 
@@ -124,14 +128,14 @@ def pack_arrays(key: str, entries) -> tuple[list[dict], list[np.ndarray]]:
     return manifest, arrays
 
 
-def unpack_arrays(path: str, key: str, manifest, payload: bytes
+def unpack_arrays(path: str, key: str, manifest, payload
                   ) -> list[tuple[object, np.ndarray]]:
     """The ``(value, matrix)`` pairs of a manifest from :func:`pack_arrays`.
 
     Entries carry ``key`` and int ``rows``, ``cols`` >= 1 and ``offset``,
     and tile the payload in order: each starts where the previous one ends,
-    and the last ends with the payload.  Every payload value is finite.  The
-    payload is copied once; each matrix is a view into that copy.
+    and the last ends with the payload.  Every payload value is finite.  Each
+    matrix is a view into the payload buffer, writable where the buffer is.
     """
     if not isinstance(manifest, list):
         raise DataFormatError(f"{path}: manifest is not a list")
@@ -151,7 +155,7 @@ def unpack_arrays(path: str, key: str, manifest, payload: bytes
     if end != len(payload):
         raise DataFormatError(
             f"{path}: manifest covers {end} payload bytes, payload has {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f8").copy()
+    flat = np.frombuffer(payload, dtype="<f8")
     finite = np.isfinite(flat)
     if not finite.all():
         i = int(np.searchsorted(starts, np.argmin(finite), side="right")) - 1

@@ -86,14 +86,15 @@ class ModelConfig:
 
     def stage_values(self, n: int) -> int:
         """The number of values in the largest array a stage allocates for one item of
-        length ``n``: the conv patches, the quantizer's input and memberships,
-        or one self-attention head's projections and scores."""
+        length ``n``: the conv patches, the quantizer's memberships and its VJP's
+        ``[x; x^2; 1]`` operand and codeword sums, or one self-attention head's
+        projections and scores."""
         k, dq = self.codewords, self.feature_dim
         sizes = [k * n]
         if self.frontend == "conv":
             sizes.append(dq * self.conv_width * n)
             dq = self.conv_channels
-        sizes.append(dq * n)
+        sizes += [(2 * dq + 1) * n, k * (2 * dq + 1)]
         if self.attention in attention.VARIANTS:
             # a projection has a row per entry of the axis its weight does not span
             q_len, k_len = attention.projection_widths(self.attention, n, k)
@@ -463,7 +464,7 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Model:
-    _, header, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    header, payload = read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     try:
         cfg = ModelConfig(**header["config"])
         manifest = header["manifest"]

@@ -36,7 +36,8 @@ def _weighted_distances(x: Array, v: Array, w: Array) -> Array:
     (..., K, D, N) difference tensor.  Entries that fall under ``_NEAR_ZERO``
     of their scale are recomputed exactly from the broadcast difference of
     their one column, so a codeword equal to a data column is at distance
-    exactly 0.
+    exactly 0.  They are recomputed in chunks whose (chunk, D) difference is
+    no larger than the distances themselves; ordinary data takes one chunk.
     """
     w2 = w * w
     w2v = w2 * v
@@ -46,10 +47,12 @@ def _weighted_distances(x: Array, v: Array, w: Array) -> Array:
     np.subtract(scale, d2, out=d2)
     scale *= _NEAR_ZERO
     near = np.flatnonzero(d2 <= scale)
-    if near.size:
-        *items, k, n = np.unravel_index(near, d2.shape)
+    step = max(1, d2.size // v.shape[1])
+    for start in range(0, near.size, step):
+        chunk = near[start:start + step]
+        *items, k, n = np.unravel_index(chunk, d2.shape)
         t = (numerics.swap(x)[(*items, n)] - v[k]) * w[k]
-        d2.flat[near] = (t * t).sum(axis=-1)
+        d2.flat[chunk] = (t * t).sum(axis=-1)
     return np.sqrt(d2, out=d2)
 
 

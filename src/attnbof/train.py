@@ -252,9 +252,9 @@ class TrainReport:
         return "\n".join(lines)
 
 
-def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
-        seed: int) -> list[float]:
-    """Train in place on ``train_set``; returns the per-epoch mean loss trace.
+def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig) -> list[float]:
+    """Train in place on ``train_set``, drawing from ``cfg.seed``; returns the
+    per-epoch mean loss trace.
 
     The codebook is re-initialized from the training features so every fold
     sees only its own split; with a conv frontend, from what the quantizer
@@ -270,12 +270,12 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig,
     # frontend outside Model._run
     for length, count in zip(*np.unique(lengths, return_counts=True)):
         net.config.check_stack(min(cfg.batch_size, int(count)), int(length))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     features = [x for x, _ in train_set.items]
     if net.config.frontend == "conv":
         kernel, bias = net.params["frontend.kernel"], net.params["frontend.bias"]
         features = [frontend_conv(x, kernel, bias) for x in features]
-    net.set_codebook(nbof.init_codebook(features, net.config.codewords, seed=seed))
+    net.set_codebook(nbof.init_codebook(features, net.config.codewords, seed=cfg.seed))
     state = init_adam(net.flat)
     n = len(train_set)
     labels = train_set.labels()
@@ -313,9 +313,8 @@ def cross_validate(config: ModelConfig, dataset: LabeledSequenceSet, cfg: TrainC
     ``cfg.seed ^ fold``, trained on the other folds and scored on its own."""
     results = []
     for f, (train_set, val_set) in enumerate(kfold(dataset, cfg.folds, cfg.seed)):
-        fold_seed = cfg.seed ^ f
-        fold_net = Model.build(replace(config, seed=fold_seed))
-        trace = fit(fold_net, train_set, cfg, fold_seed)
+        fold_net = Model.build(replace(config, seed=cfg.seed ^ f))
+        trace = fit(fold_net, train_set, replace(cfg, seed=cfg.seed ^ f))
         results.append(FoldResult(f, trace, *evaluate(fold_net, val_set)))
     return TrainReport(epochs=cfg.epochs, folds=results)
 
@@ -334,8 +333,8 @@ def train(net: Model, dataset: LabeledSequenceSet, cfg: TrainConfig
         raise ValueError("train: empty dataset")
     if cfg.folds == 1:
         train_set, val_set = holdout_split(dataset, cfg.holdout_fraction, cfg.seed)
-        trace = fit(net, train_set, cfg, cfg.seed)
+        trace = fit(net, train_set, cfg)
         return net, TrainReport(cfg.epochs, [FoldResult(0, trace, *evaluate(net, val_set))])
     report = cross_validate(net.config, dataset, cfg)
-    fit(net, dataset, cfg, cfg.seed)
+    fit(net, dataset, cfg)
     return net, report

@@ -6,11 +6,10 @@ the experiments of scripts/experiments.py, which defines their data,
 hyperparameters and attention variants.
 """
 
-import importlib.util
 import math
 import time
-from pathlib import Path
 
+import experiments
 import numpy as np
 import pytest
 
@@ -25,12 +24,6 @@ from attnbof.train import TrainConfig, train
 
 from .oracles import loop_2da, loop_csa, loop_ctsa, loop_tsa
 from .test_attention import COUNTER_PERM, COUNTER_PHI, COUNTER_W
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("experiments",
-                                               ROOT / "scripts" / "experiments.py")
-experiments = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(experiments)
 
 INF = float("inf")
 

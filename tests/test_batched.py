@@ -104,12 +104,12 @@ def test_item_b_head_i_uses_seed_b_plus_i(fwd):
 # training loop
 
 
-def reference_fit(net, train_set, cfg, seed):
+def reference_fit(net, train_set, cfg):
     """The per-item training loop: one ``loss_and_grad`` per item, gradients
     summed item by item and averaged per mini-batch."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     net.set_codebook(init_codebook([x for x, _ in train_set.items],
-                                   net.config.codewords, seed=seed))
+                                   net.config.codewords, seed=cfg.seed))
     state = init_adam(net.flat)
     n = len(train_set)
     trace = []
@@ -152,8 +152,8 @@ def test_fit_matches_per_item_reference(model_kwargs, make_set):
     cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.01, seed=3)
     model_cfg = ModelConfig(**{**DESK, **model_kwargs, "seed": 3})
     net, ref = Model.build(model_cfg), Model.build(model_cfg)
-    trace = fit(net, train_set, cfg, seed=3)
-    want = reference_fit(ref, train_set, cfg, seed=3)
+    trace = fit(net, train_set, cfg)
+    want = reference_fit(ref, train_set, cfg)
     assert np.max(np.abs(np.array(trace) - np.array(want))) <= 1e-9
     for name, p in net.params.items():
         assert np.max(np.abs(p - ref.params[name])) <= 1e-9, name

@@ -9,7 +9,6 @@ import struct
 import tempfile
 import warnings
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -84,11 +83,15 @@ def test_config_schema_names_only_what_a_config_can_set():
     assert confs
     for path in confs:
         parse_config(str(path))
-    gen_types = {name: hint for gen in data_mod.GENERATORS.values()
-                 for name, hint in get_type_hints(gen).items() if name != "return"}
-    fields = {*cli._MODEL_FIELDS, *cli._TRAIN_FIELDS}
-    assert set(cli._SCHEMA) - fields - set(gen_types) == {"generator"}
-    assert all(cli._SCHEMA[name][0] is hint for name, hint in gen_types.items())
+    # the generator's name, then the parameters of ModelConfig, TrainConfig
+    # and the generators, each parsed as its type hint says
+    assert {key: types[0] for key, types in cli._SCHEMA.items()} == {
+        "generator": str, "attention": str, "mode": str, "frontend": str,
+        **dict.fromkeys(["feature_dim", "classes", "codewords", "latent_dim", "heads",
+                         "conv_width", "conv_channels", "seq_len", "seed", "epochs",
+                         "batch_size", "folds", "length", "count"], int),
+        **dict.fromkeys(["dropout_rate", "learning_rate", "holdout_fraction",
+                         "signal_fraction", "snr"], float)}
 
 
 def test_adam_constants_are_not_config_keys(tmp_path, order_file, capsys):
@@ -118,6 +121,30 @@ def test_gen_order_prints_frozen_checksum(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["checksum"] == "9b179895"
     assert payload["items"] == 400
+
+
+# a config of each seeded command, without a seed
+SEEDLESS = {"gen": "generator = order\nlength = 6\ncount = 8\n",
+            "train": TRAIN_CONF.replace("seed = 3\n", ""),
+            "gradcheck": "feature_dim = 4\nclasses = 3\ncodewords = 6\n"}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDLESS))
+def test_seed_flag_beats_the_config_seed_which_beats_zero(tmp_path, order_file, capsys,
+                                                          command):
+    def run(file_seed=None, flag_seed=None):
+        text = SEEDLESS[command] + (f"seed = {file_seed}\n" if file_seed is not None else "")
+        argv = [command, "--config", write(tmp_path / "c.conf", text)]
+        argv += {"gen": ["--out", str(tmp_path / "x.fseq")],
+                 "train": ["--data", order_file, "--out", str(tmp_path / "m.nbaf")],
+                 "gradcheck": []}[command]
+        assert main(argv + (["--seed", str(flag_seed)] if flag_seed is not None else [])) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert run(11, flag_seed=7) == run(7) != run(11) != run() == run(0)
+    if command == "gen":
+        assert [run(7)["checksum"], run(11)["checksum"], run()["checksum"]] == [
+            "e8459f04", "6b3b6048", "92054291"]
 
 
 def test_gen_rejects_odd_length(tmp_path, capsys):
@@ -491,7 +518,7 @@ def test_inspect_attention_rejects_plain_model(tmp_path, order_file, capsys):
 def rewrite(path, magic, version, edit_header=None, payload=None):
     """Rewrite a container with an edited header and/or payload; the CRC is
     recomputed, so only the content checks can reject it."""
-    _, header, old_payload = read_container(path, magic, version)
+    header, old_payload = read_container(path, magic, version)
     if edit_header is not None:
         edit_header(header)
     write_container(path, magic, version, header,
@@ -557,7 +584,7 @@ def test_eval_rejects_checkpoint_manifest_with_bad_types(tmp_path, order_file, c
 
 def test_eval_rejects_non_finite_checkpoint(tmp_path, order_file, capsys):
     ckpt = make_checkpoint(tmp_path, attention="none")
-    _, _, payload = read_container(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    _, payload = read_container(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     nan_payload = np.full(len(payload) // 8, np.nan).astype("<f8").tobytes()
     rewrite(ckpt, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, payload=nan_payload)
     err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt,
@@ -595,7 +622,7 @@ FEATURE_DEFECTS = {
     "cols-zero": (lambda h: h["items"][0].update(cols=0), None),
     "cols-negative": (lambda h: h["items"][0].update(cols=-6), None),
     "overlapping-offsets": (_overlap, None),
-    "trailing-bytes": (None, lambda p: p + bytes(64)),
+    "trailing-bytes": (None, lambda p: bytes(p) + bytes(64)),
     "classes-str": (lambda h: h.update(classes="2"), None),
     "classes-float": (lambda h: h.update(classes=2.9), None),
     "label-float": (lambda h: h["items"][1].update(label=1.5), None),
@@ -607,7 +634,7 @@ FEATURE_DEFECTS = {
 def test_eval_rejects_defective_feature_file(tmp_path, order_file, capsys, defect):
     edit_header, edit_payload = FEATURE_DEFECTS[defect]
     ckpt = make_checkpoint(tmp_path, attention="none")
-    _, _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
+    _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
     rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION, edit_header,
             None if edit_payload is None else edit_payload(payload))
     assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
@@ -631,7 +658,7 @@ def test_eval_rejects_checkpoint_with_more_heads_than_manifest_entries(
 @pytest.mark.parametrize("command", ["eval", "inspect-attention"])
 def test_non_finite_model_output_exits_one(tmp_path, order_file, capsys, command):
     ckpt = make_checkpoint(tmp_path, attention="2da")
-    _, _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
+    _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
     values = np.frombuffer(payload, dtype="<f8").copy()
     values[1] = 1e300  # finite, but its square overflows: NaN logits and masks
     rewrite(order_file, FEATURES_MAGIC, FEATURES_VERSION, payload=values.tobytes())
@@ -744,7 +771,8 @@ def mutate(data, path, magic, version):
     header count set up to 1e9, a manifest entry dropped or duplicated,
     payload bytes overwritten, or one payload value replaced by an extreme
     finite one."""
-    _, header, payload = read_container(path, magic, version)
+    header, payload = read_container(path, magic, version)
+    payload = bytes(payload)   # concatenated below
     kind = data.draw(st.sampled_from(["value", "count", "drop", "duplicate", "payload",
                                       "extreme"]))
     if kind == "count":

@@ -160,8 +160,7 @@ def test_fully_separable_task_is_easy_for_plain_model():
                               signal_fraction=1.0, snr=5.0, count=60, seed=9)
     train_set, val_set = holdout_split(ds, 0.2, seed=9)
     net = Model.build(ModelConfig(feature_dim=4, classes=3, codewords=6, seed=9))
-    fit(net, train_set, TrainConfig(epochs=8, batch_size=8, learning_rate=0.01),
-        seed=9)
+    fit(net, train_set, TrainConfig(epochs=8, batch_size=8, learning_rate=0.01, seed=9))
     acc, _ = evaluate(net, val_set)
     assert acc >= 0.95
 
@@ -240,6 +239,22 @@ def test_generating_and_writing_holds_the_payload_about_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * count * feature_dim * length
+
+
+def test_reading_holds_the_payload_about_once(tmp_path):
+    # the file is read once into one buffer, and the items are views into it
+    count, feature_dim, length = 250, 4, 1000
+    path = str(tmp_path / "big.fseq")
+    save_features(gen_order_task(feature_dim=feature_dim, length=length, count=count,
+                                 seed=0), path)
+    tracemalloc.start()
+    try:
+        ds = load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * count * feature_dim * length
+    assert all(x.flags.writeable for x, _ in ds.items)
 
 
 def test_feature_file_detects_truncation(tmp_path):

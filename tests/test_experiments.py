@@ -1,15 +1,7 @@
 """scripts/experiments.py: the table of experiments and the report it prints."""
 
-import importlib.util
-from pathlib import Path
-
+import experiments
 import pytest
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("experiments",
-                                               ROOT / "scripts" / "experiments.py")
-experiments = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(experiments)
 
 
 def test_main_prints_each_dataset_checksum_and_one_line_per_variant(capsys):

@@ -35,7 +35,7 @@ def fseq_like():
 def test_mixed_shapes_round_trip_bit_exactly(key, entries):
     assert len({a.shape for _, a in entries}) > 1
     manifest, arrays = pack_arrays(key, entries)
-    payload = b"".join(arrays)
+    payload = bytearray(b"".join(arrays))   # writable, as read_container's buffer is
     loaded = unpack_arrays("f", key, manifest, payload)
     assert [v for v, _ in loaded] == [v for v, _ in entries]
     for (_, got), (_, want) in zip(loaded, entries):

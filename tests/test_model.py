@@ -188,7 +188,7 @@ def test_2da_diagonal_pinned_after_build_and_fit():
     data = gen_noisy_timestamps(classes=3, feature_dim=4, length=8,
                                 signal_fraction=0.25, snr=2.0, count=24, seed=3)
     before = net.params["att.w"].copy()
-    fit(net, data, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05), seed=4)
+    fit(net, data, TrainConfig(epochs=3, batch_size=8, learning_rate=0.05, seed=4))
     assert not np.array_equal(net.params["att.w"], before)
     assert np.array_equal(np.diag(net.params["att.w"]), pinned)
 
@@ -382,6 +382,37 @@ def test_stack_bound_holds_every_array_the_forward_caches():
             <= 3 * net.config.stage_values(8), kind
 
 
+def traced_peak(call) -> int:
+    """The tracemalloc peak of one ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stack_bound_holds_the_quantizer_vjp_operands():
+    # at D=100, K=500, N=2 the VJP's per-codeword sums, (B, K, 2D + 1), are
+    # 100 times the memberships; the gradient itself is no stage array
+    cfg = ModelConfig(feature_dim=100, classes=2, codewords=500)
+    net = Model.build(cfg)
+    xs = np.random.default_rng(0).standard_normal((3, 100, 2))
+    peak = traced_peak(lambda: net.loss_and_grad(xs, np.array([0, 1, 0])))
+    assert peak - 8 * net.size <= 10 * 3 * cfg.stage_values(2) * 8
+
+
+def test_stack_bound_holds_the_near_zero_distance_recompute():
+    # every distance from an all-zero stack to an all-zero codebook is near
+    # zero, so every one is recomputed from its column's difference
+    cfg = ModelConfig(feature_dim=100, classes=2, codewords=50)
+    net = Model.build(cfg)
+    net.set_codebook(np.zeros((50, 100)))
+    xs = np.zeros((4, 100, 50))
+    assert traced_peak(lambda: net.forward(xs)) <= 10 * 4 * cfg.stage_values(50) * 8
+
+
 def test_config_validation_bounds_the_heads_before_listing_them(monkeypatch):
     def listed(*args):
         raise AssertionError("the heads were listed before the bound")
@@ -442,7 +473,7 @@ def test_params_stay_views_of_flat(tmp_path):
     data = gen_noisy_timestamps(classes=3, feature_dim=4, length=8,
                                 signal_fraction=0.25, snr=2.0, count=12, seed=3)
     # fit sets the codebook, then takes one Adam step on flat
-    fit(net, data, TrainConfig(epochs=1, batch_size=12, learning_rate=0.05), seed=4)
+    fit(net, data, TrainConfig(epochs=1, batch_size=12, learning_rate=0.05, seed=4))
     assert_views_of_flat(net)
     net.flat[-1] = 7.0
     assert net.params["classifier.bias"][-1, 0] == 7.0

@@ -2,9 +2,11 @@
 benchmark prints a fixed result, so the pairing, the order and the counts can
 be checked; step_pairs.py against this checkout on both sides."""
 
-import importlib.util
 import json
 from pathlib import Path
+
+import perf_pairs
+import step_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,13 +28,6 @@ SPEC = {"run_seconds": 20, "end_to_end": [
     {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}
 
 
-def load_script(name="perf_pairs"):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def checkout(root: Path, side: str, rate: float, fail_seed: int) -> Path:
     path = root / side
     (path / "perfbench").mkdir(parents=True)
@@ -45,8 +40,8 @@ def checkout(root: Path, side: str, rate: float, fail_seed: int) -> Path:
 def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     parent = checkout(tmp_path, "parent", 100.0, -1)
     change = checkout(tmp_path, "change", 150.0, 12)
-    assert load_script().main(["--parent", str(parent), "--change", str(change),
-                               "--workload", "w", "--pairs", "3", "--seed-base", "10"]) == 0
+    assert perf_pairs.main(["--parent", str(parent), "--change", str(change),
+                            "--workload", "w", "--pairs", "3", "--seed-base", "10"]) == 0
     order = (tmp_path / "order.log").read_text().split("\n")[:-1]
     assert order == ["parent 10", "change 10", "change 11", "parent 11",
                      "parent 12", "change 12"]
@@ -60,11 +55,11 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
 
 
 def test_step_pairs_runs_this_checkout_against_itself(capsys):
-    step = load_script("step_pairs")
-    assert step.main(["--parent", str(ROOT), "--change", str(ROOT), "--pairs", "1"]) == 0
+    assert step_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--pairs", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "B=16 µs/item, median of 1 pairs (parent -> change)"
     rows = [line.split() for line in lines[2:]]
-    assert [(r[0], r[1]) for r in rows] == [(k, f) for k in step.KINDS for f in step.FIGURES]
+    assert [(r[0], r[1]) for r in rows] == [(k, f) for k in step_pairs.KINDS
+                                            for f in step_pairs.FIGURES]
     for row in rows:
         assert float(row[2]) > 0.0 and float(row[3]) > 0.0 and row[5] in ("0/1", "1/1")

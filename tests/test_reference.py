@@ -1,16 +1,11 @@
 """The frozen numerics reference: this checkout within 1e-12 of
 ``tests/data/reference.npz``, and the drift measure that gate reads."""
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
+import reference
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("reference", ROOT / "scripts" / "reference.py")
-reference = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reference)
 
 
 def test_this_checkout_is_within_tolerance_of_the_committed_reference():

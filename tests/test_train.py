@@ -202,7 +202,7 @@ def test_training_learns_separable_toy():
     ds = separable_toy()
     net = Model.build(ModelConfig(feature_dim=4, classes=3, codewords=6, seed=0))
     cfg = make_cfg(epochs=10, batch_size=8, learning_rate=0.01, seed=0)
-    trace = fit(net, ds, cfg, seed=0)
+    trace = fit(net, ds, cfg)
     assert len(trace) == cfg.epochs
     assert all(np.isfinite(v) for v in trace)
     acc, f1 = evaluate(net, ds)
@@ -216,7 +216,7 @@ def test_fit_conv_frontend_with_other_channel_count():
                       conv_channels=6, seed=0)
     net = Model.build(cfg)
     kernel, bias = net.params["frontend.kernel"].copy(), net.params["frontend.bias"].copy()
-    trace = fit(net, ds, make_cfg(epochs=1, batch_size=4), seed=0)
+    trace = fit(net, ds, make_cfg(epochs=1, batch_size=4))
     assert len(trace) == 1 and np.isfinite(trace[0])
     # the codewords are drawn from the initial kernel's features
     features = np.concatenate([frontend_conv(x, kernel, bias) for x, _ in ds.items], axis=1)
@@ -310,7 +310,7 @@ def test_train_aborts_on_non_finite_loss():
     net = Model.build(ModelConfig(feature_dim=2, classes=2, codewords=2, seed=0))
     cfg = make_cfg(epochs=1, batch_size=2)
     with pytest.raises(TrainingDiverged, match="epoch 0"):
-        fit(net, ds, cfg, seed=0)
+        fit(net, ds, cfg)
 
 
 def test_fit_rejects_non_finite_gradient_before_moving_parameters(monkeypatch):
@@ -328,7 +328,7 @@ def test_fit_rejects_non_finite_gradient_before_moving_parameters(monkeypatch):
                         lambda inputs, output, upstream: (np.full(inputs[0].shape, np.inf),))
     with np.errstate(invalid="ignore"), \
             pytest.raises(TrainingDiverged, match="gradient at epoch 0, batch 0"):
-        fit(net, ds, make_cfg(epochs=1, batch_size=4), seed=0)
+        fit(net, ds, make_cfg(epochs=1, batch_size=4))
     assert all(np.array_equal(net.params[k], p) for k, p in start.items())
 
 
