@@ -3,8 +3,11 @@
 Runs are declarative: a flat ``key = value`` config file describes the model,
 the training protocol, or a generator (schema in the README).  Machine output
 (JSON) goes to stdout, human-readable tables to stderr.  Exit codes: 0 ok,
-1 a check or training failure or non-finite model output, 2 usage or I/O
-errors.  Commands are deterministic given their flags and seeds.
+1 a check or training failure or non-finite model output, 2 usage, I/O or
+out-of-memory errors.  A command writes its files before it prints its JSON,
+so a non-zero exit means the result was not reported; a file the command
+names may still be complete.  Commands are deterministic given their flags
+and seeds.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import model as model_mod
 from . import numerics
 from . import train as train_mod
 from .errors import ConfigError, DataFormatError, NonFiniteError
-from .io_container import field_types
+from .io_container import check_destination, field_types, write_file
 
 GRAD_TOLERANCE = 1e-4
 
@@ -122,6 +125,14 @@ def generate(conf: dict) -> data_mod.LabeledSequenceSet:
     return gen(**_named(gen, conf))
 
 
+def _check_out(args) -> None:
+    """``--out``, checked before any work with the rule the write applies."""
+    try:
+        check_destination(args.out)
+    except OSError as exc:
+        raise ConfigError(f"--out {exc}") from None
+
+
 def _read_config(args) -> dict:
     """The ``--config`` file's keys; ``--seed``, when given, is its ``seed``."""
     conf = parse_config(args.config)
@@ -135,6 +146,7 @@ def _read_config(args) -> dict:
 
 
 def cmd_train(args) -> int:
+    _check_out(args)
     conf = _read_config(args)
     dataset = data_mod.load_features(args.data)
     model_cfg = model_config(conf, dataset)
@@ -184,6 +196,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _check_out(args)
     dataset = generate(_read_config(args))
     data_mod.save_features(dataset, args.out)
     print(json.dumps({"path": args.out, "items": len(dataset),
@@ -192,16 +205,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _write_pgm(path: Path, m: np.ndarray) -> None:
+def _pgm(m: np.ndarray) -> bytes:
     lo, hi = float(m.min()), float(m.max())
     if hi > lo:
         scaled = np.round((m - lo) / (hi - lo) * 255.0)
     else:
         scaled = np.zeros_like(m)
-    pixels = scaled.astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    header = f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii")
+    return header + scaled.astype(np.uint8).tobytes()
 
 
 def cmd_inspect_attention(args) -> int:
@@ -215,12 +226,12 @@ def cmd_inspect_attention(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for i, m in enumerate(matrices):
-        csv_path = out_dir / f"head{i}.csv"
-        pgm_path = out_dir / f"head{i}.pgm"
-        csv_path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                                    for row in m.tolist()))
-        _write_pgm(pgm_path, m)
-        written += [str(csv_path), str(pgm_path)]
+        csv_path = str(out_dir / f"head{i}.csv")
+        pgm_path = str(out_dir / f"head{i}.pgm")
+        write_file(csv_path, "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                     for row in m.tolist()).encode("ascii"))
+        write_file(pgm_path, _pgm(m))
+        written += [csv_path, pgm_path]
     print(json.dumps({"attention": net.config.attention, "heads": len(matrices),
                       "files": written}, indent=2))
     return 0
@@ -284,8 +295,8 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DataFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, DataFormatError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,5 +1,6 @@
 """Binary container shared by checkpoints and feature files, with the one
-array-manifest format and header type schema that both use.
+array-manifest format and header type schema that both use, and the one
+atomic writer, :func:`write_file`, that every file the package writes takes.
 
 Layout: 4 magic bytes, format version (u32 LE), header length (u32 LE),
 UTF-8 JSON header, raw payload, CRC32 of the payload (u32 LE).  Readers
@@ -11,8 +12,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 import struct
-import tempfile
 import zlib
 from typing import get_args, get_type_hints
 
@@ -23,30 +24,53 @@ from .errors import ChecksumError, DataFormatError, VersionError
 _U32 = struct.Struct("<I")
 
 
-def write_container(path: str, magic: bytes, version: int, header: dict,
-                    *payload) -> None:
-    """Write atomically: a partial file is never left at ``path``.  The
-    payload is ``payload``'s buffers (bytes or C-contiguous arrays) in order,
-    each written as it stands."""
-    if len(magic) != 4:
-        raise ValueError("magic must be exactly 4 bytes")
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    # a unique sibling, so concurrent writers and stale files cannot collide
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+def check_destination(path: str) -> None:
+    """Reject a destination :func:`write_file` would not replace: an existing
+    path that is not a regular file (a symlink, FIFO, device node or
+    directory), or a path whose directory does not exist."""
+    try:
+        if not stat.S_ISREG(os.lstat(path).st_mode):
+            raise FileExistsError(f"{path} exists and is not a regular file")
+    except FileNotFoundError:
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{path}: no such directory") from None
+
+
+def write_file(path: str, *chunks) -> None:
+    """Write ``chunks`` (bytes or C-contiguous arrays) to ``path`` in order,
+    atomically: into a unique sibling temp file, then ``os.replace``, so a
+    failed or killed process never leaves a partial file at ``path`` (a power
+    loss can: nothing is fsynced).  The file gets the mode ``open`` gives a
+    new one, ``0o666`` less the umask."""
+    check_destination(path)
+    while True:   # a unique sibling, so concurrent writers cannot collide
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(magic + _U32.pack(version) + _U32.pack(len(header_bytes)) + header_bytes)
-            crc = 0
-            for buf in payload:
-                fh.write(buf)
-                crc = zlib.crc32(buf, crc)
-            fh.write(_U32.pack(crc))
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def write_container(path: str, magic: bytes, version: int, header: dict,
+                    *payload) -> None:
+    """Write a container through :func:`write_file`; the payload is
+    ``payload``'s buffers (bytes or C-contiguous arrays), in order."""
+    if len(magic) != 4:
+        raise ValueError("magic must be exactly 4 bytes")
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    crc = 0
+    for buf in payload:
+        crc = zlib.crc32(buf, crc)
+    write_file(path, magic + _U32.pack(version) + _U32.pack(len(header_bytes)) + header_bytes,
+               *payload, _U32.pack(crc))
 
 
 def read_container(path: str, magic: bytes, max_version: int) -> tuple[dict, memoryview]:
@@ -55,6 +79,7 @@ def read_container(path: str, magic: bytes, max_version: int) -> tuple[dict, mem
     with open(path, "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
         del blob[fh.readinto(blob):]
+        blob += fh.read()   # a pipe or FIFO reports size 0
     if len(blob) < 12:
         raise DataFormatError(f"{path}: truncated (only {len(blob)} bytes)")
     if blob[:4] != magic:

@@ -153,8 +153,10 @@ def logistic_scalar(z: float) -> float:
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
-# the seed of the fixed random projection grad_check reduces an output with
+# the seed of the fixed random projection grad_check reduces an output with,
+# and the step each input entry is perturbed by
 PROJECTION_SEED = 7
+EPS = 1e-5
 
 
 @dataclass
@@ -166,16 +168,14 @@ class GradCheckReport:
     finite: bool
 
 
-def grad_check(op: DiffOp, point: Sequence[Array], eps: float = 1e-5) -> GradCheckReport:
+def grad_check(op: DiffOp, point: Sequence[Array]) -> GradCheckReport:
     """Compare ``op.vjp`` against central finite differences at ``point``.
 
     The output is reduced to a scalar through a fixed random projection, the
     VJP is evaluated once with the projection as upstream cotangent, and each
-    input entry is perturbed by +/- eps.  Relative error uses the denominator
+    input entry is perturbed by +/- EPS.  Relative error uses the denominator
     max(|analytic|, |numeric|, 1e-8).  Any non-finite value fails the check.
     """
-    if eps <= 0.0:
-        raise ValueError(f"grad_check: eps must be positive, got {eps}")
     point = [np.array(p, dtype=float) for p in point]
     out = np.asarray(op.forward(*point))
     rng = np.random.default_rng(PROJECTION_SEED)
@@ -198,12 +198,12 @@ def grad_check(op: DiffOp, point: Sequence[Array], eps: float = 1e-5) -> GradChe
         err = 0.0
         for idx in np.ndindex(*p.shape):
             saved = p[idx]
-            p[idx] = saved + eps
+            p[idx] = saved + EPS
             f_plus = projected()
-            p[idx] = saved - eps
+            p[idx] = saved - EPS
             f_minus = projected()
             p[idx] = saved
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * EPS)
             analytic = float(g[idx])
             if not (np.isfinite(numeric) and np.isfinite(analytic)):
                 finite = False

@@ -51,8 +51,7 @@ def test_criterion_1_gradient_suite():
         net = Model.build(ModelConfig(**{**DESK, **kwargs}))
         x = rng.standard_normal((4, 8))
         label = int(rng.integers(3))
-        result = grad_check(loss_op(net, x, label), list(net.params.values()),
-                            eps=1e-5)
+        result = grad_check(loss_op(net, x, label), list(net.params.values()))
         assert result.finite, f"non-finite gradient for {kwargs}"
         worst = max(worst, result.max_rel_err)
     elapsed = time.perf_counter() - start

@@ -1,13 +1,19 @@
 import contextlib
+import errno
 import functools
 import hashlib
 import inspect
 import io
 import json
 import math
+import os
+import stat
 import struct
+import sys
 import tempfile
+import threading
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +30,7 @@ from attnbof.cli import main, parse_config
 from attnbof.data import (FEATURES_MAGIC, FEATURES_VERSION, gen_noisy_timestamps,
                           gen_order_task, load_features, save_features)
 from attnbof.errors import ConfigError
-from attnbof.io_container import read_container, write_container
+from attnbof.io_container import read_container, write_container, write_file
 from attnbof.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model, ModelConfig,
                            load_checkpoint, save_checkpoint)
 
@@ -640,6 +646,30 @@ def test_eval_rejects_defective_feature_file(tmp_path, order_file, capsys, defec
     assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
 
 
+# CRC-valid feature files whose header the reader cannot take:
+# (header bytes, the header length the file states)
+HEADER_DEFECTS = {
+    "length-past-end": (b"{}", 10**6),
+    "not-utf8": (b'{"classes":\xff}', None),
+    "not-json": (b'{"classes":', None),
+    "not-an-object": (b"[1,2]", None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+def test_eval_rejects_feature_file_with_unreadable_header(tmp_path, order_file, capsys,
+                                                          defect):
+    header, length = HEADER_DEFECTS[defect]
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    _, payload = read_container(order_file, FEATURES_MAGIC, FEATURES_VERSION)
+    u32 = struct.Struct("<I").pack
+    write_file(order_file, FEATURES_MAGIC, u32(FEATURES_VERSION),
+               u32(len(header) if length is None else length), header, payload,
+               u32(zlib.crc32(payload)))
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", order_file])
+    assert order_file in err
+
+
 def test_eval_rejects_checkpoint_with_more_heads_than_manifest_entries(
         tmp_path, order_file, capsys, monkeypatch):
     ckpt = make_checkpoint(tmp_path, attention="csa")
@@ -924,3 +954,162 @@ def test_fuzzed_configs_keep_the_exit_code_contract(data):
     # every other run stops at its first allocation or exits 2
     assert code == 2, argv
     assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# the write path
+
+
+def test_eval_reads_a_feature_file_from_a_fifo(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="none")
+    fifo = tmp_path / "pipe.fseq"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(Path(order_file).read_bytes(),),
+                              daemon=True)
+    writer.start()
+    try:
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(fifo)]) == 0
+    finally:
+        # a reader that opens and closes the FIFO releases a writer still waiting
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert json.loads(capsys.readouterr().out)["items"] == 40
+
+
+def _destination(tmp_path, kind):
+    """An ``--out`` of one refused kind, and a check that it is left as it was."""
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"target")
+    path = tmp_path / "out"
+    if kind == "symlink":
+        path.symlink_to(target)
+        return path, lambda: os.readlink(path) == str(target) and target.read_bytes() == b"target"
+    if kind == "dangling-symlink":
+        path.symlink_to(tmp_path / "nowhere")
+        return path, lambda: path.is_symlink() and not (tmp_path / "nowhere").exists()
+    if kind == "fifo":
+        os.mkfifo(path)
+        return path, lambda: stat.S_ISFIFO(os.lstat(path).st_mode)
+    if kind == "directory":
+        path.mkdir()
+        return path, lambda: path.is_dir() and not any(path.iterdir())
+    path = tmp_path / "missing" / "out"
+    return path, lambda: not path.parent.exists()
+
+
+@pytest.mark.parametrize("kind", ["symlink", "dangling-symlink", "fifo", "directory",
+                                  "missing-directory"])
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_out_is_checked_before_any_work_and_left_as_it_was(tmp_path, order_file, capsys,
+                                                           monkeypatch, command, kind):
+    out, unchanged = _destination(tmp_path, kind)
+    monkeypatch.setattr(cli, "generate", lambda conf: pytest.fail("gen generated"))
+    monkeypatch.setattr(data_mod, "load_features", lambda path: pytest.fail("train loaded"))
+    monkeypatch.setattr(train_mod, "train", lambda *args: pytest.fail("train trained"))
+    conf = write(tmp_path / "c.conf", {"gen": "generator = order\n", "train": TRAIN_CONF}[command])
+    argv = [command, "--config", conf, "--out", str(out)]
+    err = assert_clean_exit_two(capsys, argv + (["--data", order_file] if command == "train"
+                                                else []))
+    assert err.startswith(f"error: --out {out}") and ".tmp" not in err
+    assert unchanged()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_inspect_attention_refuses_a_symlinked_head_file(tmp_path, order_file, capsys):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    out_dir = tmp_path / "mats"
+    out_dir.mkdir()
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"target")
+    (out_dir / "head0.csv").symlink_to(target)
+    err = assert_clean_exit_two(capsys, ["inspect-attention", "--checkpoint", ckpt,
+                                         "--data", order_file, "--out", str(out_dir)])
+    assert str(out_dir / "head0.csv") in err
+    assert os.readlink(out_dir / "head0.csv") == str(target)
+    assert target.read_bytes() == b"target"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_get_the_mode_open_gives_under_the_umask(tmp_path, order_file, umask,
+                                                               mode):
+    conf = write(tmp_path / "gen.conf", "generator = order\nlength = 6\ncount = 8\n")
+    old = os.umask(umask)
+    try:
+        ckpt = make_checkpoint(tmp_path, attention="csa")
+        assert main(["gen", "--config", conf, "--out", str(tmp_path / "x.fseq")]) == 0
+        assert main(["inspect-attention", "--checkpoint", ckpt, "--data", order_file,
+                     "--out", str(tmp_path / "mats")]) == 0
+    finally:
+        os.umask(old)
+    written = [tmp_path / "m.nbaf", tmp_path / "x.fseq", *(tmp_path / "mats").iterdir()]
+    assert len(written) == 4
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {mode}
+
+
+def test_memory_error_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(seed: int = 0):
+        raise MemoryError
+
+    monkeypatch.setitem(data_mod.GENERATORS, "order", exhausted)
+    conf = write(tmp_path / "gen.conf", "generator = order\n")
+    out = tmp_path / "x.fseq"
+    err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", str(out)])
+    assert err == "error: MemoryError\n" and not out.exists()
+
+
+class BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_stdout_failing_after_the_commit_exits_two_with_the_file_complete(
+        tmp_path, capsys, monkeypatch):
+    # files are committed before the JSON is printed: a non-zero exit means
+    # the result was not reported, not that the file is missing
+    conf = write(tmp_path / "gen.conf",
+                 "generator = order\nfeature_dim = 4\nlength = 20\ncount = 400\n")
+    out = str(tmp_path / "order.fseq")
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    err = assert_clean_exit_two(capsys, ["gen", "--config", conf, "--out", out, "--seed", "11"])
+    assert "Broken pipe" in err
+    assert load_features(out).checksum() == "9b179895"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _raises(code):
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
+    return fail
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES, errno.EIO],
+                         ids=errno.errorcode.get)
+@pytest.mark.parametrize("command", ["gen", "train", "inspect-attention"])
+def test_a_failed_write_exits_two_and_leaves_the_destination_alone(
+        tmp_path, order_file, capsys, monkeypatch, command, code, step):
+    ckpt = make_checkpoint(tmp_path, attention="csa")
+    conf = write(tmp_path / "c.conf", {"gen": "generator = order\nlength = 6\ncount = 8\n",
+                                       "train": TRAIN_CONF}.get(command, ""))
+    (tmp_path / "mats").mkdir()
+    argv, dest = {
+        "gen": (["gen", "--config", conf, "--out", str(tmp_path / "x.fseq")],
+                tmp_path / "x.fseq"),
+        "train": (["train", "--config", conf, "--data", order_file,
+                   "--out", str(tmp_path / "t.nbaf")], tmp_path / "t.nbaf"),
+        "inspect-attention": (["inspect-attention", "--checkpoint", ckpt, "--data", order_file,
+                               "--out", str(tmp_path / "mats")], tmp_path / "mats" / "head0.csv"),
+    }[command]
+    dest.write_bytes(b"old")
+
+    class Unwritable(io.FileIO):
+        write = _raises(code)
+
+    monkeypatch.setattr(os, *{"write": ("fdopen", lambda fd, mode: Unwritable(fd, "wb")),
+                              "replace": ("replace", _raises(code))}[step])
+    err = assert_clean_exit_two(capsys, argv)
+    assert os.strerror(code) in err
+    assert dest.read_bytes() == b"old"
+    assert not list(tmp_path.rglob("*.tmp"))

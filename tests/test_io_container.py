@@ -1,5 +1,8 @@
 """The array manifest of the binary container: round trips of mixed shapes,
-and which entry a defect is reported against."""
+and which entry a defect is reported against; and the one write path."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,3 +95,71 @@ def test_huge_manifest_values_are_format_errors(field, i):
     manifest[i][field] = 10**30
     with pytest.raises(DataFormatError):
         unpack_arrays("f", "label", manifest, payload)
+
+
+# ---------------------------------------------------------------------------
+# the one write path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnbof"
+# the last name of a call that writes whatever it is called with
+WRITERS = {"write_text", "write_bytes", "tofile", "save", "savez", "savez_compressed",
+           "savetxt"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether an ``open``-like call may write: a mode string with w, a, x or
+    +, or a ``mode`` keyword the source does not spell out."""
+    for arg in call.args + [k.value for k in call.keywords if k.arg == "mode"]:
+        value = arg.value if isinstance(arg, ast.Constant) else None
+        if isinstance(value, str) and set(value) <= set("rwxabt+") and set(value) & set("wax+"):
+            return True
+    return any(k.arg == "mode" and not isinstance(k.value, ast.Constant)
+               for k in call.keywords)
+
+
+def file_writes(source: str, allowed: str | None = None) -> list[str]:
+    """``line: call`` for each call in ``source`` that creates, replaces or
+    writes a file, outside the function named ``allowed``."""
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            if node.name != allowed:
+                self.generic_visit(node)
+
+        def visit_Call(self, node):
+            name = ast.unparse(node.func)
+            last = name.rsplit(".", 1)[-1]
+            if (last in WRITERS or name in ("os.open", "os.replace", "os.rename")
+                    or name.startswith("tempfile.")
+                    or last in ("open", "fdopen") and _opens_for_writing(node)):
+                found.append(f"{node.lineno}: {name}")
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+def test_the_package_writes_files_only_through_write_file():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "io_container.py" in sources
+    writes = {path.name: file_writes(path.read_text(), "write_file"
+                                     if path.name == "io_container.py" else None)
+              for path in sources}
+    assert not {name: found for name, found in writes.items() if found}
+    assert file_writes((PACKAGE / "io_container.py").read_text()), "write_file writes nothing"
+
+
+@pytest.mark.parametrize("line", [
+    'open(p, "wb")', 'open(p, mode="a")', 'open(p, "x")', 'open(p, "r+")', 'open(p, mode=m)',
+    'os.fdopen(fd, "w")', 'Path(p).open("w")', 'Path(p).write_text(s)', 'p.write_bytes(b)',
+    'os.open(p, flags)', 'os.replace(a, b)', 'tempfile.mkstemp()', 'np.savetxt(p, m)',
+    'm.tofile(p)'])
+def test_the_guard_sees_each_kind_of_write(line):
+    assert len(file_writes(line)) == 1
+
+
+@pytest.mark.parametrize("line", ['open(p)', 'open(p, "rb")', 'open(p, mode="r")',
+                                  'Path(p).read_text()', 'os.fstat(fd)'])
+def test_the_guard_passes_reads(line):
+    assert file_writes(line) == []

@@ -99,21 +99,16 @@ def test_grad_check_exact_for_linear_map():
         lambda inputs, output, upstream: (upstream @ inputs[1].T, inputs[0].T @ upstream))
     rng = np.random.default_rng(2)
     point = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
-    report = grad_check(matmul, point, eps=1e-5)
+    report = grad_check(matmul, point)
     assert report.finite
     assert report.max_rel_err <= 1e-9
 
 
 def test_grad_check_softmax():
     point = [np.random.default_rng(4).standard_normal((4, 6))]
-    report = grad_check(OPS["softmax_rows"].op, point, eps=1e-5)
+    report = grad_check(OPS["softmax_rows"].op, point)
     assert report.finite
     assert report.max_rel_err <= 1e-4
-
-
-def test_grad_check_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        grad_check(OPS["softmax_rows"].op, [np.eye(2)], eps=0.0)
 
 
 def test_grad_check_flags_nonfinite():
@@ -143,7 +138,7 @@ def test_every_registered_op_passes_grad_check(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for trial in range(10):
         point = entry.sample(rng)
-        report = grad_check(entry.op, point, eps=1e-5)
+        report = grad_check(entry.op, point)
         assert report.finite, f"{name} trial {trial}: non-finite"
         assert report.max_rel_err <= 1e-4, (
             f"{name} trial {trial}: max_rel_err={report.max_rel_err:.3e}")
