@@ -224,14 +224,14 @@ def cmd_inspect_attention(args) -> int:
     matrices = net.attention_matrices(x)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, m in enumerate(matrices):
-        csv_path = str(out_dir / f"head{i}.csv")
-        pgm_path = str(out_dir / f"head{i}.pgm")
+    written = [str(out_dir / f"head{i}.{ext}") for i in range(len(matrices))
+               for ext in ("csv", "pgm")]
+    for path in written:  # every destination, before the first is replaced
+        check_destination(path)
+    for m, csv_path, pgm_path in zip(matrices, written[::2], written[1::2]):
         write_file(csv_path, "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                      for row in m.tolist()).encode("ascii"))
         write_file(pgm_path, _pgm(m))
-        written += [csv_path, pgm_path]
     print(json.dumps({"attention": net.config.attention, "heads": len(matrices),
                       "files": written}, indent=2))
     return 0

@@ -361,6 +361,15 @@ class Model:
         self.params["codebook.v"][...] = v
         self.params["codebook.w_raw"][...] = nbof.W_RAW_UNIT
 
+    def quantizer_input(self, x: Array) -> Array:
+        """What the quantizer sees of one D x N sequence: the output of the
+        stages before ``quantize``, in evaluation mode."""
+        for stage, (ps, _) in zip(self.stages, self._bound):
+            if stage.name == "quantize":
+                break
+            x = stage.fwd(x, ps, None, False, 0)
+        return x
+
     # -- forward / backward -------------------------------------------------
 
     def _run(self, x: Array, training: bool, seed, trail: list | None = None) -> Array:

@@ -15,7 +15,7 @@ import numpy as np
 from . import nbof, numerics
 from .data import LabeledSequenceSet
 from .errors import ConfigError, ShapeError, TrainingDiverged
-from .model import Model, ModelConfig, frontend_conv
+from .model import Model, ModelConfig
 from .numerics import Array
 
 
@@ -257,24 +257,22 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig) -> list[flo
     per-epoch mean loss trace.
 
     The codebook is re-initialized from the training features so every fold
-    sees only its own split; with a conv frontend, from what the quantizer
-    sees, the features of the initial kernel.  Each mini-batch runs as one
-    stacked ``loss_and_grad`` per sequence length it contains; every item's
-    dropout seed is drawn in batch order, as in a per-item loop.
+    sees only its own split, from what the quantizer sees of them:
+    ``Model.quantizer_input``, the output of the stages before it (a conv
+    frontend, input-mode 2da) at their initial parameters.  Each mini-batch
+    runs as one stacked ``loss_and_grad`` per sequence length it contains;
+    every item's dropout seed is drawn in batch order, as in a per-item loop.
     """
     cfg.validate()
     if len(train_set) == 0:
         raise ValueError("fit: empty training set")
     lengths = np.array([x.shape[1] for x, _ in train_set.items])
-    # the largest stack of each length, before the conv draw below runs the
-    # frontend outside Model._run
+    # the largest stack of each length, before the codebook draw below runs
+    # the stages before the quantizer outside Model._run
     for length, count in zip(*np.unique(lengths, return_counts=True)):
         net.config.check_stack(min(cfg.batch_size, int(count)), int(length))
     rng = np.random.default_rng(cfg.seed)
-    features = [x for x, _ in train_set.items]
-    if net.config.frontend == "conv":
-        kernel, bias = net.params["frontend.kernel"], net.params["frontend.bias"]
-        features = [frontend_conv(x, kernel, bias) for x in features]
+    features = [net.quantizer_input(x) for x, _ in train_set.items]
     net.set_codebook(nbof.init_codebook(features, net.config.codewords, seed=cfg.seed))
     state = init_adam(net.flat)
     n = len(train_set)

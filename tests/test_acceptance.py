@@ -8,6 +8,7 @@ hyperparameters and attention variants.
 
 import math
 import time
+from pathlib import Path
 
 import experiments
 import numpy as np
@@ -233,8 +234,8 @@ def test_criterion_8_persistence(tmp_path):
     reloaded = load_features(fpath)
     roundtrip_ok = roundtrip_ok and reloaded.checksum() == dataset.checksum()
 
-    ckpt_blob = open(ckpt, "rb").read()
-    f_blob = open(fpath, "rb").read()
+    ckpt_blob = Path(ckpt).read_bytes()
+    f_blob = Path(fpath).read_bytes()
     detected = 0
     for trial in range(100):
         path, blob = ((ckpt, ckpt_blob) if trial % 2 == 0 else (fpath, f_blob))
@@ -245,13 +246,13 @@ def test_criterion_8_persistence(tmp_path):
         payload_lo, payload_hi = 12 + header_len, len(blob) - 4
         pos = int(rng.integers(payload_lo, payload_hi))
         corrupted[pos] ^= int(rng.integers(1, 256))
-        open(path, "wb").write(bytes(corrupted))
+        Path(path).write_bytes(bytes(corrupted))
         try:
             (load_checkpoint if trial % 2 == 0 else load_features)(path)
         except ChecksumError:
             detected += 1
         finally:
-            open(path, "wb").write(blob)
+            Path(path).write_bytes(blob)
     ok = roundtrip_ok and detected == 100
     report(8, "persistence", ok,
            f"bitwise round-trips {'ok' if roundtrip_ok else 'BROKEN'}, "
@@ -268,7 +269,7 @@ def test_criterion_9_determinism(tmp_path):
         net, rep = train(Model.build(cfg), dataset, tcfg)
         path = str(tmp_path / f"run{run}.nbaf")
         save_checkpoint(net, path)
-        blobs.append(open(path, "rb").read())
+        blobs.append(Path(path).read_bytes())
         traces.append(rep.folds[0].loss_trace)
     ok = traces[0] == traces[1] and blobs[0] == blobs[1]
     report(9, "determinism", ok,

@@ -106,9 +106,10 @@ def test_item_b_head_i_uses_seed_b_plus_i(fwd):
 
 def reference_fit(net, train_set, cfg):
     """The per-item training loop: one ``loss_and_grad`` per item, gradients
-    summed item by item and averaged per mini-batch."""
+    summed item by item and averaged per mini-batch; the codebook is drawn
+    from what the quantizer sees."""
     rng = np.random.default_rng(cfg.seed)
-    net.set_codebook(init_codebook([x for x, _ in train_set.items],
+    net.set_codebook(init_codebook([net.quantizer_input(x) for x, _ in train_set.items],
                                    net.config.codewords, seed=cfg.seed))
     state = init_adam(net.flat)
     n = len(train_set)

@@ -190,7 +190,7 @@ def test_train_is_deterministic(tmp_path, order_file, capsys):
     assert main(["train", "--config", conf, "--data", order_file, "--out", b]) == 0
     out_b = capsys.readouterr().out
     assert json.loads(out_a)["folds"] == json.loads(out_b)["folds"]
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_train_missing_data_names_path(tmp_path, capsys):
@@ -767,7 +767,7 @@ def small_files(directory):
 def test_file_bytes_are_frozen(tmp_path):
     # sha256 of the files as the format's first writer wrote them
     ckpt, fseq = small_files(tmp_path)
-    digests = {p: hashlib.sha256(open(p, "rb").read()).hexdigest() for p in (ckpt, fseq)}
+    digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (ckpt, fseq)}
     assert digests[ckpt] == "a434658ec47eaefe340890b672096fd06070842485612826a89c1343f91339da"
     assert digests[fseq] == "af0e456cb4e0ee47049704cfaf8b2929466c944aaf8555d3237ad6719847e3de"
     assert load_checkpoint(ckpt).config.attention == "csa"
@@ -1028,6 +1028,23 @@ def test_inspect_attention_refuses_a_symlinked_head_file(tmp_path, order_file, c
     assert str(out_dir / "head0.csv") in err
     assert os.readlink(out_dir / "head0.csv") == str(target)
     assert target.read_bytes() == b"target"
+
+
+def test_inspect_attention_checks_every_head_file_before_writing_any(tmp_path, order_file,
+                                                                     capsys):
+    ckpt = make_checkpoint(tmp_path, attention="tsa", heads=2)
+    out_dir = tmp_path / "mats"
+    out_dir.mkdir()
+    (out_dir / "head0.csv").write_bytes(b"old csv")
+    (out_dir / "head0.pgm").write_bytes(b"old pgm")
+    (out_dir / "head1.csv").symlink_to(tmp_path / "target.csv")
+    err = assert_clean_exit_two(capsys, ["inspect-attention", "--checkpoint", ckpt,
+                                         "--data", order_file, "--out", str(out_dir)])
+    assert str(out_dir / "head1.csv") in err
+    assert (out_dir / "head0.csv").read_bytes() == b"old csv"
+    assert (out_dir / "head0.pgm").read_bytes() == b"old pgm"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["head0.csv", "head0.pgm",
+                                                         "head1.csv"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,8 +262,8 @@ def test_feature_file_detects_truncation(tmp_path):
     ds = LabeledSequenceSet(items=[(np.ones((2, 4)), 0)], classes=1, feature_dim=2)
     path = str(tmp_path / "cut.fseq")
     save_features(ds, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:10])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:10])
     with pytest.raises(DataFormatError):
         load_features(path)
 
@@ -271,9 +272,9 @@ def test_feature_file_detects_flipped_byte(tmp_path):
     ds = gen_order_task(feature_dim=3, length=4, count=4, seed=2)
     path = str(tmp_path / "set.fseq")
     save_features(ds, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[-20] ^= 0x01  # inside the payload
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         load_features(path)
 

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,11 +255,11 @@ def test_checkpoint_detects_corrupted_payload_byte(tmp_path):
     net = desk_model()
     path = str(tmp_path / "model.nbaf")
     save_checkpoint(net, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     header_len = struct.unpack_from("<I", blob, 8)[0]
     pos = 12 + header_len + 40  # somewhere inside the payload
     blob[pos] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         load_checkpoint(path)
 
@@ -267,9 +268,9 @@ def test_checkpoint_rejects_future_version(tmp_path):
     net = desk_model()
     path = str(tmp_path / "model.nbaf")
     save_checkpoint(net, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     struct.pack_into("<I", blob, 4, 99)
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(VersionError):
         load_checkpoint(path)
 
@@ -278,15 +279,15 @@ def test_checkpoint_rejects_truncation(tmp_path):
     net = desk_model()
     path = str(tmp_path / "model.nbaf")
     save_checkpoint(net, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:len(blob) // 2])
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = str(tmp_path / "model.nbaf")
-    open(path, "wb").write(b"QQQQ" + b"\x00" * 20)
+    Path(path).write_bytes(b"QQQQ" + b"\x00" * 20)
     with pytest.raises(DataFormatError, match="magic"):
         load_checkpoint(path)
 

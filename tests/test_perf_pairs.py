@@ -1,12 +1,12 @@
-"""The checkout-pair scripts: perf_pairs.py against two stub checkouts whose
-benchmark prints a fixed result, so the pairing, the order and the counts can
-be checked; step_pairs.py against this checkout on both sides."""
+"""The checkout-pair script: perf_pairs.py against two stub checkouts whose
+benchmark prints a fixed result, so the pairing, the order, the counts and the
+per-run lines can be checked; its step workload against this checkout, on
+both sides and against a checkout whose package fails to import."""
 
 import json
 from pathlib import Path
 
 import perf_pairs
-import step_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,16 +50,40 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     assert ("items_per_s (higher is better): parent 100 [100, 100.5] -> "
             "change 150.5 [150.25, 150.75], +50.5%, change won 2/2") in out
     assert "latency_ms_p50 (lower is better)" in out and "change won 2/2" in out
+    assert ("  parent runs: 100 101 100\n  change runs: 150 151 failed\n"
+            "latency_ms_p50") in out
+    assert "  parent runs: 10 9.90099 10\n  change runs: 6.66667 6.62252 failed\n" in out
     assert "parent: failed/attempted 3/30" in out
     assert "change: failed/attempted 1/21" in out
 
 
-def test_step_pairs_runs_this_checkout_against_itself(capsys):
-    assert step_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--pairs", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "B=16 µs/item, median of 1 pairs (parent -> change)"
-    rows = [line.split() for line in lines[2:]]
-    assert [(r[0], r[1]) for r in rows] == [(k, f) for k in step_pairs.KINDS
-                                            for f in step_pairs.FIGURES]
-    for row in rows:
-        assert float(row[2]) > 0.0 and float(row[3]) > 0.0 and row[5] in ("0/1", "1/1")
+def run_step(parent: Path, change: Path, capsys) -> str:
+    assert perf_pairs.main(["--parent", str(parent), "--change", str(change),
+                            "--workload", "step", "--pairs", "1", "--seed-base", "5"]) == 0
+    return capsys.readouterr().out
+
+
+def test_step_workload_runs_this_checkout_against_itself(capsys):
+    lines = run_step(ROOT, ROOT, capsys).splitlines()
+    assert lines[:2] == ["workload step, seeds 5..5, µs per item at B=16",
+                         "1 complete pairs of 1"]
+    names = [f"{kind}.{figure}" for kind in ("none", "2da", "ctsa", "csa", "tsa")
+             for figure in ("step", "forward")]
+    for i, name in enumerate(names):
+        head, *runs = lines[2 + 3 * i:5 + 3 * i]
+        assert head.startswith(f"{name} (lower is better): parent ")
+        assert head.endswith(("change won 0/1, parent IQR 0", "change won 1/1, parent IQR 0"))
+        for side, line in zip(perf_pairs.SIDES, runs):
+            assert line.startswith(f"  {side} runs: ") and float(line.split()[-1]) > 0.0
+    assert lines[32:] == ["parent: failed/attempted 0/1", "change: failed/attempted 0/1"]
+
+
+def test_step_workload_counts_a_checkout_that_fails_to_import(tmp_path, capsys):
+    broken = tmp_path / "broken"
+    (broken / "src" / "attnbof").mkdir(parents=True)
+    (broken / "src" / "attnbof" / "__init__.py").write_text("raise ImportError('broken')\n")
+    out = run_step(broken, ROOT, capsys)
+    assert "0 complete pairs of 1" in out
+    assert "tsa.step: no values\n  parent runs: failed\n  change runs: " in out
+    assert "parent: failed/attempted 1/1" in out
+    assert "change: failed/attempted 0/1" in out

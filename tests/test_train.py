@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attnbof import nbof, numerics
+from attnbof import attention, nbof, numerics
 from attnbof import train as train_mod
 from attnbof.data import LabeledSequenceSet, gen_noisy_timestamps, gen_order_task
 from attnbof.errors import ConfigError, ShapeError, TrainingDiverged
@@ -223,6 +223,27 @@ def test_fit_conv_frontend_with_other_channel_count():
     start = init_codebook([features], 5, seed=0)
     assert start.shape == net.params["codebook.v"].shape == (5, 6)
     assert np.max(np.abs(start - net.params["codebook.v"])) < 0.1
+
+
+def test_fit_draws_input_mode_2da_codewords_from_the_attention_output(monkeypatch):
+    ds = separable_toy(count=12)
+    cfg = ModelConfig(feature_dim=4, classes=3, codewords=5, attention="2da", mode="input",
+                      seed=0)
+    net, start = Model.build(cfg), Model.build(cfg)
+    set_codebook, drawn = net.set_codebook, []
+
+    def keep_drawn(v):
+        drawn.append(v.copy())
+        set_codebook(v)
+
+    monkeypatch.setattr(net, "set_codebook", keep_drawn)
+    fit(net, ds, make_cfg(epochs=1, batch_size=4))
+    w, alpha_raw = start.params["att.w"], start.params["att.alpha_raw"]
+    columns = np.concatenate([attention.att_2da(x, w, alpha_raw, "input")
+                              for x, _ in ds.items], axis=1).T
+    assert drawn[0].shape == (5, 4)
+    for codeword in drawn[0]:
+        assert np.all(columns == codeword, axis=1).any()
 
 
 def long_toy(length=300, count=5):
