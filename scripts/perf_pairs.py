@@ -16,9 +16,11 @@ metrics are ``<kind>.step`` and ``<kind>.forward`` in µs per item, lower is
 better.
 
 For every metric the report gives each side's median and quartiles, the
-pairs the change won (by the metric's direction) and the parent's IQR, then
-every run's value in pair order.  A run that exits non-zero or prints no
-result counts as one failed, attempted run, and the pairs go on.
+median over complete pairs of the ratio change/parent, the pairs the change
+won (by the metric's direction) and the parent's IQR, then every run's value
+in pair order.  The two runs of a pair are adjacent in time, so host drift
+that spans several pairs cancels in the ratio.  A run that exits non-zero or
+prints no result counts as one failed, attempted run, and the pairs go on.
 """
 
 from __future__ import annotations
@@ -123,8 +125,12 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict | None]]) -> list[s
             won = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
                       for p, c in pairs)
             rel = (c2 - p2) / p2 if p2 else float("nan")
+            ratios = [c["metrics"][name]["value"] / p["metrics"][name]["value"]
+                      for p, c in pairs if p["metrics"][name]["value"]]
+            ratio = statistics.median(ratios) if ratios else float("nan")
             lines.append(f"{name} ({m['better']} is better): parent {p2:.6g} [{p1:.6g}, "
                          f"{p3:.6g}] -> change {c2:.6g} [{c1:.6g}, {c3:.6g}], {rel:+.1%}, "
+                         f"median pair ratio {ratio:.6g} ({ratio - 1:+.1%}), "
                          f"change won {won}/{len(pairs)}, parent IQR {p3 - p1:.6g}")
         for side in SIDES:
             lines.append(f"  {side} runs: " + " ".join(

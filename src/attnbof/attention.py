@@ -27,7 +27,14 @@ return the matrix.  The cotangent of a pooled head's P is rank one, so
 ``self_attention_vjp`` contracts it with one GEMV instead of a dense softmax
 VJP.  Dropout on a head's attention matrix is training-only and inverted
 (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.  Every
-VJP reads the cache its forward filled.
+VJP reads the cache its forward filled, alpha included.  csa and tsa project
+q and k from the same side of phi, so their VJPs place the cotangents of q
+and k side by side and take phi's and the stacked (2d, K or N) ``[wq; wk]``'s
+from one GEMM each.  tsa's forward likewise runs one GEMM against
+``[wq; wk]`` and splits the (..., N, 2d) product into q and k.  csa's forward
+keeps a GEMM per projection: against ``[wq; wk]`` it was ~10 µs a head
+slower at K=64, N=256 and no faster for one item at K=16, N=30.  ctsa
+projects q from the rows and k from the columns: two GEMMs each way.
 
 Layers take the model's parameter arrays: ``att_2da`` takes ``w`` and
 ``alpha_raw`` (alpha = logistic(alpha_raw)); self-attention takes the list
@@ -52,9 +59,9 @@ def _alpha(alpha_raw: Array) -> float:
     return logistic_scalar(float(np.asarray(alpha_raw).reshape(())))
 
 
-def _dalpha_raw(alpha_raw: Array, dalpha: float) -> Array:
-    a = _alpha(alpha_raw)
-    return np.array([[dalpha * a * (1.0 - a)]])
+def _dalpha_raw(alpha: float, dalpha: float) -> Array:
+    """Cotangent of alpha_raw, given the forward's alpha = logistic(alpha_raw)."""
+    return np.array([[dalpha * alpha * (1.0 - alpha)]])
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +136,7 @@ def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Arr
     dm += dz @ pinned.T
     dw = numerics.sum_tn(m, dz)
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
-    return _2da_orient(dm, mode), dw, _dalpha_raw(alpha_raw, dalpha)
+    return _2da_orient(dm, mode), dw, _dalpha_raw(alpha, dalpha)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +165,17 @@ def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Arr
 # softmax normalizes along axis -2 (the cache's row-stochastic ``a`` is a
 # view).  Head i writes rows i*K..(i+1)*K of one output; for item b it draws
 # its dropout mask from seed_b + i.
+#
+# Against [wq; wk], the first d columns of a (..., L, 2d) product are q's
+# (q before scaling) and the last d are k's; the VJP lays out [dq, dk] so.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
 
 
 def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
     """Column counts of a head's (wq, wk) for K codewords and N timestamps."""
-    return tuple(n if rows else k for rows in _PROJECTS_ROWS[variant])
+    q_rows, k_rows = _PROJECTS_ROWS[variant]
+    return (n if q_rows else k), (n if k_rows else k)
 
 
 def _check_params(variant: str, phi: Array, ps) -> None:
@@ -172,11 +183,12 @@ def _check_params(variant: str, phi: Array, ps) -> None:
     (d, q_cols), (d, k_cols), (1, 1) for phi with one d >= 1."""
     d = np.shape(ps[0])[0] if ps else 0
     q_cols, k_cols = projection_widths(variant, *phi.shape[-2:])
-    got = [np.shape(p) for p in ps]
-    if d < 1 or len(ps) % 3 or got != [(d, q_cols), (d, k_cols), (1, 1)] * (len(ps) // 3):
+    want = [(d, q_cols), (d, k_cols), (1, 1)] * (len(ps) // 3)
+    if d < 1 or len(ps) % 3 or [getattr(p, "shape", None) for p in ps] != want:
         raise ShapeError(
-            f"{variant}: head parameters are {got}; phi {phi.shape} needs (wq, wk, "
-            f"alpha_raw) per head shaped (d, {q_cols}), (d, {k_cols}), (1, 1), d >= 1")
+            f"{variant}: head parameters are {[np.shape(p) for p in ps]}; phi {phi.shape} "
+            f"needs (wq, wk, alpha_raw) per head shaped (d, {q_cols}), (d, {k_cols}), "
+            "(1, 1), d >= 1")
 
 
 def _project_vjp(phi: Array, phi_t: Array, w: Array, rows: bool,
@@ -196,17 +208,22 @@ def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training:
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     kdim, n = phi.shape[-2:]
-    q_rows, k_rows = _PROJECTS_ROWS[variant]
-    scale = 1.0 / math.sqrt(ps[0].shape[0])
+    k_rows = _PROJECTS_ROWS[variant][1]
+    d = ps[0].shape[0]
+    scale = 1.0 / math.sqrt(d)
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
-    r = np.full((n, 1), 1.0 / n) if pooled else np.eye(n)
+    r = numerics.ones(n)[:, None] * (1.0 / n) if pooled else np.eye(n)
     phi_r = phi @ r if pooled else phi
     out = np.empty(phi.shape[:-2] + (len(ps) // 3 * kdim, r.shape[1]))
     heads: list[dict] = []
     for i, (wq, wk, alpha_raw) in enumerate(zip(ps[0::3], ps[1::3], ps[2::3])):
-        q = (phi @ wq.T if q_rows else swap(wq @ phi)) * scale
-        k = phi @ wk.T if k_rows else swap(wk @ phi)
+        if variant == "tsa":    # q and k both project the columns: one GEMM
+            qk = swap(np.concatenate((wq, wk)) @ phi)
+            q, k = qk[..., :d] * scale, qk[..., d:]
+        else:   # q projects the rows; csa keeps two GEMMs (module docstring)
+            q = (phi @ wq.T) * scale
+            k = phi @ wk.T if k_rows else swap(wk @ phi)
         if variant == "ctsa":
             s = numerics.sigmoid(q @ swap(k))
         else:
@@ -260,15 +277,17 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
     cotangent ``kappa (a_used * c - s * wᵀ) * gᵀ``; alpha's is ``g·(c - w)``.
     ctsa's ``dP = (u rᵀ) * phi`` makes its scores' cotangent
     ``kappa (u/N) * (a_used * phi) * (1 - s)`` and alpha's
-    ``u·(phi r - (a_used * phi) r)``."""
+    ``u·(phi r - (a_used * phi) r)``.  csa and tsa place the cotangents of q
+    and k side by side and take phi's and [wq; wk]'s from one projection
+    VJP against the forward's [wq; wk]."""
     kdim, n = phi.shape[-2:]
-    q_rows, k_rows = _PROJECTS_ROWS[variant]
-    scale = 1.0 / math.sqrt(ps[0].shape[0])
+    q_rows = _PROJECTS_ROWS[variant][0]
+    d = ps[0].shape[0]
+    scale = 1.0 / math.sqrt(d)
     phi_t, phi_r = swap(phi), cache["phi_r"]
-    dphi = np.zeros_like(phi)
+    dphi = np.zeros(phi.shape)
     grads: list[Array] = []
     for i, c in enumerate(cache["heads"]):
-        wq, wk, alpha_raw = ps[3 * i:3 * i + 3]
         u = upstream[..., i * kdim:(i + 1) * kdim, None]          # (..., K, 1)
         q, k, s, used, alpha = c["q"], c["k"], c["s"], c["used"], c["alpha"]
         kappa = 1.0 - alpha
@@ -299,14 +318,22 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
                 ds -= s * kw
             if g is not None:
                 ds *= g
-        dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
-        dq *= scale                     # the scores took q / sqrt(d)
-        dp, dwq = _project_vjp(phi, phi_t, wq, q_rows, dq)
+        wq, wk = ps[3 * i:3 * i + 2]
+        if variant == "ctsa":
+            dq = ds @ k
+            dq *= scale                 # the scores took q / sqrt(d)
+            dp, dwq = _project_vjp(phi, phi_t, wq, True, dq)
+            dphi += dp
+            dp, dwk = _project_vjp(phi, phi_t, wk, False, swap(ds) @ q)
+        else:   # q and k project one side of phi: [dq, dk] against [wq; wk]
+            dq = swap(ds) @ k
+            dq *= scale
+            dq = np.concatenate((dq, ds @ q), axis=-1)
+            dp, dw = _project_vjp(phi, phi_t, np.concatenate((wq, wk)), q_rows, dq)
+            dwq, dwk = dw[:d], dw[d:]
         dphi += dp
-        dp, dwk = _project_vjp(phi, phi_t, wk, k_rows, dk)
-        dphi += dp
-        grads += [dwq, dwk, _dalpha_raw(alpha_raw, float(dalpha))]
-        del ds, dq, dk, dp      # freed before the next head allocates its own
+        grads += [dwq, dwk, _dalpha_raw(alpha, float(dalpha))]
+        del ds, dq, dp      # freed before the next head allocates its own
     return (dphi, *grads)
 
 

@@ -88,7 +88,8 @@ class ModelConfig:
         """The number of values in the largest array a stage allocates for one item of
         length ``n``: the conv patches, the quantizer's memberships and its VJP's
         ``[x; x^2; 1]`` operand and codeword sums, or one self-attention head's
-        projections and scores."""
+        projections and scores; csa and tsa hold the cotangents of q and k (tsa's
+        forward: q and k) in one (L, 2d) block."""
         k, dq = self.codewords, self.feature_dim
         sizes = [k * n]
         if self.frontend == "conv":
@@ -98,7 +99,8 @@ class ModelConfig:
         if self.attention in attention.VARIANTS:
             # a projection has a row per entry of the axis its weight does not span
             q_len, k_len = attention.projection_widths(self.attention, n, k)
-            sizes += [self.latent_dim * max(q_len, k_len), q_len * k_len]
+            blocks = 1 if self.attention == "ctsa" else 2
+            sizes += [blocks * self.latent_dim * max(q_len, k_len), q_len * k_len]
         return max(sizes)
 
     def check_stack(self, batch: int, n: int) -> None:
@@ -183,11 +185,13 @@ def frontend_conv_vjp(inputs, output, upstream, cache: dict):
 # loss
 
 
-def cross_entropy(logits: Array, label) -> float | Array:
-    """Negative log-probability of ``label`` under softmax(logits).
+def _loss_and_dlogits(logits: Array, label) -> tuple[float | Array, Array]:
+    """Cross-entropy of ``label`` under softmax(logits) and the logits'
+    cotangent of its sum, ``softmax(logits) - onehot(label)``, from one
+    exponentiation.
 
-    One logit vector and an int label give a float; (B, C) logits and B
-    labels give the B per-item losses.
+    One logit vector and an int label give a float loss; (B, C) logits and B
+    labels give the B per-item losses and a (B, C) cotangent.
     """
     logits = np.asarray(logits, dtype=float)
     label = np.asarray(label)
@@ -200,17 +204,29 @@ def cross_entropy(logits: Array, label) -> float | Array:
     if label.min() < 0 or label.max() >= classes:
         raise ValueError(
             f"cross_entropy: label {label} out of range [0, {classes})")
-    m = logits.max(axis=-1)
-    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
-    rows = logits.reshape(-1, classes)
-    loss = lse - rows[np.arange(len(rows)), label.reshape(-1)].reshape(label.shape)
-    return float(loss) if loss.ndim == 0 else loss
+    m = logits.max(axis=-1, keepdims=True)
+    p = logits - m
+    np.exp(p, out=p)
+    total = p.sum(axis=-1, keepdims=True)
+    at_label = (np.arange(len(logits)), label) if logits.ndim == 2 else label
+    loss = (m + np.log(total))[..., 0] - logits[at_label]
+    p /= total
+    p[at_label] -= 1.0
+    return (float(loss) if logits.ndim == 1 else loss), p
+
+
+def cross_entropy(logits: Array, label) -> float | Array:
+    """Negative log-probability of ``label`` under softmax(logits).
+
+    One logit vector and an int label give a float; (B, C) logits and B
+    labels give the B per-item losses.
+    """
+    return _loss_and_dlogits(logits, label)[0]
 
 
 def cross_entropy_vjp(logits: Array, label, upstream) -> Array:
-    p = numerics.softmax_rows(logits)
-    p -= np.arange(logits.shape[-1]) == np.asarray(label)[..., None]
-    return p * np.asarray(upstream)[..., None]
+    """Cotangent of the logits of ``cross_entropy``, given the losses' ``upstream``."""
+    return _loss_and_dlogits(logits, label)[1] * np.asarray(upstream)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +325,8 @@ def _finite(a: Array, what: str) -> Array:
 class Model:
     """One float64 parameter vector, ``flat`` (a copy of the one given), in
     registry (and checkpoint) order, plus the stage list that runs over it;
-    ``params`` maps each name to a view into ``flat``.  Each stage's views and
-    the slices its gradients fill are bound once, here."""
+    ``params`` maps each name to a view into ``flat``.  Each stage's views,
+    names and shapes are bound once, here."""
 
     def __init__(self, config: ModelConfig, flat: Array):
         config.validate()
@@ -322,9 +338,13 @@ class Model:
             self.size += rows * cols
         self.flat = np.array(flat, dtype=float)
         self.params = self.views(self.flat)
-        self._bound = [([self.params[name] for name, _ in stage.params()],
-                        [(name, self._layout[name][0]) for name, _ in stage.params()])
-                       for stage in self.stages]
+        # per stage: its parameter views, names and shapes
+        self._bound = [([self.params[name] for name, _ in params],
+                        [name for name, _ in params], [shape for _, shape in params])
+                       for params in (stage.params() for stage in self.stages)]
+        # the stages in registry order, the order their gradients are laid out in
+        self._grad_order = sorted(range(len(self.stages)),
+                                  key=lambda i: _PARAM_ORDER.index(self.stages[i].name))
 
     def views(self, vec: Array) -> dict[str, Array]:
         """Name -> view map of a vector laid out like ``flat``."""
@@ -364,7 +384,7 @@ class Model:
     def quantizer_input(self, x: Array) -> Array:
         """What the quantizer sees of one D x N sequence: the output of the
         stages before ``quantize``, in evaluation mode."""
-        for stage, (ps, _) in zip(self.stages, self._bound):
+        for stage, (ps, *_) in zip(self.stages, self._bound):
             if stage.name == "quantize":
                 break
             x = stage.fwd(x, ps, None, False, 0)
@@ -388,7 +408,7 @@ class Model:
             raise ShapeError(
                 f"stage attention: sequence length {n} != configured seq_len {cfg.seq_len}")
         cfg.check_stack(h.shape[0] if h.ndim == 3 else 1, n)
-        for stage, (ps, _) in zip(self.stages, self._bound):
+        for stage, (ps, *_) in zip(self.stages, self._bound):
             cache = None if trail is None else {}
             out = stage.fwd(h, ps, cache, training, seed)
             if trail is not None:
@@ -417,19 +437,19 @@ class Model:
         """
         trail: list = []
         logits = self._run(x, training, seed, trail)
-        loss = cross_entropy(logits, label)
-        g = cross_entropy_vjp(logits, label, 1.0)
-        grad = np.zeros(self.size)
-        for stage, (ps, slots), (h, out, cache) in zip(
-                reversed(self.stages), reversed(self._bound), reversed(trail)):
-            g, *dps = stage.vjp(h, ps, out, g, cache)
-            for (name, where), p, d in zip(slots, ps, dps + [None] * len(ps)):
-                shape = getattr(d, "shape", None)  # None: the stage returned too few
-                if shape != p.shape:
-                    raise ShapeError(f"stage {stage.name}: cotangent of {name!r} is "
-                                     f"{shape}, parameter is {p.shape}")
-                grad[where] = d.ravel()
-        return loss, grad
+        loss, g = _loss_and_dlogits(logits, label)
+        parts: list = [None] * len(self.stages)   # each stage's parameter cotangents
+        for j in reversed(range(len(self.stages))):
+            (ps, names, shapes), (h, out, cache) = self._bound[j], trail[j]
+            g, *dps = self.stages[j].vjp(h, ps, out, g, cache)
+            got = [getattr(d, "shape", None) for d in dps[:len(ps)]]
+            if got != shapes:
+                got += [None] * (len(ps) - len(got))   # None: the stage returned too few
+                i = next(i for i, shape in enumerate(shapes) if got[i] != shape)
+                raise ShapeError(f"stage {self.stages[j].name}: cotangent of {names[i]!r} "
+                                 f"is {got[i]}, parameter is {shapes[i]}")
+            parts[j] = dps[:len(ps)]
+        return loss, np.concatenate([d for j in self._grad_order for d in parts[j]], axis=None)
 
     def attention_matrices(self, x: Array) -> list[Array]:
         """Per-head attention matrices for one input, evaluation mode."""

@@ -29,8 +29,11 @@ W_RAW_UNIT = float(np.log(np.e - 1.0))
 _NEAR_ZERO = 1e-3
 
 
-def _weighted_distances(x: Array, v: Array, w: Array) -> Array:
-    """||(x_n - v_k) * w_k||_2 for every codeword and column: (..., K, N).
+def _weighted_distances(x: Array, v: Array, w: Array, w2: Array, w2v: Array,
+                        x2: Array | None = None) -> Array:
+    """||(x_n - v_k) * w_k||_2 for every codeword and column: (..., K, N),
+    given ``w2 = w^2``, ``w2v = w^2 v`` and, when the caller keeps it,
+    ``x2 = x^2``.
 
     GEMM expansion ``d^2 = (w^2).x^2 - 2 (w^2 v).x + sum_d w^2 v^2``, with no
     (..., K, D, N) difference tensor.  Entries that fall under ``_NEAR_ZERO``
@@ -39,14 +42,12 @@ def _weighted_distances(x: Array, v: Array, w: Array) -> Array:
     exactly 0.  They are recomputed in chunks whose (chunk, D) difference is
     no larger than the distances themselves; ordinary data takes one chunk.
     """
-    w2 = w * w
-    w2v = w2 * v
-    scale = w2 @ (x * x)
+    scale = w2 @ (x * x if x2 is None else x2)
     scale += (w2v * v).sum(axis=1, keepdims=True)
     d2 = (2.0 * w2v) @ x
     np.subtract(scale, d2, out=d2)
     scale *= _NEAR_ZERO
-    near = np.flatnonzero(d2 <= scale)
+    near = (d2 <= scale).ravel().nonzero()[0]
     step = max(1, d2.size // v.shape[1])
     for start in range(0, near.size, step):
         chunk = near[start:start + step]
@@ -63,8 +64,9 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     and w_raw.  Columns of the result are points on the K-simplex.  The
     per-column minimum distance is subtracted before exponentiation, which is
     exact (softmax shift invariance) and prevents underflow when all
-    distances are large.  A ``cache`` dict is filled with the distances and
-    shape weights that :func:`quantize_vjp` reuses.
+    distances are large.  A ``cache`` dict is filled with what
+    :func:`quantize_vjp` reuses: the distances, ``w``, ``w^2``, ``x^2`` and
+    the stacked ``[w^2ᵀ; (w^2 v)ᵀ]``.
     """
     x = numerics.as_stack(x, "quantize input")
     v = numerics.as_matrix(v, "codewords")
@@ -74,12 +76,15 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
             f"quantize: input {x.shape}, codewords {v.shape}, weights {w_raw.shape} "
             "do not conform")
     w = softplus(w_raw)
-    dist = _weighted_distances(x, v, w)
+    w2 = w * w
+    w2v = w2 * v
+    x2 = None if cache is None else x * x
+    dist = _weighted_distances(x, v, w, w2, w2v, x2)
     e = dist.min(axis=-2, keepdims=True) - dist   # <= 0, max exactly 0
     np.exp(e, out=e)
     e *= 1.0 / numerics.col_sums(e)               # each sum >= exp(0) = 1
     if cache is not None:
-        cache.update(dist=dist, w=w)
+        cache.update(dist=dist, w=w, w2=w2, x2=x2, w2_w2v=np.concatenate((w2.T, w2v.T)))
     return e
 
 
@@ -95,16 +100,18 @@ def quantize_vjp(inputs, output, upstream, cache: dict):
     and dw need take one batched GEMM of ``coef`` against ``[x; x^2; 1]``.
     """
     x, v, w_raw = inputs
-    dist, w = cache["dist"], cache["w"]
+    dist, w, w2 = cache["dist"], cache["w"], cache["w2"]
     dim = v.shape[1]
     ds = numerics.softmax_rows_vjp(output, upstream, axis=-2)   # per column
-    coef = np.divide(ds, dist, out=np.zeros_like(dist), where=dist > 0.0)
-    w2 = w * w
-    both = np.concatenate([w2.T, (w2 * v).T]) @ coef                 # (..., 2D, N)
+    coef = np.divide(ds, dist, out=np.zeros(dist.shape), where=dist > 0.0)
+    both = cache["w2_w2v"] @ coef                                    # (..., 2D, N)
     dx = both[..., dim:, :] - x * both[..., :dim, :]
-    xs = np.concatenate([x, x * x, np.ones(x.shape[:-2] + (1, x.shape[-1]))], axis=-2)
+    # concatenate keeps the memory order of an F-ordered x (input-mode 2da hands
+    # the quantizer a transposed view), and the GEMM's rounding depends on it
+    xs = np.concatenate([x, cache["x2"], np.ones(x.shape[:-2] + (1, x.shape[-1]))], axis=-2)
     sums = coef @ numerics.swap(xs)                                  # (..., K, 2D + 1)
-    sums = sums.reshape(-1, *sums.shape[-2:]).sum(axis=0)
+    if sums.ndim == 3:
+        sums = sums.sum(axis=0)
     cx, cxx, csum = sums[:, :dim], sums[:, dim:2 * dim], sums[:, 2 * dim:]
     dv = w2 * (cx - v * csum)
     dw = w * (2.0 * v * cx - cxx - v * v * csum)
@@ -119,12 +126,12 @@ def aggregate(phi: Array) -> Array:
     if phi.shape[-1] == 0:
         raise ShapeError("aggregate: empty sequence (N=0)")
     n = phi.shape[-1]
-    return phi @ np.full(n, 1.0 / n)   # one GEMV pass over phi
+    return phi @ (numerics.ones(n) * (1.0 / n))   # one GEMV pass over phi
 
 
 def aggregate_vjp(inputs, output, upstream):
     (phi,) = inputs
-    return (np.broadcast_to(upstream[..., None] / phi.shape[-1], phi.shape),)
+    return (np.divide(upstream[..., None], phi.shape[-1], out=np.empty(phi.shape)),)
 
 
 def init_codebook(samples: list[Array], size: int, seed: int) -> Array:

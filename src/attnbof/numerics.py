@@ -13,6 +13,7 @@ pairs a forward with a VJP over a flat list of array inputs, the form
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -81,10 +82,18 @@ def sum_tn(a: Array, b: Array) -> Array:
 # elementary ops
 
 
+@functools.lru_cache(maxsize=64)
+def ones(n: int) -> Array:
+    """A read-only vector of ``n`` ones, shared by every caller of that length."""
+    v = np.ones(n)
+    v.flags.writeable = False
+    return v
+
+
 def col_sums(m: Array) -> Array:
     """Sums along axis -2, kept as a length-1 axis: one GEMV against ones,
     which numpy runs several times faster than a reduction across rows."""
-    return (np.ones(m.shape[-2]) @ m)[..., None, :]
+    return (ones(m.shape[-2]) @ m)[..., None, :]
 
 
 def softmax_rows(m: Array, axis: int = -1) -> Array:
@@ -132,8 +141,9 @@ def affine(w: Array, y: Array, b: Array) -> Array:
 def affine_vjp(w: Array, y: Array, upstream: Array) -> tuple[Array, Array, Array]:
     """Cotangents of (w, y, b); a stacked input's stay per row, ``w`` and
     ``b`` sum over rows."""
-    rows = np.atleast_2d(upstream)
-    return rows.T @ np.atleast_2d(y), upstream @ w, rows.sum(axis=0)
+    if upstream.ndim == 1:   # one row: its outer product and itself are the sums
+        return upstream[:, None] * y, upstream @ w, upstream.copy()
+    return upstream.T @ y, upstream @ w, upstream.sum(axis=0)
 
 
 def softplus(m: Array) -> Array:

@@ -197,7 +197,7 @@ def evaluate(net: Model, dataset: LabeledSequenceSet) -> tuple[float, float]:
                    max(1, numerics.MAX_VALUES // net.config.stage_values(length)))
         for start in range(0, len(idx), step):
             chunk = idx[start:start + step]
-            preds[chunk] = net.predict(np.stack([items[i][0] for i in chunk]))
+            preds[chunk] = net.predict(np.array([items[i][0] for i in chunk]))
     labels = dataset.labels()
     return accuracy(preds, labels), macro_f1(preds, labels)
 
@@ -284,11 +284,11 @@ def fit(net: Model, train_set: LabeledSequenceSet, cfg: TrainConfig) -> list[flo
         for batch_no, start in enumerate(range(0, n, cfg.batch_size)):
             batch = order[start:start + cfg.batch_size]
             seeds = rng.integers(2 ** 31, size=len(batch))
-            total = np.zeros_like(state.m)
+            total = np.zeros(state.m.shape)
             # one stack per sequence length, in order of first appearance
             for length in dict.fromkeys(lengths[batch]):
                 sub = lengths[batch] == length
-                xs = np.stack([train_set.items[i][0] for i in batch[sub]])
+                xs = np.array([train_set.items[i][0] for i in batch[sub]])
                 losses, grad = net.loss_and_grad(xs, labels[batch[sub]], training=True,
                                                  seed=seeds[sub])
                 if not np.all(np.isfinite(losses)):

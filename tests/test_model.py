@@ -89,6 +89,48 @@ def test_cross_entropy_label_out_of_range():
         cross_entropy(np.zeros(3), 3)
 
 
+def two_pass_loss_and_vjp(logits, label):
+    """The loss and its logits cotangent, each from its own exponentiation."""
+    m = logits.max(axis=-1)
+    lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
+    rows = logits.reshape(-1, logits.shape[-1])
+    loss = lse - rows[np.arange(len(rows)), np.reshape(label, -1)].reshape(np.shape(label))
+    p = numerics.softmax_rows(logits)
+    p -= np.arange(logits.shape[-1]) == np.asarray(label)[..., None]
+    return loss, p
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 4)], ids=["vector", "stack"])
+def test_loss_helper_is_bitwise_the_loss_and_its_vjp(shape):
+    rng = np.random.default_rng(12)
+    for scale in (0.1, 3.0, 300.0):
+        logits = rng.standard_normal(shape) * scale
+        label = rng.integers(shape[-1], size=shape[:-1])
+        label = int(label) if label.ndim == 0 else label
+        loss, dlogits = model_mod._loss_and_dlogits(logits, label)
+        want_loss, want_dlogits = two_pass_loss_and_vjp(logits, label)
+        assert type(loss) is (float if len(shape) == 1 else np.ndarray)
+        assert np.array_equal(loss, want_loss) and np.array_equal(dlogits, want_dlogits)
+        assert np.array_equal(cross_entropy(logits, label), loss)
+        upstream = np.ones(shape[:-1]) if len(shape) == 2 else 1.0
+        assert np.array_equal(model_mod.cross_entropy_vjp(logits, label, upstream), dlogits)
+
+
+@pytest.mark.parametrize("logits, label, error, match", [
+    (np.zeros(3), 3, ValueError, r"label 3 out of range \[0, 3\)"),
+    (np.zeros((2, 3)), np.array([0, -1]), ValueError, "out of range"),
+    (np.zeros(3), 1.0, ValueError, "labels must be integers"),
+    (np.zeros((2, 3)), np.array([0, 1, 2]), ShapeError, "do not conform"),
+    (np.zeros(3), np.array([1]), ShapeError, "do not conform"),
+], ids=["over", "negative", "float", "stack-shape", "vector-shape"])
+def test_loss_helper_raises_as_the_loss_and_its_vjp(logits, label, error, match):
+    for call in (lambda: model_mod._loss_and_dlogits(logits, label),
+                 lambda: cross_entropy(logits, label),
+                 lambda: model_mod.cross_entropy_vjp(logits, label, 1.0)):
+        with pytest.raises(error, match=match):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # forward behaviour
 
@@ -358,9 +400,11 @@ def test_config_validation_bounds_the_parameter_count(monkeypatch):
     (dict(codewords=5000), 30, 5000 * 30),                                 # memberships
     (dict(frontend="conv", conv_width=101, conv_channels=2), 30, 4 * 101 * 30),  # patches
     (dict(attention="tsa", latent_dim=3), 600, 600 * 600),                 # a head's scores
-    (dict(attention="csa", codewords=40, latent_dim=50, seq_len=6), 6, 40 * 50),  # its q, k
+    (dict(attention="csa", codewords=40, latent_dim=50, seq_len=6), 6, 2 * 40 * 50),  # dq, dk
+    (dict(attention="tsa", codewords=5, latent_dim=40), 30, 2 * 30 * 40),  # 2d > N
     (dict(attention="ctsa", codewords=40, latent_dim=2, seq_len=90), 90, 40 * 90),
-], ids=["memberships", "conv-patches", "tsa-scores", "csa-projections", "ctsa-scores"])
+], ids=["memberships", "conv-patches", "tsa-scores", "csa-projections", "tsa-projections",
+        "ctsa-scores"])
 def test_stack_bound_is_the_largest_stage_array(fields, n, largest):
     cfg = ModelConfig(feature_dim=4, classes=2, **fields)
     assert cfg.stage_values(n) == largest

@@ -47,9 +47,13 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
                      "parent 12", "change 12"]
     out = capsys.readouterr().out
     assert "2 complete pairs of 3" in out
+    # the pair ratios, 150/100 and 151/101, leave out the pair whose change run failed
     assert ("items_per_s (higher is better): parent 100 [100, 100.5] -> "
-            "change 150.5 [150.25, 150.75], +50.5%, change won 2/2") in out
-    assert "latency_ms_p50 (lower is better)" in out and "change won 2/2" in out
+            "change 150.5 [150.25, 150.75], +50.5%, median pair ratio 1.49752 (+49.8%), "
+            "change won 2/2") in out
+    assert ("latency_ms_p50 (lower is better): parent 10 [9.9505, 10] -> change 6.64459 "
+            "[6.63355, 6.65563], -33.6%, median pair ratio 0.66777 (-33.2%), "
+            "change won 2/2") in out
     assert ("  parent runs: 100 101 100\n  change runs: 150 151 failed\n"
             "latency_ms_p50") in out
     assert "  parent runs: 10 9.90099 10\n  change runs: 6.66667 6.62252 failed\n" in out
