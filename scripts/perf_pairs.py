@@ -17,10 +17,12 @@ better.
 
 For every metric the report gives each side's median and quartiles, the
 median over complete pairs of the ratio change/parent, the pairs the change
-won (by the metric's direction) and the parent's IQR, then every run's value
-in pair order.  The two runs of a pair are adjacent in time, so host drift
-that spans several pairs cancels in the ratio.  A run that exits non-zero or
-prints no result counts as one failed, attempted run, and the pairs go on.
+won (by the metric's direction), the parent's IQR and whether the median gain
+(the change's median minus the parent's, in the metric's better direction)
+exceeds that IQR, then every run's value in pair order.  The two runs of a
+pair are adjacent in time, so host drift that spans several pairs cancels in
+the ratio.  A run that exits non-zero or prints no result counts as one
+failed, attempted run, and the pairs go on.
 """
 
 from __future__ import annotations
@@ -128,10 +130,13 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict | None]]) -> list[s
             ratios = [c["metrics"][name]["value"] / p["metrics"][name]["value"]
                       for p, c in pairs if p["metrics"][name]["value"]]
             ratio = statistics.median(ratios) if ratios else float("nan")
+            gain, iqr = sign * (c2 - p2), p3 - p1
             lines.append(f"{name} ({m['better']} is better): parent {p2:.6g} [{p1:.6g}, "
                          f"{p3:.6g}] -> change {c2:.6g} [{c1:.6g}, {c3:.6g}], {rel:+.1%}, "
                          f"median pair ratio {ratio:.6g} ({ratio - 1:+.1%}), "
-                         f"change won {won}/{len(pairs)}, parent IQR {p3 - p1:.6g}")
+                         f"change won {won}/{len(pairs)}, parent IQR {iqr:.6g}, "
+                         f"median gain {gain:.6g} "
+                         f"{'exceeds' if gain > iqr else 'does not exceed'} it")
         for side in SIDES:
             lines.append(f"  {side} runs: " + " ".join(
                 "failed" if v is None else f"{v:.6g}" for v in vals[side]))

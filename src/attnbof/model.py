@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import attention, nbof, numerics
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
@@ -142,11 +141,21 @@ def _conv_pre(x: Array, kernel: Array, bias: Array) -> tuple[Array, Array]:
     if bias.shape != (c, 1):
         raise ShapeError(f"conv bias is {bias.shape}, expected ({c}, 1)")
     pad = (width - 1) // 2
-    xp = np.zeros(x.shape[:-1] + (n + 2 * pad,))
-    xp[..., pad:pad + n] = x
-    # patches[..., i * width + j, t] = xp[..., i, t + j], the kernel's column order
-    patches = sliding_window_view(xp, n, axis=-1).reshape(x.shape[:-2] + (d * width, n))
-    return kernel @ patches + bias, patches
+    # patches[..., i, j, t] = x[..., i, t + j - pad], zero past either end; as
+    # (..., D * width, N), row i * width + j is the kernel's column order
+    patches = np.empty(x.shape[:-1] + (width, n))
+    for j in range(width):
+        shift = j - pad
+        # t + shift is inside x for lo <= t < hi; clamped for a kernel wider than x
+        lo, hi = min(n, max(0, -shift)), max(0, min(n, n - shift))
+        patches[..., j, :lo] = 0.0
+        patches[..., j, hi:] = 0.0
+        if lo < hi:
+            patches[..., j, lo:hi] = x[..., lo + shift:hi + shift]
+    patches = patches.reshape(x.shape[:-2] + (d * width, n))
+    pre = kernel @ patches
+    pre += bias
+    return pre, patches
 
 
 def frontend_conv(x: Array, kernel: Array, bias: Array, cache: dict | None = None) -> Array:
@@ -155,11 +164,13 @@ def frontend_conv(x: Array, kernel: Array, bias: Array, cache: dict | None = Non
     ``kernel`` is stored flat as (channels, in_rows * width) so the registry
     and checkpoint stay two-dimensional.  ``x`` is one D x N sequence or a
     (B, D, N) stack; a ``cache`` dict keeps the pre-activation and patches
-    for :func:`frontend_conv_vjp`.
+    for :func:`frontend_conv_vjp`.  Without one, the pre-activation is
+    rectified in place.
     """
     pre, patches = _conv_pre(x, kernel, bias)
-    if cache is not None:
-        cache.update(pre=pre, patches=patches)
+    if cache is None:
+        return np.maximum(pre, 0.0, out=pre)
+    cache.update(pre=pre, patches=patches)
     return np.maximum(pre, 0.0)
 
 

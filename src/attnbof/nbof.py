@@ -47,7 +47,10 @@ def _weighted_distances(x: Array, v: Array, w: Array, w2: Array, w2v: Array,
     d2 = (2.0 * w2v) @ x
     np.subtract(scale, d2, out=d2)
     scale *= _NEAR_ZERO
-    near = (d2 <= scale).ravel().nonzero()[0]
+    near = d2 <= scale
+    if not near.any():   # ordinary data: skip the index scan, ~7x this test's cost
+        return np.sqrt(d2, out=d2)
+    near = near.ravel().nonzero()[0]
     step = max(1, d2.size // v.shape[1])
     for start in range(0, near.size, step):
         chunk = near[start:start + step]
@@ -66,7 +69,8 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     exact (softmax shift invariance) and prevents underflow when all
     distances are large.  A ``cache`` dict is filled with what
     :func:`quantize_vjp` reuses: the distances, ``w``, ``w^2``, ``x^2`` and
-    the stacked ``[w^2ᵀ; (w^2 v)ᵀ]``.
+    the stacked ``[w^2ᵀ; (w^2 v)ᵀ]``.  Without one, the memberships are
+    computed in the distance buffer, bitwise as with one.
     """
     x = numerics.as_stack(x, "quantize input")
     v = numerics.as_matrix(v, "codewords")
@@ -80,7 +84,11 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     w2v = w2 * v
     x2 = None if cache is None else x * x
     dist = _weighted_distances(x, v, w, w2, w2v, x2)
-    e = dist.min(axis=-2, keepdims=True) - dist   # <= 0, max exactly 0
+    shift = dist.min(axis=-2, keepdims=True)
+    if cache is None:   # the distances are not kept: the memberships overwrite them
+        e = np.subtract(shift, dist, out=dist)
+    else:
+        e = shift - dist                          # <= 0, max exactly 0
     np.exp(e, out=e)
     e *= 1.0 / numerics.col_sums(e)               # each sum >= exp(0) = 1
     if cache is not None:

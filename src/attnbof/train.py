@@ -174,26 +174,32 @@ def macro_f1(preds, labels) -> float:
 
 
 # evaluate stacks items until their (B, K, N) memberships reach this many
-# entries (64 KiB of float64), two at least: 17 at K=16, N=30 and pairs at
-# K=64, N=256.  Larger stacks were no faster at K=16, N=30 and raise peak
-# memory; at K=64, N=256, B=2 to 4 ran within ~20% of each other, B=8
-# slower, and which sizes page-fault depends on the process's history.
+# entries (64 KiB of float64), _EVAL_STACK_FLOOR items at least: 17 at
+# K=16, N=30 and 4 at K=64, N=256.  Larger stacks were no faster at K=16,
+# N=30 and raise peak memory.
 _EVAL_STACK_ELEMENTS = 1 << 13
+# At K=64, N=256 (conv + csa, 2 vCPUs), predict loops over 600 items, one
+# process cycling through the sizes, read 427, 362, 318, 310, 496 and 495
+# µs/item at B=1, 2, 3, 4, 6 and 8 (median of 5 processes), and after a
+# warm-up under 0.2 minor page faults per item up to B=4 against 90 at 6 and 8.
+_EVAL_STACK_FLOOR = 4
 
 
 def evaluate(net: Model, dataset: LabeledSequenceSet) -> tuple[float, float]:
     """Accuracy and macro-F1 of ``net`` on ``dataset``.
 
     Items of one sequence length are predicted in stacked ``predict`` calls
-    of at most ``_EVAL_STACK_ELEMENTS`` memberships each (but two items at
-    least, where two fit under ``numerics.MAX_VALUES``), in dataset order.
+    of at most ``_EVAL_STACK_ELEMENTS`` memberships each, but
+    ``_EVAL_STACK_FLOOR`` (four) items at least, in dataset order.  A stack
+    never holds more items than fit under ``numerics.MAX_VALUES``.
     """
     items = dataset.items
     lengths = np.array([x.shape[1] for x, _ in items])
     preds = np.zeros(len(items), dtype=int)
     for length in dict.fromkeys(lengths.tolist()):
         idx = np.flatnonzero(lengths == length)
-        step = min(max(2, _EVAL_STACK_ELEMENTS // (net.config.codewords * length)),
+        fill = _EVAL_STACK_ELEMENTS // (net.config.codewords * length)
+        step = min(max(_EVAL_STACK_FLOOR, fill),
                    max(1, numerics.MAX_VALUES // net.config.stage_values(length)))
         for start in range(0, len(idx), step):
             chunk = idx[start:start + step]

@@ -3,7 +3,9 @@
 Everything here shares no code path with the library.  The forward
 references are written with explicit Python loops and scalar math;
 ``dense_self_attention_vjp`` is the dense matrix form of the self-attention
-VJP, against which the library's rank-one form is pinned.
+VJP, against which the library's rank-one form is pinned, and
+``padded_window_patches`` the zero-pad-and-copy construction of the conv
+patches that the library's direct fill replaced.
 """
 
 import math
@@ -243,6 +245,17 @@ def loop_conv1d_relu(x, k3, bias):
                         acc += k3[c, i, j] * x[i, src]
             out[c, t] = max(acc, 0.0)
     return out
+
+
+def padded_window_patches(x, width):
+    """(..., D * width, N) conv patches built by zero-padding x and copying
+    its sliding windows: row i * width + j, column t holds x[..., i, t + j - pad]."""
+    dim, length = x.shape[-2:]
+    pad = (width - 1) // 2
+    xp = np.zeros(x.shape[:-1] + (length + 2 * pad,))
+    xp[..., pad:pad + length] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, length, axis=-1)
+    return windows.reshape(x.shape[:-2] + (dim * width, length))
 
 
 def loop_cross_entropy(logits, label):

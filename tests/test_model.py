@@ -18,7 +18,7 @@ from attnbof.model import (FRONTENDS, Model, ModelConfig, cross_entropy, fronten
 from attnbof.numerics import grad_check, softplus
 from attnbof.train import TrainConfig, fit
 
-from .oracles import loop_conv1d_relu, loop_cross_entropy
+from .oracles import loop_conv1d_relu, loop_cross_entropy, padded_window_patches
 
 DESK = dict(feature_dim=4, classes=3, codewords=6, latent_dim=5, seq_len=8)
 
@@ -54,6 +54,56 @@ def test_conv_matches_loop_oracle():
     bias = rng.standard_normal((4, 1))
     out = frontend_conv(x, k3.reshape(4, 15), bias)
     assert np.allclose(out, loop_conv1d_relu(x, k3, bias), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 30])
+@pytest.mark.parametrize("layout", ["item", "stack", "transposed"])
+def test_conv_patches_equal_the_padded_window_oracle(width, n, layout):
+    # the patches are filled column by column from x; a kernel wider than the
+    # sequence leaves whole columns of zeros
+    rng = np.random.default_rng(width * 100 + n)
+    x = {"item": lambda: rng.standard_normal((3, n)),
+         "stack": lambda: rng.standard_normal((4, 3, n)),
+         "transposed": lambda: rng.standard_normal((n, 3)).T}[layout]()
+    kernel, bias = rng.standard_normal((5, 3 * width)), rng.standard_normal((5, 1))
+    before = x.copy()
+    pre, patches = model_mod._conv_pre(x, kernel, bias)
+    want = padded_window_patches(x, width)
+    assert patches.shape == want.shape and np.array_equal(patches, want)
+    want_pre = kernel @ want + bias
+    assert np.array_equal(pre, want_pre)
+    for cache in (None, {}):
+        assert np.array_equal(frontend_conv(x, kernel, bias, cache=cache),
+                              np.maximum(want_pre, 0.0))
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("layout", ["item", "stack", "transposed"])
+def test_forward_only_branches_equal_their_cached_branches(layout):
+    # without a cache, quantize_raw writes the memberships over its distances
+    # and frontend_conv rectifies its pre-activation in place; input-mode 2da
+    # hands the quantizer a transposed x
+    rng = np.random.default_rng(11)
+    x = 3.0 * {"item": lambda: rng.standard_normal((16, 9)),
+               "stack": lambda: rng.standard_normal((3, 16, 9)),
+               "transposed": lambda: rng.standard_normal((9, 16)).T}[layout]()
+    last = x if x.ndim == 2 else x[-1]
+    # codewords on data columns: their distances fall near zero, where the
+    # GEMM form has cancelled, and are recomputed exactly
+    on_data = [0, 2, 4, 5, 7, 8]
+    v = last[:, on_data].T.copy()
+    w_raw = rng.standard_normal(v.shape)
+    kernel, bias = rng.standard_normal((4, 48)), rng.standard_normal((4, 1))
+    before = x.copy()
+    caches = {}
+    for layer, args in ((nbof.quantize_raw, (v, w_raw)), (frontend_conv, (kernel, bias))):
+        cached = layer(x, *args, cache=caches.setdefault(layer.__name__, {}))
+        assert np.array_equal(layer(x, *args), cached)
+        assert np.array_equal(x, before)
+    dist = caches["quantize_raw"]["dist"]
+    assert np.all((dist if x.ndim == 2 else dist[-1])[range(6), on_data] == 0.0)
+    assert caches["frontend_conv"]["pre"].min() < 0.0
 
 
 def test_conv_rejects_even_width():
@@ -200,21 +250,23 @@ def test_forward_reports_stage_on_wrong_length():
 
 
 def test_forward_pass_peak_memory_is_a_few_membership_stacks():
-    # one predict of a 2-item K=64, N=256 conv + csa stack: no stage keeps its
-    # cache, and the attention stage folds the temporal mean into each head's
-    # operator, so it returns (B, h*K) histograms and forms no (B, h*K, N) array
+    # one predict of a 2-item and of a 4-item (evaluate's) K=64, N=256 conv +
+    # csa stack: no stage keeps its cache, and the attention stage folds the
+    # temporal mean into each head's operator, so it returns (B, h*K)
+    # histograms and forms no (B, h*K, N) array
     net = Model.build(ModelConfig(feature_dim=16, classes=4, codewords=64,
                                   attention="csa", latent_dim=16, heads=2,
                                   frontend="conv", conv_channels=16, seq_len=256))
-    xs = np.random.default_rng(9).standard_normal((2, 16, 256))
-    net.predict(xs)
-    tracemalloc.start()
-    try:
+    for batch in (2, 4):
+        xs = np.random.default_rng(9).standard_normal((batch, 16, 256))
         net.predict(xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * xs.shape[0] * 64 * 256 * 8
+        tracemalloc.start()
+        try:
+            net.predict(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * batch * 64 * 256 * 8
 
 
 def test_classifier_width_scales_with_heads():

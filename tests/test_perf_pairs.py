@@ -4,6 +4,7 @@ per-run lines can be checked; its step workload against this checkout, on
 both sides and against a checkout whose package fails to import."""
 
 import json
+import re
 from pathlib import Path
 
 import perf_pairs
@@ -20,12 +21,15 @@ if SIDE == "change" and seed == FAIL_SEED:
 rate = RATE + seed % 2
 print(json.dumps({"correct": True, "attempted": 10, "failed": int(SIDE == "parent"),
                   "metrics": {"items_per_s": {"value": rate, "unit": "1/s"},
-                              "latency_ms_p50": {"value": 1000.0 / rate, "unit": "ms"}}}))
+                              "latency_ms_p50": {"value": 1000.0 / rate, "unit": "ms"},
+                              "setup_s": {"value": seed - 0.25 * (SIDE == "change"),
+                                          "unit": "s"}}}))
 """
 
 SPEC = {"run_seconds": 20, "end_to_end": [
     {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
-    {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25}]}
+    {"name": "latency_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}
 
 
 def checkout(root: Path, side: str, rate: float, fail_seed: int) -> Path:
@@ -50,10 +54,14 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     # the pair ratios, 150/100 and 151/101, leave out the pair whose change run failed
     assert ("items_per_s (higher is better): parent 100 [100, 100.5] -> "
             "change 150.5 [150.25, 150.75], +50.5%, median pair ratio 1.49752 (+49.8%), "
-            "change won 2/2") in out
+            "change won 2/2, parent IQR 0.5, median gain 50.5 exceeds it\n") in out
     assert ("latency_ms_p50 (lower is better): parent 10 [9.9505, 10] -> change 6.64459 "
             "[6.63355, 6.65563], -33.6%, median pair ratio 0.66777 (-33.2%), "
-            "change won 2/2") in out
+            "change won 2/2, parent IQR 0.049505, median gain 3.35541 exceeds it\n") in out
+    # every pair won, yet the medians differ by less than the parent's IQR
+    assert ("setup_s (lower is better): parent 11 [10.5, 11.5] -> change 10.25 [10, 10.5], "
+            "-6.8%, median pair ratio 0.976136 (-2.4%), change won 2/2, parent IQR 1, "
+            "median gain 0.75 does not exceed it\n") in out
     assert ("  parent runs: 100 101 100\n  change runs: 150 151 failed\n"
             "latency_ms_p50") in out
     assert "  parent runs: 10 9.90099 10\n  change runs: 6.66667 6.62252 failed\n" in out
@@ -76,7 +84,9 @@ def test_step_workload_runs_this_checkout_against_itself(capsys):
     for i, name in enumerate(names):
         head, *runs = lines[2 + 3 * i:5 + 3 * i]
         assert head.startswith(f"{name} (lower is better): parent ")
-        assert head.endswith(("change won 0/1, parent IQR 0", "change won 1/1, parent IQR 0"))
+        # one pair: the IQR is 0, so the gain exceeds it exactly when the change won
+        assert re.search(r"change won (0/1, parent IQR 0, median gain \S+ does not exceed"
+                         r"|1/1, parent IQR 0, median gain \S+ exceeds) it$", head)
         for side, line in zip(perf_pairs.SIDES, runs):
             assert line.startswith(f"  {side} runs: ") and float(line.split()[-1]) > 0.0
     assert lines[32:] == ["parent: failed/attempted 0/1", "change: failed/attempted 0/1"]

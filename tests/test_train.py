@@ -259,13 +259,16 @@ def long_toy(length=300, count=5):
           heads=2), lambda: separable_toy(count=36), [36], None),
     (dict(feature_dim=4, codewords=6, attention="tsa", latent_dim=4), ragged_set,
      [10, 10, 10], None),
-    (dict(feature_dim=2, codewords=64), long_toy, [2, 2, 1], None),
+    (dict(feature_dim=2, codewords=64), long_toy, [4, 1], None),
     (dict(feature_dim=2, codewords=64, attention="csa", latent_dim=4, seq_len=256,
           heads=2, frontend="conv", conv_channels=2),
-     lambda: long_toy(length=256, count=6), [2, 2, 2], None),
-    # one item's memberships are the most a stack may hold: no two-item floor
+     lambda: long_toy(length=256, count=6), [4, 2], None),
+    # one item's memberships are the most a stack may hold: no four-item floor
     (dict(feature_dim=2, codewords=64), long_toy, [1] * 5, 64 * 300),
-], ids=["equal-length", "ragged", "over-budget", "long-sequence", "one-item-bound"])
+    # three items fit: the bound undercuts the four-item floor
+    (dict(feature_dim=2, codewords=64), long_toy, [3, 2], 3 * 64 * 300),
+], ids=["equal-length", "ragged", "over-budget", "long-sequence", "one-item-bound",
+        "three-item-bound"])
 def test_stacked_evaluate_matches_predict_loop(model_kwargs, make_set, stacks, limit,
                                                monkeypatch):
     net = Model.build(ModelConfig(classes=3, seed=4, **model_kwargs))
