@@ -12,8 +12,8 @@ runs ``perfbench/run.py --workload W --seed S+i --trace 0`` for the
 ``run_seconds`` of the change's BENCHMARK.json, and its metrics are the
 end-to-end ones that file declares.  ``step`` runs this script's
 :func:`measure` with the checkout's ``src`` first on the import path; its
-metrics are ``<kind>.step`` and ``<kind>.forward`` in µs per item, lower is
-better.
+metrics are ``<kind>.step``, ``<kind>.step1`` and ``<kind>.forward`` in µs
+per item, lower is better.
 
 For every metric the report gives each side's median and quartiles, the
 median over complete pairs of the ratio change/parent, the pairs the change
@@ -39,8 +39,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 KINDS = ("none", "2da", "ctsa", "csa", "tsa")
 BATCH, REPEATS, CALLS = 16, 9, 20
+FIGURES = ("step", "step1", "forward")
 STEP_METRICS = [{"name": f"{kind}.{figure}", "better": "lower"}
-                for kind in KINDS for figure in ("step", "forward")]
+                for kind in KINDS for figure in FIGURES]
 # a step run: this script's ``measure`` in a fresh interpreter, seed as argv[1]
 MEASURE = "import json, sys, perf_pairs; print(json.dumps(perf_pairs.measure(int(sys.argv[1]))))"
 
@@ -49,7 +50,9 @@ def measure(seed: int) -> dict:
     """One step run, against the attnbof of ``./src``: every kind built from
     the denoising experiment's configs, timed on a B-item stack of its
     generator drawn with ``seed``.  ``step`` is a training ``loss_and_grad``
-    and ``forward`` a ``Model.forward``; a figure is the fastest of
+    and ``forward`` a ``Model.forward`` of the stack; ``step1`` is the
+    evaluation-mode ``loss_and_grad`` of its first item alone, the call
+    denoise-train times for its latency.  A figure is the fastest of
     ``REPEATS`` means over ``CALLS`` calls, the repeat least disturbed by
     other load on the host."""
     import numpy as np
@@ -70,9 +73,12 @@ def measure(seed: int) -> dict:
     metrics = {}
     for kind in KINDS:
         net = Model.build(model_config({**conf, "attention": kind}, data))
-        calls = {"step": lambda: net.loss_and_grad(xs, labels, training=True, seed=seeds),
-                 "forward": lambda: net.forward(xs)}
-        for figure, call in calls.items():
+        # figure -> (call, items per call)
+        calls = {"step": (lambda: net.loss_and_grad(xs, labels, training=True, seed=seeds),
+                          BATCH),
+                 "step1": (lambda: net.loss_and_grad(xs[0], int(labels[0])), 1),
+                 "forward": (lambda: net.forward(xs), BATCH)}
+        for figure, (call, items) in calls.items():
             call()
             times = []
             for _ in range(REPEATS):
@@ -80,7 +86,7 @@ def measure(seed: int) -> dict:
                 for _ in range(CALLS):
                     call()
                 times.append(time.perf_counter() - t0)
-            metrics[f"{kind}.{figure}"] = {"value": 1e6 * min(times) / (CALLS * BATCH),
+            metrics[f"{kind}.{figure}"] = {"value": 1e6 * min(times) / (CALLS * items),
                                            "unit": "µs/item"}
     return {"attempted": 1, "failed": 0, "metrics": metrics}
 
@@ -158,7 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed-base", required=True, type=int)
     args = parser.parse_args(argv)
     if args.workload == "step":
-        metrics, seconds, unit = STEP_METRICS, 0.0, f"µs per item at B={BATCH}"
+        metrics, seconds, unit = STEP_METRICS, 0.0, f"µs per item at B={BATCH}, step1 at B=1"
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text())
         metrics, seconds = spec["end_to_end"], spec["run_seconds"]

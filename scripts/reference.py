@@ -8,7 +8,12 @@ of ``CONFIGS``, trained by ``fit`` for 3 epochs on a 48-item noisy set, its
 parameters before and after, loss trace, a training ``loss_and_grad``,
 logits, attention matrices and checkpoint (header bytes, float64 payload);
 for each dataset of ``DATASETS``, its feature-file bytes, the items and
-labels loaded back, and the checksums of its holdout and 5-fold splits.  A
+labels loaded back, and the checksums of its holdout and 5-fold splits;
+for each configuration of ``SHAPES``, built at a shape the benchmark runs
+(BLAS picks its kernels by shape and memory order, so drift can show there
+and not at the small shape), a training ``loss_and_grad`` of a 16-item stack
+and an evaluation ``loss_and_grad`` of its first item; for the long-sequence
+model of ``LONGSEQ``, the logits of one item and of a 4-item stack.  A
 float64 field passes within ``TOLERANCE`` of the reference, relative to the
 field's largest reference magnitude; a byte field passes only when equal.
 """
@@ -25,6 +30,7 @@ import numpy as np
 
 from attnbof.data import gen_noisy_timestamps, gen_order_task, load_features, save_features
 from attnbof.model import Model, ModelConfig, save_checkpoint
+from attnbof.nbof import init_codebook
 from attnbof.train import TrainConfig, fit, holdout_split, kfold
 
 REFERENCE = Path(__file__).resolve().parents[1] / "tests" / "data" / "reference.npz"
@@ -43,6 +49,24 @@ CONFIGS = {
     "conv-2da-input": {"frontend": "conv", "attention": "2da", "mode": "input"},
 }
 LENGTH = 12
+# the denoising experiment's model (D=8, K=16, N=30, d=8, 2 heads); "wide"
+# csa and tsa take 3 heads and d=40 > K, N, so that a head's projection is
+# the largest stage array
+DENOISE = {"feature_dim": 8, "classes": 3, "codewords": 16, "latent_dim": 8, "heads": 2,
+           "seq_len": 30}
+WIDE = {**DENOISE, "heads": 3, "latent_dim": 40, "dropout_rate": 0.1}
+SHAPES = {
+    **{f"denoise-{kind}": {**DENOISE, "attention": kind}
+       for kind in ("none", "ctsa", "csa", "tsa")},
+    "denoise-2da-temporal": {**DENOISE, "attention": "2da", "mode": "temporal"},
+    "denoise-2da-input": {**DENOISE, "attention": "2da", "mode": "input"},
+    "wide-csa-h3": {**WIDE, "attention": "csa"},
+    "wide-tsa-h3": {**WIDE, "attention": "tsa"},
+}
+# longseq-eval's conv + csa model
+LONGSEQ = {"feature_dim": 16, "classes": 4, "codewords": 64, "latent_dim": 16, "heads": 2,
+           "seq_len": 256, "attention": "csa", "frontend": "conv", "conv_width": 3,
+           "conv_channels": 16}
 # the data path: generator, seed (which also seeds the splits)
 DATASETS = {f"{generator}-seed{seed}": (generator, seed)
             for generator in ("order", "noisy") for seed in (3, 4)}
@@ -51,6 +75,20 @@ DATASETS = {f"{generator}-seed{seed}": (generator, seed)
 def _noisy(seed: int):
     return gen_noisy_timestamps(classes=3, feature_dim=4, length=LENGTH,
                                 signal_fraction=0.25, snr=2.0, count=48, seed=seed)
+
+
+def _shape_model(extra: dict) -> tuple[Model, np.ndarray, np.ndarray]:
+    """The model of ``extra``, built with seed 11, its codebook drawn from its
+    data's quantizer inputs as ``fit`` draws it, and that data: 16 stacked
+    items and their labels."""
+    cfg = ModelConfig(seed=11, **extra)
+    data = gen_noisy_timestamps(classes=cfg.classes, feature_dim=cfg.feature_dim,
+                                length=cfg.seq_len, signal_fraction=0.1, snr=2.0,
+                                count=16, seed=7)
+    xs = np.stack([x for x, _ in data.items])
+    net = Model.build(cfg)
+    net.set_codebook(init_codebook([net.quantizer_input(x) for x in xs], cfg.codewords, 7))
+    return net, xs, data.labels()
 
 
 def _bytes(data: bytes | str) -> list[np.ndarray]:
@@ -100,6 +138,16 @@ def probe() -> dict[str, list[np.ndarray]]:
             fields[f"{name}.holdout_{side}"] = _bytes(part.checksum())
         for f, (train, val) in enumerate(kfold(dataset, 5, seed)):
             fields[f"{name}.fold{f}"] = _bytes(f"{train.checksum()} {val.checksum()}")
+    for name, extra in SHAPES.items():
+        net, xs, labels = _shape_model(extra)
+        losses, grad = net.loss_and_grad(xs, labels, training=True,
+                                         seed=np.arange(len(xs)) + 2000)
+        loss, grad_one = net.loss_and_grad(xs[0], int(labels[0]))
+        fields[f"{name}.loss_and_grad"] = [losses, *net.views(grad).values()]
+        fields[f"{name}.loss_and_grad_one"] = [np.array(loss), *net.views(grad_one).values()]
+    net, xs, _ = _shape_model(LONGSEQ)
+    fields["longseq-conv-csa.logits_one"] = [net.forward(xs[0])]
+    fields["longseq-conv-csa.logits_stack"] = [net.forward(xs[:4])]
     return fields
 
 
@@ -157,7 +205,7 @@ def main(argv=None) -> int:
         return 0
     moved, total = drifts(REFERENCE)
     for key, drift in moved.items():
-        print(f"{key:34s} max |change - reference| / max |reference| = {drift:.3e}")
+        print(f"{key:40s} max |change - reference| / max |reference| = {drift:.3e}")
     over = sum(not drift <= TOLERANCE for drift in moved.values())   # NaN is over
     print(f"{total - len(moved)} of {total} fields bitwise equal, "
           f"{over} over {TOLERANCE:g}")

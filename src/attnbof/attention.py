@@ -27,14 +27,9 @@ return the matrix.  The cotangent of a pooled head's P is rank one, so
 ``self_attention_vjp`` contracts it with one GEMV instead of a dense softmax
 VJP.  Dropout on a head's attention matrix is training-only and inverted
 (survivors scaled by 1/(1-rate)), so evaluation is a pure identity.  Every
-VJP reads the cache its forward filled, alpha included.  csa and tsa project
-q and k from the same side of phi, so their VJPs place the cotangents of q
-and k side by side and take phi's and the stacked (2d, K or N) ``[wq; wk]``'s
-from one GEMM each.  tsa's forward likewise runs one GEMM against
-``[wq; wk]`` and splits the (..., N, 2d) product into q and k.  csa's forward
-keeps a GEMM per projection: against ``[wq; wk]`` it was ~10 µs a head
-slower at K=64, N=256 and no faster for one item at K=16, N=30.  ctsa
-projects q from the rows and k from the columns: two GEMMs each way.
+VJP reads the cache its forward filled, alpha included.  Each projection,
+q or k, is one GEMM on the side of phi its weight does not span, forward and
+backward, in every variant.
 
 Layers take the model's parameter arrays: ``att_2da`` takes ``w`` and
 ``alpha_raw`` (alpha = logistic(alpha_raw)); self-attention takes the list
@@ -164,10 +159,8 @@ def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Arr
 # in training.  csa and tsa compute the transposed scores k qᵀ, so their
 # softmax normalizes along axis -2 (the cache's row-stochastic ``a`` is a
 # view).  Head i writes rows i*K..(i+1)*K of one output; for item b it draws
-# its dropout mask from seed_b + i.
-#
-# Against [wq; wk], the first d columns of a (..., L, 2d) product are q's
-# (q before scaling) and the last d are k's; the VJP lays out [dq, dk] so.
+# its dropout mask from seed_b + i.  The VJP takes dq and dk from the scores'
+# cotangent and runs ``_project_vjp`` once per projection, on its own side.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
 
@@ -208,9 +201,8 @@ def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training:
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     kdim, n = phi.shape[-2:]
-    k_rows = _PROJECTS_ROWS[variant][1]
-    d = ps[0].shape[0]
-    scale = 1.0 / math.sqrt(d)
+    q_rows, k_rows = _PROJECTS_ROWS[variant]
+    scale = 1.0 / math.sqrt(ps[0].shape[0])
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
     r = numerics.ones(n)[:, None] * (1.0 / n) if pooled else np.eye(n)
@@ -218,12 +210,8 @@ def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training:
     out = np.empty(phi.shape[:-2] + (len(ps) // 3 * kdim, r.shape[1]))
     heads: list[dict] = []
     for i, (wq, wk, alpha_raw) in enumerate(zip(ps[0::3], ps[1::3], ps[2::3])):
-        if variant == "tsa":    # q and k both project the columns: one GEMM
-            qk = swap(np.concatenate((wq, wk)) @ phi)
-            q, k = qk[..., :d] * scale, qk[..., d:]
-        else:   # q projects the rows; csa keeps two GEMMs (module docstring)
-            q = (phi @ wq.T) * scale
-            k = phi @ wk.T if k_rows else swap(wk @ phi)
+        q = (phi @ wq.T if q_rows else swap(wq @ phi)) * scale
+        k = phi @ wk.T if k_rows else swap(wk @ phi)
         if variant == "ctsa":
             s = numerics.sigmoid(q @ swap(k))
         else:
@@ -277,13 +265,11 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
     cotangent ``kappa (a_used * c - s * wᵀ) * gᵀ``; alpha's is ``g·(c - w)``.
     ctsa's ``dP = (u rᵀ) * phi`` makes its scores' cotangent
     ``kappa (u/N) * (a_used * phi) * (1 - s)`` and alpha's
-    ``u·(phi r - (a_used * phi) r)``.  csa and tsa place the cotangents of q
-    and k side by side and take phi's and [wq; wk]'s from one projection
-    VJP against the forward's [wq; wk]."""
+    ``u·(phi r - (a_used * phi) r)``.  The scores' cotangent gives dq and
+    dk, and each projection's VJP runs on the side that projection took."""
     kdim, n = phi.shape[-2:]
-    q_rows = _PROJECTS_ROWS[variant][0]
-    d = ps[0].shape[0]
-    scale = 1.0 / math.sqrt(d)
+    q_rows, k_rows = _PROJECTS_ROWS[variant]
+    scale = 1.0 / math.sqrt(ps[0].shape[0])
     phi_t, phi_r = swap(phi), cache["phi_r"]
     dphi = np.zeros(phi.shape)
     grads: list[Array] = []
@@ -318,22 +304,16 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
                 ds -= s * kw
             if g is not None:
                 ds *= g
+        # ctsa's scores are q kᵀ, csa's and tsa's k qᵀ
+        dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
+        dq *= scale                     # the scores took q / sqrt(d)
         wq, wk = ps[3 * i:3 * i + 2]
-        if variant == "ctsa":
-            dq = ds @ k
-            dq *= scale                 # the scores took q / sqrt(d)
-            dp, dwq = _project_vjp(phi, phi_t, wq, True, dq)
-            dphi += dp
-            dp, dwk = _project_vjp(phi, phi_t, wk, False, swap(ds) @ q)
-        else:   # q and k project one side of phi: [dq, dk] against [wq; wk]
-            dq = swap(ds) @ k
-            dq *= scale
-            dq = np.concatenate((dq, ds @ q), axis=-1)
-            dp, dw = _project_vjp(phi, phi_t, np.concatenate((wq, wk)), q_rows, dq)
-            dwq, dwk = dw[:d], dw[d:]
+        dp, dwq = _project_vjp(phi, phi_t, wq, q_rows, dq)
+        dphi += dp
+        dp, dwk = _project_vjp(phi, phi_t, wk, k_rows, dk)
         dphi += dp
         grads += [dwq, dwk, _dalpha_raw(alpha, float(dalpha))]
-        del ds, dq, dp      # freed before the next head allocates its own
+        del ds, dq, dk, dp      # freed before the next head allocates its own
     return (dphi, *grads)
 
 

@@ -87,8 +87,7 @@ class ModelConfig:
         """The number of values in the largest array a stage allocates for one item of
         length ``n``: the conv patches, the quantizer's memberships and its VJP's
         ``[x; x^2; 1]`` operand and codeword sums, or one self-attention head's
-        projections and scores; csa and tsa hold the cotangents of q and k (tsa's
-        forward: q and k) in one (L, 2d) block."""
+        (L, d) projections and scores, each projection one array."""
         k, dq = self.codewords, self.feature_dim
         sizes = [k * n]
         if self.frontend == "conv":
@@ -98,8 +97,7 @@ class ModelConfig:
         if self.attention in attention.VARIANTS:
             # a projection has a row per entry of the axis its weight does not span
             q_len, k_len = attention.projection_widths(self.attention, n, k)
-            blocks = 1 if self.attention == "ctsa" else 2
-            sizes += [blocks * self.latent_dim * max(q_len, k_len), q_len * k_len]
+            sizes += [self.latent_dim * max(q_len, k_len), q_len * k_len]
         return max(sizes)
 
     def check_stack(self, batch: int, n: int) -> None:
@@ -233,11 +231,6 @@ def cross_entropy(logits: Array, label) -> float | Array:
     labels give the B per-item losses.
     """
     return _loss_and_dlogits(logits, label)[0]
-
-
-def cross_entropy_vjp(logits: Array, label, upstream) -> Array:
-    """Cotangent of the logits of ``cross_entropy``, given the losses' ``upstream``."""
-    return _loss_and_dlogits(logits, label)[1] * np.asarray(upstream)[..., None]
 
 
 # ---------------------------------------------------------------------------

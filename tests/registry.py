@@ -12,7 +12,7 @@ import numpy as np
 
 from attnbof import numerics
 from attnbof.attention import VARIANTS, projection_widths
-from attnbof.model import (ModelConfig, build_stages, cross_entropy, cross_entropy_vjp,
+from attnbof.model import (ModelConfig, _loss_and_dlogits, build_stages, cross_entropy,
                            frontend_conv)
 from attnbof.numerics import DiffOp
 
@@ -87,7 +87,7 @@ OPS = {entry.op.name: entry for entry in [
                  lambda inputs, out, g: numerics.affine_vjp(*inputs[:2], g)),
           normal((3, 6), 6, 3)),
     Entry(DiffOp("cross_entropy_c4", lambda z: np.asarray(cross_entropy(z, 2)),
-                 lambda inputs, out, g: (cross_entropy_vjp(inputs[0], 2, float(g)),)),
+                 lambda inputs, out, g: (_loss_and_dlogits(inputs[0], 2)[1] * float(g),)),
           normal(4)),
     *(stage_op(f"att_2da_{mode}", "attention",
                normal((4, 5), (side, side), (1, 1), fan_in={1}), feature_dim=4,

@@ -162,8 +162,6 @@ def test_loss_helper_is_bitwise_the_loss_and_its_vjp(shape):
         assert type(loss) is (float if len(shape) == 1 else np.ndarray)
         assert np.array_equal(loss, want_loss) and np.array_equal(dlogits, want_dlogits)
         assert np.array_equal(cross_entropy(logits, label), loss)
-        upstream = np.ones(shape[:-1]) if len(shape) == 2 else 1.0
-        assert np.array_equal(model_mod.cross_entropy_vjp(logits, label, upstream), dlogits)
 
 
 @pytest.mark.parametrize("logits, label, error, match", [
@@ -175,8 +173,7 @@ def test_loss_helper_is_bitwise_the_loss_and_its_vjp(shape):
 ], ids=["over", "negative", "float", "stack-shape", "vector-shape"])
 def test_loss_helper_raises_as_the_loss_and_its_vjp(logits, label, error, match):
     for call in (lambda: model_mod._loss_and_dlogits(logits, label),
-                 lambda: cross_entropy(logits, label),
-                 lambda: model_mod.cross_entropy_vjp(logits, label, 1.0)):
+                 lambda: cross_entropy(logits, label)):
         with pytest.raises(error, match=match):
             call()
 
@@ -452,8 +449,8 @@ def test_config_validation_bounds_the_parameter_count(monkeypatch):
     (dict(codewords=5000), 30, 5000 * 30),                                 # memberships
     (dict(frontend="conv", conv_width=101, conv_channels=2), 30, 4 * 101 * 30),  # patches
     (dict(attention="tsa", latent_dim=3), 600, 600 * 600),                 # a head's scores
-    (dict(attention="csa", codewords=40, latent_dim=50, seq_len=6), 6, 2 * 40 * 50),  # dq, dk
-    (dict(attention="tsa", codewords=5, latent_dim=40), 30, 2 * 30 * 40),  # 2d > N
+    (dict(attention="csa", codewords=40, latent_dim=50, seq_len=6), 6, 40 * 50),  # q or k
+    (dict(attention="tsa", codewords=5, latent_dim=40), 30, 30 * 40),      # d > N
     (dict(attention="ctsa", codewords=40, latent_dim=2, seq_len=90), 90, 40 * 90),
 ], ids=["memberships", "conv-patches", "tsa-scores", "csa-projections", "tsa-projections",
         "ctsa-scores"])

@@ -77,10 +77,10 @@ def run_step(parent: Path, change: Path, capsys) -> str:
 
 def test_step_workload_runs_this_checkout_against_itself(capsys):
     lines = run_step(ROOT, ROOT, capsys).splitlines()
-    assert lines[:2] == ["workload step, seeds 5..5, µs per item at B=16",
+    assert lines[:2] == ["workload step, seeds 5..5, µs per item at B=16, step1 at B=1",
                          "1 complete pairs of 1"]
     names = [f"{kind}.{figure}" for kind in ("none", "2da", "ctsa", "csa", "tsa")
-             for figure in ("step", "forward")]
+             for figure in ("step", "step1", "forward")]
     for i, name in enumerate(names):
         head, *runs = lines[2 + 3 * i:5 + 3 * i]
         assert head.startswith(f"{name} (lower is better): parent ")
@@ -89,7 +89,7 @@ def test_step_workload_runs_this_checkout_against_itself(capsys):
                          r"|1/1, parent IQR 0, median gain \S+ exceeds) it$", head)
         for side, line in zip(perf_pairs.SIDES, runs):
             assert line.startswith(f"  {side} runs: ") and float(line.split()[-1]) > 0.0
-    assert lines[32:] == ["parent: failed/attempted 0/1", "change: failed/attempted 0/1"]
+    assert lines[47:] == ["parent: failed/attempted 0/1", "change: failed/attempted 0/1"]
 
 
 def test_step_workload_counts_a_checkout_that_fails_to_import(tmp_path, capsys):

@@ -6,13 +6,23 @@ import math
 import numpy as np
 import reference
 
+from attnbof.attention import projection_widths
+from attnbof.model import ModelConfig
 
 
 def test_this_checkout_is_within_tolerance_of_the_committed_reference():
     moved, total = reference.drifts(reference.REFERENCE)
-    assert total == 116
+    assert total == 134
     over = {key: drift for key, drift in moved.items() if not drift <= reference.TOLERANCE}
     assert not over, f"{len(over)} fields over {reference.TOLERANCE:g}: {over}"
+
+
+def test_the_wide_probes_are_bounded_by_a_projection():
+    for name in ("wide-csa-h3", "wide-tsa-h3"):
+        cfg = ModelConfig(**reference.SHAPES[name])
+        q_len, _ = projection_widths(cfg.attention, cfg.seq_len, cfg.codewords)
+        assert cfg.latent_dim > max(cfg.codewords, cfg.seq_len)
+        assert cfg.stage_values(cfg.seq_len) == cfg.latent_dim * q_len, name
 
 
 def test_relative_drift_is_relative_to_the_reference_field():
@@ -52,4 +62,4 @@ def test_the_report_names_each_moved_field_and_exits_1_over_tolerance(tmp_path, 
     assert 9e-11 < drift["none.logits"] < 1.1e-10
     assert 0.0 < drift["noisy-seed3.loaded"] <= reference.TOLERANCE
     assert math.isinf(drift["order-seed3.fold0"]) and math.isinf(drift["gone.logits"])
-    assert lines[-1] == "112 of 117 fields bitwise equal, 4 over 1e-12"
+    assert lines[-1] == "130 of 135 fields bitwise equal, 4 over 1e-12"
