@@ -19,12 +19,11 @@ macro-F1 in % (mean +/- std over folds), the accuracy difference from
 import argparse
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from attnbof.cli import generate, model_config, parse_config, train_config
-from attnbof.data import LabeledSequenceSet
-from attnbof.model import Model
-from attnbof.train import TrainReport, cross_validate, train
+if TYPE_CHECKING:
+    from attnbof.data import LabeledSequenceSet
+    from attnbof.train import TrainReport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,14 +41,22 @@ EXPERIMENTS = {
 }
 
 
-def dataset(name: str) -> LabeledSequenceSet:
+# attnbof is imported inside the functions below, so that perf_pairs.py can
+# read the table above with no attnbof on the import path.
+def dataset(name: str) -> "LabeledSequenceSet":
+    from attnbof.cli import generate, parse_config
+
     return generate(parse_config(str(CONFIGS / EXPERIMENTS[name].gen_conf)))
 
 
-def run(name: str, attention: str, epochs: int | None = None) -> TrainReport:
+def run(name: str, attention: str, epochs: int | None = None) -> "TrainReport":
     """Train one attention variant on the experiment's data: a holdout
     ``train``, scored on the trained model itself, when the config has one
     fold, and ``cross_validate`` otherwise."""
+    from attnbof.cli import model_config, parse_config, train_config
+    from attnbof.model import Model
+    from attnbof.train import cross_validate, train
+
     data = dataset(name)
     conf = {**parse_config(str(CONFIGS / EXPERIMENTS[name].train_conf)),
             "attention": attention}

@@ -6,14 +6,13 @@ training step and forward pass of every attention kind.
     python scripts/perf_pairs.py --parent DIR --change DIR --workload step \
         --pairs 10 --seed-base 7001
 
-Pair i runs each checkout once with seed S+i, as a subprocess from the
-checkout's root, and alternates which side runs first.  A benchmark workload
-runs ``perfbench/run.py --workload W --seed S+i --trace 0`` for the
-``run_seconds`` of the change's BENCHMARK.json, and its metrics are the
-end-to-end ones that file declares.  ``step`` runs this script's
-:func:`measure` with the checkout's ``src`` first on the import path; its
-metrics are ``<kind>.step``, ``<kind>.step1`` and ``<kind>.forward`` in µs
-per item, lower is better.
+Pair i runs each checkout once with seed S+i, and alternates which side runs
+first.  A benchmark workload runs ``perfbench/run.py --workload W --seed S+i
+--trace 0`` in a subprocess from the checkout's root, for the ``run_seconds``
+of the change's BENCHMARK.json, with the end-to-end metrics declared there.
+``step`` imports each checkout's ``src/attnbof`` once, as ``attnbof_<side>``,
+into this process, and a pair is a round of :func:`measure` per side; its
+metrics are ``<kind>.{step,step1,forward}`` in µs per item, lower is better.
 
 For every metric the report gives each side's median and quartiles, the
 median over complete pairs of the ratio change/parent, the pairs the change
@@ -21,93 +20,88 @@ won (by the metric's direction), the parent's IQR and whether the median gain
 (the change's median minus the parent's, in the metric's better direction)
 exceeds that IQR, then every run's value in pair order.  The two runs of a
 pair are adjacent in time, so host drift that spans several pairs cancels in
-the ratio.  A run that exits non-zero or prints no result counts as one
-failed, attempted run, and the pairs go on.
+the ratio.  A run that exits non-zero or prints no result, and each round of
+a checkout whose package fails to import, counts as one failed, attempted
+run, and the pairs go on.
 """
 
-from __future__ import annotations
-
 import argparse
+import importlib.util
 import json
-import os
 import statistics
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
+
+import numpy as np
+
+from experiments import CONFIGS, EXPERIMENTS
 
 SIDES = ("parent", "change")
 KINDS = ("none", "2da", "ctsa", "csa", "tsa")
-BATCH, REPEATS, CALLS = 16, 9, 20
-FIGURES = ("step", "step1", "forward")
+BATCH, CALLS = 16, 20
 STEP_METRICS = [{"name": f"{kind}.{figure}", "better": "lower"}
-                for kind in KINDS for figure in FIGURES]
-# a step run: this script's ``measure`` in a fresh interpreter, seed as argv[1]
-MEASURE = "import json, sys, perf_pairs; print(json.dumps(perf_pairs.measure(int(sys.argv[1]))))"
+                for kind in KINDS for figure in ("step", "step1", "forward")]
 
 
-def measure(seed: int) -> dict:
-    """One step run, against the attnbof of ``./src``: every kind built from
-    the denoising experiment's configs, timed on a B-item stack of its
+def measure(pkg, seed: int) -> dict:
+    """One step round of ``pkg``, an imported attnbof: every kind built from
+    the denoising experiment's configs and timed on a B-item stack of its
     generator drawn with ``seed``.  ``step`` is a training ``loss_and_grad``
     and ``forward`` a ``Model.forward`` of the stack; ``step1`` is the
-    evaluation-mode ``loss_and_grad`` of its first item alone, the call
-    denoise-train times for its latency.  A figure is the fastest of
-    ``REPEATS`` means over ``CALLS`` calls, the repeat least disturbed by
-    other load on the host."""
-    import numpy as np
-
-    import attnbof
-    from attnbof.cli import generate, model_config, parse_config
-    from attnbof.model import Model
-    from experiments import CONFIGS, EXPERIMENTS
-
-    if not Path(attnbof.__file__).resolve().is_relative_to(Path("src").resolve()):
-        raise ImportError(f"imported attnbof from {attnbof.__file__}, not ./src")
-    experiment = EXPERIMENTS["denoising"]
-    data = generate({**parse_config(str(CONFIGS / experiment.gen_conf)),
-                     "count": BATCH, "seed": seed})
-    conf = parse_config(str(CONFIGS / experiment.train_conf))
+    evaluation-mode ``loss_and_grad`` of its first item, the call denoise-train
+    times for its latency.  A figure is one mean of ``CALLS`` calls after a warm-up."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    exp = EXPERIMENTS["denoising"]
+    gen, conf = (cli.parse_config(str(CONFIGS / f)) for f in (exp.gen_conf, exp.train_conf))
+    data = cli.generate({**gen, "count": BATCH, "seed": seed})
     xs = np.stack([x for x, _ in data.items])
     labels, seeds = data.labels(), np.arange(BATCH) + 100
     metrics = {}
     for kind in KINDS:
-        net = Model.build(model_config({**conf, "attention": kind}, data))
-        # figure -> (call, items per call)
-        calls = {"step": (lambda: net.loss_and_grad(xs, labels, training=True, seed=seeds),
-                          BATCH),
-                 "step1": (lambda: net.loss_and_grad(xs[0], int(labels[0])), 1),
-                 "forward": (lambda: net.forward(xs), BATCH)}
-        for figure, (call, items) in calls.items():
+        net = pkg.model.Model.build(cli.model_config({**conf, "attention": kind}, data))
+        for figure, items, call in (  # figure, items per call, call
+                ("step", BATCH, lambda: net.loss_and_grad(xs, labels, training=True, seed=seeds)),
+                ("step1", 1, lambda: net.loss_and_grad(xs[0], int(labels[0]))),
+                ("forward", BATCH, lambda: net.forward(xs))):
             call()
-            times = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                for _ in range(CALLS):
-                    call()
-                times.append(time.perf_counter() - t0)
-            metrics[f"{kind}.{figure}"] = {"value": 1e6 * min(times) / (CALLS * items),
-                                           "unit": "µs/item"}
+            t0 = time.perf_counter()
+            for _ in range(CALLS):
+                call()
+            metrics[f"{kind}.{figure}"] = {
+                "value": 1e6 * (time.perf_counter() - t0) / (CALLS * items), "unit": "µs/item"}
     return {"attempted": 1, "failed": 0, "metrics": metrics}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result object of one run, or None (with the reason on stderr)."""
-    env = None
-    if workload == "step":
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(checkout.resolve() / "src"), str(Path(__file__).resolve().parent)]))
-        argv = ["-c", MEASURE, str(seed)]
-    else:
-        argv = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run([sys.executable, *argv], cwd=checkout, env=env,
-                          capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        sys.stderr.write(f"{checkout}: seed {seed} exited {proc.returncode}\n{proc.stderr}")
+def load(side: str, checkout: Path):
+    """``checkout/src/attnbof`` imported as ``attnbof_<side>``, or None if that raises."""
+    init = checkout.resolve() / "src" / "attnbof" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        f"attnbof_{side}", init, submodule_search_locations=[str(init.parent)])
+    pkg = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(pkg)
+        return pkg
+    except Exception:  # its frames name the checkout
+        traceback.print_exc()
         return None
-    return json.loads(lines[-1])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """One benchmark run's result, or None (the reason on stderr) if it has none."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=checkout, capture_output=True, text=True)
+    try:
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        if proc.returncode == 0 and isinstance(result["metrics"], dict):
+            return result
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
+        pass
+    sys.stderr.write(f"{checkout}: seed {seed} exited {proc.returncode}, no result\n{proc.stderr}")
+    return None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -163,19 +157,25 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seed-base", required=True, type=int)
     args = parser.parse_args(argv)
-    if args.workload == "step":
-        metrics, seconds, unit = STEP_METRICS, 0.0, f"µs per item at B={BATCH}, step1 at B=1"
+    step = args.workload == "step"
+    if step:
+        metrics, unit = STEP_METRICS, f"µs per item at B={BATCH}, step1 at B=1"
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text())
         metrics, seconds = spec["end_to_end"], spec["run_seconds"]
         unit = f"{seconds:g} s per run"
-    dirs = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict | None]] = {side: [] for side in SIDES}
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            runs[side].append(run_once(dirs[side], args.workload, seed, seconds))
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
+    try:
+        pkgs = {side: load(side, getattr(args, side)) for side in SIDES} if step else {}
+        for i in range(args.pairs):
+            seed = args.seed_base + i
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                runs[side].append((pkgs[side] and measure(pkgs[side], seed)) if step else
+                                  run_once(getattr(args, side), args.workload, seed, seconds))
+            print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
+    finally:  # both packages and their submodules leave the interpreter
+        for name in [n for n in sys.modules if n.split(".")[0] in {f"attnbof_{s}" for s in SIDES}]:
+            del sys.modules[name]
     print(f"workload {args.workload}, seeds {args.seed_base}..{args.seed_base + args.pairs - 1},"
           f" {unit}")
     print("\n".join(summarize(metrics, runs)))

@@ -471,19 +471,19 @@ def loss_op(model: Model, x: Array, label: int, training: bool = False,
             seed: int = 0) -> DiffOp:
     """The full loss as a DiffOp over the ordered parameter list, for
     gradient checking.  Input order is ``list(model.params)``."""
-    cfg = model.config
+    m = Model(model.config, model.flat)  # a private copy; each call writes its inputs here
 
     def fwd(*arrs: Array) -> Array:
-        m = Model(cfg, np.concatenate([np.ravel(a) for a in arrs]))
+        m.flat[...] = np.concatenate([np.ravel(a) for a in arrs])
         return np.asarray(cross_entropy(m.forward(x, training, seed), label))
 
     def vjp(inputs, output, upstream):
-        m = Model(cfg, np.concatenate([np.ravel(a) for a in inputs]))
+        m.flat[...] = np.concatenate([np.ravel(a) for a in inputs])
         _, grad = m.loss_and_grad(x, label, training=training, seed=seed)
         scale = float(np.asarray(upstream).reshape(()))
         return tuple(g * scale for g in m.views(grad).values())
 
-    return DiffOp(f"model_loss_{cfg.attention}", fwd, vjp)
+    return DiffOp(f"model_loss_{model.config.attention}", fwd, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,24 @@ def test_loss_gradient_training_mode_with_dropout():
     assert report.max_rel_err <= 1e-4
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_loss_op_leaves_the_model_alone_and_matches_it_bitwise(training):
+    net = desk_model(attention="tsa", heads=2, dropout_rate=0.3)
+    flat = net.flat.copy()
+    x = np.random.default_rng(10).standard_normal((4, 8))
+    op = loss_op(net, x, label=2, training=training, seed=11)
+    assert grad_check(op, list(net.params.values())).max_rel_err <= 1e-4
+    assert net.flat.tobytes() == flat.tobytes()
+    # at the model's own parameters, after grad_check has written others into the op
+    point = list(net.params.values())
+    want = cross_entropy(net.forward(x, training, 11), 2)
+    assert np.asarray(op.forward(*point)).tobytes() == np.asarray(want).tobytes()
+    _, grad = net.loss_and_grad(x, 2, training=training, seed=11)
+    got = op.vjp(tuple(point), op.forward(*point), np.array(1.0))
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in net.views(grad).values()]
+    assert net.flat.tobytes() == flat.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 

@@ -1,12 +1,19 @@
 """The checkout-pair script: perf_pairs.py against two stub checkouts whose
 benchmark prints a fixed result, so the pairing, the order, the counts and the
 per-run lines can be checked; its step workload against this checkout, on
-both sides and against a checkout whose package fails to import."""
+both sides and against a checkout whose package fails to import, run in-process
+and as a script with no PYTHONPATH, and the interpreter state it leaves."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import attnbof
 import perf_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +76,22 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     assert "change: failed/attempted 1/21" in out
 
 
+@pytest.mark.parametrize("last_line", ["warning: something", "[1, 2]", '"text"',
+                                       '{"attempted": 1, "failed": 0}',
+                                       '{"attempted": 1, "failed": 0, "metrics": 3}'])
+def test_a_run_that_exits_0_without_a_result_counts_as_failed(tmp_path, capsys, last_line):
+    parent = checkout(tmp_path, "parent", 100.0, -1)
+    change = checkout(tmp_path, "change", 150.0, -1)
+    (change / "perfbench" / "run.py").write_text(f"print({last_line!r})\n")
+    assert perf_pairs.main(["--parent", str(parent), "--change", str(change),
+                            "--workload", "w", "--pairs", "2", "--seed-base", "10"]) == 0
+    captured = capsys.readouterr()
+    assert "0 complete pairs of 2" in captured.out
+    assert "  parent runs: 100 101\n  change runs: failed failed\n" in captured.out
+    assert "change: failed/attempted 2/2" in captured.out
+    assert "seed 10 exited 0, no result" in captured.err
+
+
 def run_step(parent: Path, change: Path, capsys) -> str:
     assert perf_pairs.main(["--parent", str(parent), "--change", str(change),
                             "--workload", "step", "--pairs", "1", "--seed-base", "5"]) == 0
@@ -101,3 +124,53 @@ def test_step_workload_counts_a_checkout_that_fails_to_import(tmp_path, capsys):
     assert "tsa.step: no values\n  parent runs: failed\n  change runs: " in out
     assert "parent: failed/attempted 1/1" in out
     assert "change: failed/attempted 0/1" in out
+
+
+def broken_checkout(root: Path) -> Path:
+    """A checkout whose package imports one of its modules, then raises."""
+    package = root / "broken" / "src" / "attnbof"
+    package.mkdir(parents=True)
+    (package / "part.py").write_text("")
+    (package / "__init__.py").write_text("from . import part\nraise ImportError('broken')\n")
+    return root / "broken"
+
+
+@pytest.mark.parametrize("broken_parent", [False, True])
+def test_step_workload_leaves_the_interpreter_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                             broken_parent):
+    parent = broken_checkout(tmp_path) if broken_parent else ROOT
+    seen = {}
+
+    def fake_measure(pkg, seed):
+        seen[pkg.__name__] = pkg
+        assert sys.modules[pkg.__name__] is pkg
+        return {"attempted": 1, "failed": 0, "metrics": {
+            m["name"]: {"value": 1.0, "unit": "µs/item"} for m in perf_pairs.STEP_METRICS}}
+
+    monkeypatch.setattr(perf_pairs, "measure", fake_measure)
+    before = sys.modules["attnbof"]
+    out = run_step(parent, ROOT, capsys)
+    assert sys.modules["attnbof"] is before is attnbof
+    assert not [name for name in sys.modules if name.startswith("attnbof_")]
+    assert "change: failed/attempted 0/1" in out
+    if broken_parent:
+        assert list(seen) == ["attnbof_change"]
+        assert "parent: failed/attempted 1/1" in out
+    else:
+        # two imports of the same files: separate modules, so separate caches
+        assert sorted(seen) == ["attnbof_change", "attnbof_parent"]
+        numerics = [seen[f"attnbof_{side}"].numerics for side in perf_pairs.SIDES]
+        assert numerics[0] is not numerics[1]
+        assert attnbof.numerics not in numerics
+        assert "parent: failed/attempted 0/1" in out
+
+
+def test_step_workload_runs_as_a_script_with_no_pythonpath():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "scripts/perf_pairs.py", "--parent", ".",
+                           "--change", ".", "--workload", "step", "--pairs", "1",
+                           "--seed-base", "5"], cwd=ROOT, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["parent: failed/attempted 0/1",
+                                             "change: failed/attempted 0/1"]
