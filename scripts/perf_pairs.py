@@ -11,8 +11,11 @@ first.  A benchmark workload runs ``perfbench/run.py --workload W --seed S+i
 --trace 0`` in a subprocess from the checkout's root, for the ``run_seconds``
 of the change's BENCHMARK.json, with the end-to-end metrics declared there.
 ``step`` imports each checkout's ``src/attnbof`` once, as ``attnbof_<side>``,
-into this process, and a pair is a round of :func:`measure` per side; its
-metrics are ``<kind>.{step,step1,forward}`` in µs per item, lower is better.
+into this process, and a pair is one round: each side builds the models of
+:func:`figures`, then every figure is timed on both sides before the next
+one, so the two timings of a figure are milliseconds apart.  Its metrics are
+``<kind>.{step,step1,forward}`` and ``longseq.forward`` in µs per item, each
+with ``<figure>.faults``, the minor page faults per call, lower is better.
 
 For every metric the report gives each side's median and quartiles, the
 median over complete pairs of the ratio change/parent, the pairs the change
@@ -28,6 +31,7 @@ run, and the pairs go on.
 import argparse
 import importlib.util
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,38 +45,73 @@ from experiments import CONFIGS, EXPERIMENTS
 
 SIDES = ("parent", "change")
 KINDS = ("none", "2da", "ctsa", "csa", "tsa")
-BATCH, CALLS = 16, 20
-STEP_METRICS = [{"name": f"{kind}.{figure}", "better": "lower"}
-                for kind in KINDS for figure in ("step", "step1", "forward")]
+BATCH, LONG_BATCH, CALLS = 16, 4, 20
+FIGURES = [f"{kind}.{figure}" for kind in KINDS
+           for figure in ("step", "step1", "forward")] + ["longseq.forward"]
+STEP_METRICS = [{"name": name + suffix, "better": "lower"}
+                for name in FIGURES for suffix in ("", ".faults")]
 
 
-def measure(pkg, seed: int) -> dict:
-    """One step round of ``pkg``, an imported attnbof: every kind built from
-    the denoising experiment's configs and timed on a B-item stack of its
-    generator drawn with ``seed``.  ``step`` is a training ``loss_and_grad``
-    and ``forward`` a ``Model.forward`` of the stack; ``step1`` is the
-    evaluation-mode ``loss_and_grad`` of its first item, the call denoise-train
-    times for its latency.  A figure is one mean of ``CALLS`` calls after a warm-up."""
+def figures(pkg, seed: int) -> dict:
+    """``pkg``'s figures for one round, name -> (items per call, call).  Every
+    kind is built from the denoising experiment's configs and run on a B-item
+    stack of its generator drawn with ``seed``: ``step`` is a training
+    ``loss_and_grad`` and ``forward`` a ``Model.forward`` of the stack;
+    ``step1`` is the evaluation-mode ``loss_and_grad`` of its first item, the
+    call denoise-train times for its latency.  ``longseq.forward`` is the
+    forward of longseq-eval's conv + csa model (K=64, N=256), its codebook
+    drawn from the conv features, on a stack of LONG_BATCH items, the
+    smallest stack its ``evaluate`` runs."""
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     exp = EXPERIMENTS["denoising"]
     gen, conf = (cli.parse_config(str(CONFIGS / f)) for f in (exp.gen_conf, exp.train_conf))
     data = cli.generate({**gen, "count": BATCH, "seed": seed})
     xs = np.stack([x for x, _ in data.items])
     labels, seeds = data.labels(), np.arange(BATCH) + 100
-    metrics = {}
+    calls = {}
     for kind in KINDS:
         net = pkg.model.Model.build(cli.model_config({**conf, "attention": kind}, data))
-        for figure, items, call in (  # figure, items per call, call
-                ("step", BATCH, lambda: net.loss_and_grad(xs, labels, training=True, seed=seeds)),
-                ("step1", 1, lambda: net.loss_and_grad(xs[0], int(labels[0]))),
-                ("forward", BATCH, lambda: net.forward(xs))):
-            call()
-            t0 = time.perf_counter()
-            for _ in range(CALLS):
-                call()
-            metrics[f"{kind}.{figure}"] = {
-                "value": 1e6 * (time.perf_counter() - t0) / (CALLS * items), "unit": "µs/item"}
-    return {"attempted": 1, "failed": 0, "metrics": metrics}
+        calls[f"{kind}.step"] = (BATCH, lambda net=net: net.loss_and_grad(
+            xs, labels, training=True, seed=seeds))
+        calls[f"{kind}.step1"] = (1, lambda net=net: net.loss_and_grad(xs[0], int(labels[0])))
+        calls[f"{kind}.forward"] = (BATCH, lambda net=net: net.forward(xs))
+    long = pkg.data.gen_noisy_timestamps(classes=4, feature_dim=16, length=256,
+                                         signal_fraction=0.1, snr=2.0, count=LONG_BATCH,
+                                         seed=seed)
+    net = pkg.model.Model.build(pkg.model.ModelConfig(
+        feature_dim=16, classes=4, codewords=64, attention="csa", latent_dim=16, heads=2,
+        frontend="conv", conv_width=3, conv_channels=16, seq_len=256, seed=seed))
+    long_xs = np.stack([x for x, _ in long.items])
+    net.set_codebook(pkg.nbof.init_codebook(list(net.quantizer_input(long_xs)), 64, seed))
+    calls["longseq.forward"] = (LONG_BATCH, lambda: net.forward(long_xs))
+    return calls
+
+
+def time_figure(items: int, call) -> dict:
+    """µs per item and minor page faults per call of one figure: one mean of
+    ``CALLS`` calls after a warm-up call."""
+    call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    for _ in range(CALLS):
+        call()
+    seconds = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return {"value": 1e6 * seconds / (CALLS * items), "unit": "µs/item"}, \
+        {"value": faults / CALLS, "unit": "faults/call"}
+
+
+def step_round(pkgs: dict, seed: int, order) -> dict:
+    """One round's result per side: each figure timed on the sides in
+    ``order``, one after the other, before the next figure; None for a side
+    whose package failed to import."""
+    calls = {side: figures(pkgs[side], seed) for side in order if pkgs[side]}
+    metrics: dict = {side: {} for side in calls}
+    for name in FIGURES:
+        for side in calls:
+            metrics[side][name], metrics[side][f"{name}.faults"] = time_figure(*calls[side][name])
+    return {side: side in calls and {"attempted": 1, "failed": 0, "metrics": metrics[side]}
+            or None for side in SIDES}
 
 
 def load(side: str, checkout: Path):
@@ -159,7 +198,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     step = args.workload == "step"
     if step:
-        metrics, unit = STEP_METRICS, f"µs per item at B={BATCH}, step1 at B=1"
+        metrics = STEP_METRICS
+        unit = f"µs per item at B={BATCH}, step1 at B=1, longseq at B={LONG_BATCH}"
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text())
         metrics, seconds = spec["end_to_end"], spec["run_seconds"]
@@ -169,9 +209,12 @@ def main(argv=None) -> int:
         pkgs = {side: load(side, getattr(args, side)) for side in SIDES} if step else {}
         for i in range(args.pairs):
             seed = args.seed_base + i
-            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                runs[side].append((pkgs[side] and measure(pkgs[side], seed)) if step else
-                                  run_once(getattr(args, side), args.workload, seed, seconds))
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            results = step_round(pkgs, seed, order) if step else {
+                side: run_once(getattr(args, side), args.workload, seed, seconds)
+                for side in order}
+            for side in SIDES:
+                runs[side].append(results[side])
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr, flush=True)
     finally:  # both packages and their submodules leave the interpreter
         for name in [n for n in sys.modules if n.split(".")[0] in {f"attnbof_{s}" for s in SIDES}]:

@@ -21,19 +21,18 @@ returning a matrix that downstream averaging turns into a histogram:
 The self-attention variants mix per head through one operator,
 ``P = alpha * I + (1-alpha) * A`` (ctsa: ``alpha + (1-alpha) * A``, applied
 elementwise), and stack head outputs along the codeword axis, so h heads
-yield an (h*K) x N result.  The model runs ``self_attention``, which returns
-its temporal mean without forming P; ``att_ctsa``/``att_csa``/``att_tsa``
-return the matrix.  The cotangent of a pooled head's P is rank one, so
-``self_attention_vjp`` contracts it with one GEMV instead of a dense softmax
-VJP.  Dropout on a head's attention matrix is training-only and inverted
-(survivors scaled by 1/(1-rate)), so evaluation is a pure identity.  Every
-VJP reads the cache its forward filled, alpha included.  Each projection,
-q or k, is one GEMM on the side of phi its weight does not span, forward and
-backward, in every variant.
+yield an (h*K) x N result; every step runs once over all heads.  The model
+runs ``self_attention``, which returns its temporal mean without forming P;
+``att_ctsa``/``att_csa``/``att_tsa`` return the matrix.  The cotangent of a
+pooled head's P is rank one, so ``self_attention_vjp`` contracts it with one
+GEMV instead of a dense softmax VJP.  Dropout on a head's attention matrix is
+training-only and inverted (survivors scaled by 1/(1-rate)), so evaluation
+is a pure identity.  Every VJP reads the cache its forward filled.
 
 Layers take the model's parameter arrays: ``att_2da`` takes ``w`` and
-``alpha_raw`` (alpha = logistic(alpha_raw)); self-attention takes the list
-``ps = [wq_0, wk_0, alpha_raw_0, wq_1, ...]``, with d being ``wq``'s row count.
+``alpha_raw`` (alpha = logistic(alpha_raw)); self-attention takes
+``ps = (wq, wk, alpha_raw)``, each stacked over the heads, with d being
+``wq``'s row count; the model passes strided views of its parameter vector.
 """
 
 from __future__ import annotations
@@ -48,15 +47,6 @@ from .numerics import Array, logistic_scalar, swap
 
 MODES = ("input", "codeword", "temporal")
 VARIANTS = ("ctsa", "csa", "tsa")
-
-
-def _alpha(alpha_raw: Array) -> float:
-    return logistic_scalar(float(np.asarray(alpha_raw).reshape(())))
-
-
-def _dalpha_raw(alpha: float, dalpha: float) -> Array:
-    """Cotangent of alpha_raw, given the forward's alpha = logistic(alpha_raw)."""
-    return np.array([[dalpha * alpha * (1.0 - alpha)]])
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +99,7 @@ def att_2da(phi: Array, w: Array, alpha_raw: Array, mode: str = "temporal",
     m = _2da_orient(phi, mode)
     pinned = _2da_pinned(w, m.shape[-1])
     a = numerics.softmax_rows(m @ pinned)
-    alpha = _alpha(alpha_raw)
+    alpha = logistic_scalar(np.asarray(alpha_raw).reshape(()))
     out = alpha * (m * a) + (1.0 - alpha) * m
     if cache is not None:
         cache.update(w=pinned, a=a, alpha=alpha)
@@ -117,31 +107,35 @@ def att_2da(phi: Array, w: Array, alpha_raw: Array, mode: str = "temporal",
 
 
 def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Array,
-                cache: dict) -> tuple[Array, Array, Array]:
+                cache: dict, need_dphi: bool = True) -> tuple[Array | None, Array, Array]:
     """Cotangents of (phi, w, alpha_raw) of the ``att_2da`` call that filled
-    ``cache``; those of w and alpha_raw sum over a stack."""
+    ``cache``; those of w and alpha_raw sum over a stack.  Without
+    ``need_dphi``, phi's is None and not computed."""
     pinned, a, alpha = cache["w"], cache["a"], cache["alpha"]
     m = _2da_orient(phi, mode)
     g = _2da_orient(upstream, mode)
 
     dalpha = float(np.sum(g * (m * a - m)))
-    da = alpha * g * m
-    dm = alpha * g * a + (1.0 - alpha) * g
-    dz = numerics.softmax_rows_vjp(a, da)
-    dm += dz @ pinned.T
+    dz = numerics.softmax_rows_vjp(a, alpha * g * m)
     dw = numerics.sum_tn(m, dz)
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
-    return _2da_orient(dm, mode), dw, _dalpha_raw(alpha, dalpha)
+    dm = None
+    if need_dphi:
+        dm = _2da_orient(alpha * g * a + (1.0 - alpha) * g + dz @ pinned.T, mode)
+    return dm, dw, np.array([[dalpha * alpha * (1.0 - alpha)]])
 
 
 # ---------------------------------------------------------------------------
 # self-attention variants
 #
-# One per-head core serves all three, in phi's (K, N) layout.  Head i takes
-# ``ps[3i:3i+3] = (wq, wk, alpha_raw)``; wq and wk are d x (q or k width),
-# with d their row count.  q and k project the K rows of phi (``phi Wᵀ``) or
-# its N columns (``(W phi)ᵀ``), q is scaled by 1/sqrt(d), and a = act(q kᵀ)
-# and alpha define one operator P:
+# One core serves all three, in phi's (K, N) layout, with the heads as an
+# array axis: ``ps = (wq, wk, alpha_raw)`` is (h, d, q width), (h, d, k width)
+# and (h, 1, 1), and every head-stacked array is (..., h, rows, cols), the
+# heads after a stack's items.  q and k project the K rows of phi
+# (``phi Wᵀ``, a contiguous (..., h, K, d) array) or its N columns (kept as
+# its transpose ``W phi``, a contiguous (..., h, d, N) array, which the GEMMs
+# read through a transpose flag), q is scaled by 1/sqrt(d), and
+# a = act(q kᵀ) and alpha define one operator P per head:
 #
 #   variant  q     k     a                     P
 #   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a
@@ -158,9 +152,9 @@ def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Arr
 # output; r = I gives that output, exactly.  a is a_used, the dropped-out a,
 # in training.  csa and tsa compute the transposed scores k qᵀ, so their
 # softmax normalizes along axis -2 (the cache's row-stochastic ``a`` is a
-# view).  Head i writes rows i*K..(i+1)*K of one output; for item b it draws
-# its dropout mask from seed_b + i.  The VJP takes dq and dk from the scores'
-# cotangent and runs ``_project_vjp`` once per projection, on its own side.
+# view).  Head i fills rows i*K..(i+1)*K of the output and draws item b's
+# dropout mask from seed_b + i.  The VJP takes dq and dk, each in its
+# projection's layout, from the scores' cotangent, then ``_project_vjp``.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
 
@@ -172,25 +166,30 @@ def projection_widths(variant: str, k: int, n: int) -> tuple[int, int]:
 
 
 def _check_params(variant: str, phi: Array, ps) -> None:
-    """``ps`` must be (wq, wk, alpha_raw) per head, at least one head, shaped
-    (d, q_cols), (d, k_cols), (1, 1) for phi with one d >= 1."""
-    d = np.shape(ps[0])[0] if ps else 0
+    """``ps`` must be (wq, wk, alpha_raw) shaped (h, d, q_cols), (h, d, k_cols),
+    (h, 1, 1) for phi, with h, d >= 1."""
     q_cols, k_cols = projection_widths(variant, *phi.shape[-2:])
-    want = [(d, q_cols), (d, k_cols), (1, 1)] * (len(ps) // 3)
-    if d < 1 or len(ps) % 3 or [getattr(p, "shape", None) for p in ps] != want:
-        raise ShapeError(
-            f"{variant}: head parameters are {[np.shape(p) for p in ps]}; phi {phi.shape} "
-            f"needs (wq, wk, alpha_raw) per head shaped (d, {q_cols}), (d, {k_cols}), "
-            "(1, 1), d >= 1")
+    got = [getattr(p, "shape", None) for p in ps]
+    h, d = got[0][:2] if len(got) == 3 and len(got[0] or ()) == 3 else (0, 0)
+    if min(h, d) < 1 or got != [(h, d, q_cols), (h, d, k_cols), (h, 1, 1)]:
+        raise ShapeError(f"{variant}: head parameters are {[np.shape(p) for p in ps]}; phi "
+                         f"{phi.shape} needs (wq, wk, alpha_raw) shaped (h, d, {q_cols}), "
+                         f"(h, d, {k_cols}), (h, 1, 1), h, d >= 1")
 
 
-def _project_vjp(phi: Array, phi_t: Array, w: Array, rows: bool,
-                 dproj: Array) -> tuple[Array, Array]:
-    """Cotangents of (phi, w) of ``phi wᵀ`` (rows) or ``(w phi)ᵀ``, given
-    ``phi_t = swap(phi)``; that of w sums over a stack."""
+def _project_vjp(phi: Array, w: Array, rows: bool, dproj: Array) -> tuple[Array, Array]:
+    """Cotangents of (phi, w) of every head's projection of phi's rows,
+    ``phi wᵀ`` (cotangent (..., h, K, d)), or columns, kept as ``w phi``
+    (cotangent (..., h, d, N)).  The heads' d rows or columns lie side by
+    side, so one GEMM gives phi's, summed over the heads."""
+    heads, d, cols = w.shape
+    w2 = w.reshape(heads * d, cols)
     if rows:
-        return dproj @ w, numerics.sum_tn(dproj, phi)
-    return w.T @ swap(dproj), numerics.sum_tn(dproj, phi_t)
+        side = dproj.swapaxes(-3, -2).reshape(-1, heads * d)     # (items * K, h * d)
+        return (side @ w2).reshape(phi.shape), (side.T @ phi.reshape(-1, cols)).reshape(w.shape)
+    side = dproj.reshape(dproj.shape[:-3] + (heads * d, -1))     # (..., h * d, N)
+    dw = side @ swap(phi)
+    return swap(w2) @ side, (dw.sum(axis=0) if dw.ndim == 3 else dw).reshape(w.shape)
 
 
 def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training: bool,
@@ -200,48 +199,45 @@ def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training:
     _check_params(variant, phi, ps)
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    kdim, n = phi.shape[-2:]
-    q_rows, k_rows = _PROJECTS_ROWS[variant]
-    scale = 1.0 / math.sqrt(ps[0].shape[0])
+    (heads, d), n = ps[0].shape[:2], phi.shape[-1]
+    q, k = (phi[..., None, :, :] @ swap(w) if rows else swap(w @ phi[..., None, :, :])
+            for w, rows in zip(ps, _PROJECTS_ROWS[variant]))
+    q *= 1.0 / math.sqrt(d)
+    if variant == "ctsa":
+        s = numerics.sigmoid(q @ swap(k))
+    else:
+        s = k @ swap(q)
+        numerics.softmax_rows(s, axis=-2, out=s)
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
+    used, mask = s, None
+    if training and dropout_rate > 0.0:
+        # drawn in the layout of the row-stochastic a, then mapped to s's
+        seeds = np.asarray(seed)[..., None] + np.arange(heads)
+        mask = layout(_dropout_mask(s.shape, dropout_rate, seeds))
+        used = s * mask
+    alpha = np.array([logistic_scalar(z) for z in ps[2].flat]).reshape(ps[2].shape)
+    kappa = 1.0 - alpha
     r = numerics.ones(n)[:, None] * (1.0 / n) if pooled else np.eye(n)
-    phi_r = phi @ r if pooled else phi
-    out = np.empty(phi.shape[:-2] + (len(ps) // 3 * kdim, r.shape[1]))
-    heads: list[dict] = []
-    for i, (wq, wk, alpha_raw) in enumerate(zip(ps[0::3], ps[1::3], ps[2::3])):
-        q = (phi @ wq.T if q_rows else swap(wq @ phi)) * scale
-        k = phi @ wk.T if k_rows else swap(wk @ phi)
+    phi_r = (phi @ r if pooled else phi)[..., None, :, :]
+    c = {"q": q, "k": k, "s": s, "a": layout(s), "used": used, "mask": mask,
+         "alpha": alpha, "phi_r": phi_r}
+    if variant == "tsa":
+        c["right"] = right = kappa * (used @ r)      # Pᵀ r
+        right += alpha * r
+        out = phi[..., None, :, :] @ right
+    else:
         if variant == "ctsa":
-            s = numerics.sigmoid(q @ swap(k))
+            c["up"] = used * phi[..., None, :, :]
+            mixed = c["up"] @ r if pooled else c["up"]  # (a_used * phi) r
         else:
-            s = numerics.softmax_rows(k @ swap(q), axis=-2)
-        used, mask = s, None
-        if training and dropout_rate > 0.0:
-            # drawn in the layout of the row-stochastic a, then mapped to s's
-            mask = layout(_dropout_mask(s.shape, dropout_rate, np.asarray(seed) + i))
-            used = s * mask
-        alpha = _alpha(alpha_raw)
-        rows = out[..., i * kdim:(i + 1) * kdim, :]
-        c = {"q": q, "k": k, "s": s, "a": layout(s), "used": used, "mask": mask,
-             "alpha": alpha}
-        if variant == "tsa":
-            c["right"] = right = (1.0 - alpha) * (used @ r)     # Pᵀ r
-            right += alpha * r
-            np.matmul(phi, right, out=rows)
-        else:
-            if variant == "ctsa":
-                c["up"] = used * phi
-                mixed = c["up"] @ r if pooled else c["up"]     # (a_used * phi) r
-            else:
-                mixed = swap(used) @ phi_r                      # a_used (phi r)
-            np.multiply(mixed, 1.0 - alpha, out=rows)
-            rows += alpha * phi_r
-            c["mixed"] = mixed
-        if cache is not None:
-            heads.append(c)
+            mixed = swap(used) @ phi_r                   # a_used (phi r)
+        out = mixed * kappa
+        out += alpha * phi_r
+        c["mixed"] = mixed
     if cache is not None:
-        cache.update(heads=heads, phi_r=phi_r)
+        cache.update(c)
+    out = out.reshape(phi.shape[:-2] + (heads * phi.shape[-2], r.shape[1]))
     return out[..., 0] if pooled else out
 
 
@@ -254,9 +250,9 @@ def self_attention(variant: str, phi: Array, ps, dropout_rate: float = 0.0,
 
 def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
                        cache: dict) -> tuple[Array, ...]:
-    """Cotangents of (phi, *ps) = (phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) of
-    the ``self_attention`` call that filled ``cache``, given the histograms'
-    u; the weights' sum over a stack.
+    """Cotangents of (phi, wq, wk, alpha_raw) of the ``self_attention`` call
+    that filled ``cache``, given the histograms' u; the weights' sum over a
+    stack and keep the heads axis.
 
     With kappa = 1 - alpha, a_used's cotangent is kappa dP, and dP is rank
     one: ``c gᵀ`` in s's layout, with c = phi r and g = u for csa, and
@@ -267,54 +263,54 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
     ``kappa (u/N) * (a_used * phi) * (1 - s)`` and alpha's
     ``u·(phi r - (a_used * phi) r)``.  The scores' cotangent gives dq and
     dk, and each projection's VJP runs on the side that projection took."""
+    heads, d = ps[0].shape[:2]
     kdim, n = phi.shape[-2:]
-    q_rows, k_rows = _PROJECTS_ROWS[variant]
-    scale = 1.0 / math.sqrt(ps[0].shape[0])
-    phi_t, phi_r = swap(phi), cache["phi_r"]
-    dphi = np.zeros(phi.shape)
-    grads: list[Array] = []
-    for i, c in enumerate(cache["heads"]):
-        u = upstream[..., i * kdim:(i + 1) * kdim, None]          # (..., K, 1)
-        q, k, s, used, alpha = c["q"], c["k"], c["s"], c["used"], c["alpha"]
-        kappa = 1.0 - alpha
-        if variant == "ctsa":
-            un = u / n
-            dphi += used * (kappa * un)         # (P * u rᵀ): P = alpha + kappa a_used
-            dphi += alpha * un
-            dalpha = np.vdot(u, phi_r - c["mixed"])
-            ds = 1.0 - s
-            ds *= c["up"]
-            ds *= kappa * un
+    q, k, s, used, alpha, phi_r = (cache[key] for key in
+                                   ("q", "k", "s", "used", "alpha", "phi_r"))
+    kappa = 1.0 - alpha
+    u = upstream.reshape(upstream.shape[:-1] + (heads, kdim, 1))
+    if variant == "ctsa":
+        un = u / n
+        direct = (used * (kappa * un)).sum(axis=-3)   # Σ (P * u rᵀ): P = alpha + kappa a_used
+        direct += (alpha * un).sum(axis=-3)
+        dalpha = swap(u) @ (phi_r - cache["mixed"])
+        ds = 1.0 - s
+        ds *= cache["up"]
+        ds *= kappa * un
+    else:
+        if variant == "csa":
+            direct = ((kappa * (used @ u) + alpha * u) / n).sum(axis=-3)   # Σ Pᵀ u rᵀ
+            cv, w, g = phi_r, cache["mixed"], swap(u)
+            dalpha = swap(u) @ (cv - w)
         else:
-            if variant == "csa":
-                dphi += (kappa * (used @ u) + alpha * u) / n     # Pᵀ u rᵀ
-                cv, w, g = phi_r, c["mixed"], swap(u)
-                dalpha = np.vdot(u, cv - w)
-            else:
-                dphi += u * swap(c["right"])
-                cv = (phi_t @ u) / n                             # (..., N, 1)
-                w, g = swap(used) @ cv, None
-                dalpha = (cv - w).sum()
-            kc, kw = kappa * cv, kappa * swap(w)
-            if c["mask"] is None:
-                ds = kc - kw
-                ds *= s
-            else:
-                ds = used * kc
-                ds -= s * kw
-            if g is not None:
-                ds *= g
-        # ctsa's scores are q kᵀ, csa's and tsa's k qᵀ
-        dq, dk = (ds @ k, swap(ds) @ q) if variant == "ctsa" else (swap(ds) @ k, ds @ q)
-        dq *= scale                     # the scores took q / sqrt(d)
-        wq, wk = ps[3 * i:3 * i + 2]
-        dp, dwq = _project_vjp(phi, phi_t, wq, q_rows, dq)
-        dphi += dp
-        dp, dwk = _project_vjp(phi, phi_t, wk, k_rows, dk)
-        dphi += dp
-        grads += [dwq, dwk, _dalpha_raw(alpha, float(dalpha))]
-        del ds, dq, dk, dp      # freed before the next head allocates its own
-    return (dphi, *grads)
+            direct = swap(u[..., 0]) @ cache["right"][..., 0]          # Σ u (Pᵀ r)ᵀ
+            cv = (swap(phi)[..., None, :, :] @ u) / n                   # (..., h, N, 1)
+            w, g = swap(used) @ cv, None
+            dalpha = (cv - w).sum(axis=-2, keepdims=True)
+        kc, kw = kappa * cv, kappa * swap(w)
+        if cache["mask"] is None:
+            ds = kc - kw
+            ds *= s
+        else:
+            ds = used * kc
+            ds -= s * kw
+        if g is not None:
+            ds *= g
+    if variant == "ctsa":               # the scores are q kᵀ; dk is kept transposed
+        dq, dk = ds @ k, swap(q) @ ds
+    elif variant == "csa":              # k qᵀ
+        dq, dk = swap(ds) @ k, ds @ q
+    else:                               # k qᵀ; dq and dk are kept transposed
+        dq, dk = swap(k) @ ds, swap(q) @ swap(ds)
+    dq *= 1.0 / math.sqrt(d)            # the scores took q / sqrt(d)
+    del ds                              # freed before the projections' cotangents
+    (dphi, dwq), (dphi_k, dwk) = (_project_vjp(phi, w, rows, dproj) for w, rows, dproj
+                                  in zip(ps, _PROJECTS_ROWS[variant], (dq, dk)))
+    dphi += dphi_k
+    dphi += direct
+    if dalpha.ndim == 4:                # the stack's items
+        dalpha = dalpha.sum(axis=0)
+    return dphi, dwq, dwk, dalpha * alpha * (1.0 - alpha)
 
 
 def att_ctsa(phi: Array, ps, dropout_rate: float = 0.0, training: bool = False,

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import attention, nbof, numerics
 from .errors import ConfigError, DataFormatError, NonFiniteError, ShapeError
@@ -80,14 +81,15 @@ class ModelConfig:
 
     def parameter_count(self) -> int:
         """The size of ``param_shapes(self)``, computed without listing the heads."""
-        return sum(stage.repeat * rows * cols for stage in build_stages(self)
+        return sum((stage.repeat or 1) * rows * cols for stage in build_stages(self)
                    for rows, cols in stage.shapes.values())
 
     def stage_values(self, n: int) -> int:
         """The number of values in the largest array a stage allocates for one item of
         length ``n``: the conv patches, the quantizer's memberships and its VJP's
-        ``[x; x^2; 1]`` operand and codeword sums, or one self-attention head's
-        (L, d) projections and scores, each projection one array."""
+        ``[x; x^2; 1]`` operand and codeword sums, or the self-attention stage's
+        head-stacked arrays: every head's (L, d) projections (each projection
+        one array), its scores and its (K, N) part of phi's cotangent."""
         k, dq = self.codewords, self.feature_dim
         sizes = [k * n]
         if self.frontend == "conv":
@@ -97,7 +99,8 @@ class ModelConfig:
         if self.attention in attention.VARIANTS:
             # a projection has a row per entry of the axis its weight does not span
             q_len, k_len = attention.projection_widths(self.attention, n, k)
-            sizes += [self.latent_dim * max(q_len, k_len), q_len * k_len]
+            sizes += [self.heads * size for size in
+                      (self.latent_dim * max(q_len, k_len), q_len * k_len, k * n)]
         return max(sizes)
 
     def check_stack(self, batch: int, n: int) -> None:
@@ -172,9 +175,10 @@ def frontend_conv(x: Array, kernel: Array, bias: Array, cache: dict | None = Non
     return np.maximum(pre, 0.0)
 
 
-def frontend_conv_vjp(inputs, output, upstream, cache: dict):
+def frontend_conv_vjp(inputs, output, upstream, cache: dict, need_dx: bool = True):
     """Cotangents of (x, kernel, bias) of the ``frontend_conv`` call that filled
-    ``cache``; those of kernel and bias sum over a stack."""
+    ``cache``; those of kernel and bias sum over a stack.  Without
+    ``need_dx``, x's is None and not computed."""
     x, kernel, bias = inputs
     pre, patches = cache["pre"], cache["patches"]
     d, n = x.shape[-2:]
@@ -182,6 +186,8 @@ def frontend_conv_vjp(inputs, output, upstream, cache: dict):
     gp = upstream * (pre > 0.0)
     dbias = gp.reshape(-1, *gp.shape[-2:]).sum(axis=(0, 2))[:, None]
     dkernel = numerics.sum_tn(numerics.swap(gp), numerics.swap(patches))
+    if not need_dx:
+        return None, dkernel, dbias
     dpatches = (kernel.T @ gp).reshape(x.shape[:-2] + (d, width, n))
     dxp = np.zeros(x.shape[:-1] + (n + width - 1,))
     for j in range(width):
@@ -239,24 +245,27 @@ def cross_entropy(logits: Array, label) -> float | Array:
 
 class Stage(NamedTuple):
     """A layer under one convention: ``fwd(h, ps, cache, training, seed) -> out``
-    fills ``cache``, ``vjp(h, ps, out, upstream, cache) -> (dh, *dps)`` reads
-    it, and ``ps`` holds the stage's parameters in the order of ``params()``.
-    ``shapes`` lists one unit's parameters and the stage has ``repeat`` units
-    (one per self-attention head); ``{i}`` in a name is the unit's index."""
+    fills ``cache``, ``vjp(h, ps, out, upstream, cache, need_dh) -> (dh, *dps)``
+    reads it, and ``ps`` holds the stage's parameters in the order of
+    ``shapes``; the first stage is told ``need_dh=False`` and may return None
+    for dh, which nothing reads.  ``shapes`` lists one unit's parameters.  A
+    stage with ``repeat`` units (one per self-attention head, ``{i}`` in a
+    name being the unit's index) takes each name as one (repeat, rows, cols)
+    array, and returns its cotangents so."""
 
     name: str
     shapes: dict[str, tuple[int, int]]
     fwd: Callable
     vjp: Callable
-    repeat: int = 1
+    repeat: int | None = None
 
     def params(self) -> list[tuple[str, tuple[int, int]]]:
         """(name, shape) of every parameter, unit after unit."""
-        return [(name.format(i=i), shape) for i in range(self.repeat)
+        return [(name.format(i=i), shape) for i in range(self.repeat or 1)
                 for name, shape in self.shapes.items()]
 
 
-def _head_vjp(h, ps, out, upstream, cache):
+def _head_vjp(h, ps, out, upstream, cache, need_dh):
     dweight, dh, dbias = numerics.affine_vjp(ps[0], h, upstream)
     return dh, dweight, dbias[:, None]
 
@@ -273,17 +282,18 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
             "conv", {"frontend.kernel": (dq, cfg.feature_dim * cfg.conv_width),
                      "frontend.bias": (dq, 1)},
             lambda h, ps, c, *_: frontend_conv(h, *ps, cache=c),
-            lambda h, ps, out, g, c: frontend_conv_vjp((h, *ps), out, g, c)))
+            lambda h, ps, out, g, c, need: frontend_conv_vjp((h, *ps), out, g, c, need)))
     stages.append(Stage(
         "quantize", {"codebook.v": (k, dq), "codebook.w_raw": (k, dq)},
         lambda h, ps, c, *_: nbof.quantize_raw(h, *ps, cache=c),
-        lambda h, ps, out, g, c: nbof.quantize_vjp((h, *ps), out, g, c)))
+        lambda h, ps, out, g, c, need: nbof.quantize_vjp((h, *ps), out, g, c, need)))
     if cfg.attention == "2da":
         side = {"temporal": cfg.seq_len, "codeword": k, "input": dq}[cfg.mode]
         stages.insert(-1 if cfg.mode == "input" else len(stages), Stage(
             "attention", {"att.w": (side, side), "att.alpha_raw": (1, 1)},
             lambda h, ps, c, *_: attention.att_2da(h, *ps, cfg.mode, cache=c),
-            lambda h, ps, out, g, c: attention.att_2da_vjp(h, *ps, cfg.mode, g, c)))
+            lambda h, ps, out, g, c, need: attention.att_2da_vjp(h, *ps, cfg.mode, g, c,
+                                                                 need)))
     elif cfg.attention in attention.VARIANTS:
         q_cols, k_cols = attention.projection_widths(cfg.attention, k, cfg.seq_len)
         width = k * cfg.heads  # head outputs are stacked along the codeword axis
@@ -293,11 +303,11 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
                           "att.head{i}.alpha_raw": (1, 1)},
             lambda h, ps, c, training, seed: attention.self_attention(
                 cfg.attention, h, ps, cfg.dropout_rate, training, seed, c),
-            lambda h, ps, out, g, c: attention.self_attention_vjp(
+            lambda h, ps, out, g, c, _: attention.self_attention_vjp(
                 cfg.attention, h, ps, g, c), repeat=cfg.heads))
     if cfg.attention not in attention.VARIANTS:  # self-attention pools itself
         stages.append(Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
-                            lambda h, ps, out, g, c: nbof.aggregate_vjp((h,), out, g)))
+                            lambda h, ps, out, g, c, _: nbof.aggregate_vjp((h,), out, g)))
     return stages + [
         Stage("head", {"classifier.weight": (cfg.classes, width),
                        "classifier.bias": (cfg.classes, 1)},
@@ -329,8 +339,9 @@ def _finite(a: Array, what: str) -> Array:
 class Model:
     """One float64 parameter vector, ``flat`` (a copy of the one given), in
     registry (and checkpoint) order, plus the stage list that runs over it;
-    ``params`` maps each name to a view into ``flat``.  Each stage's views,
-    names and shapes are bound once, here."""
+    ``params`` maps each name to a view into ``flat``.  Each stage's
+    parameter arrays, views into ``flat``, and the same views into one
+    gradient vector are bound once, here."""
 
     def __init__(self, config: ModelConfig, flat: Array):
         config.validate()
@@ -342,13 +353,22 @@ class Model:
             self.size += rows * cols
         self.flat = np.array(flat, dtype=float)
         self.params = self.views(self.flat)
-        # per stage: its parameter views, names and shapes
-        self._bound = [([self.params[name] for name, _ in params],
-                        [name for name, _ in params], [shape for _, shape in params])
-                       for params in (stage.params() for stage in self.stages)]
-        # the stages in registry order, the order their gradients are laid out in
-        self._grad_order = sorted(range(len(self.stages)),
-                                  key=lambda i: _PARAM_ORDER.index(self.stages[i].name))
+        self._grad = np.empty(self.size)   # each loss_and_grad fills all of it
+        # per stage: its parameter arrays, its cotangents' arrays in _grad, its names
+        self._bound = [(self._arrays(self.flat, stage), self._arrays(self._grad, stage),
+                        list(stage.shapes)) for stage in self.stages]
+
+    def _arrays(self, vec: Array, stage: Stage) -> list[Array]:
+        """The stage's parameter arrays in a vector laid out like ``flat``: one
+        view per name, a repeated stage's strided across its units."""
+        if stage.repeat is None:
+            return [vec[where].reshape(shape)
+                    for where, shape in (self._layout[name] for name in stage.shapes)]
+        unit = sum(rows * cols for rows, cols in stage.shapes.values())
+        return [as_strided(vec[self._layout[name.format(i=0)][0].start:],
+                           (stage.repeat, rows, cols),
+                           (vec.itemsize * unit, vec.itemsize * cols, vec.itemsize))
+                for name, (rows, cols) in stage.shapes.items()]
 
     def views(self, vec: Array) -> dict[str, Array]:
         """Name -> view map of a vector laid out like ``flat``."""
@@ -442,18 +462,16 @@ class Model:
         trail: list = []
         logits = self._run(x, training, seed, trail)
         loss, g = _loss_and_dlogits(logits, label)
-        parts: list = [None] * len(self.stages)   # each stage's parameter cotangents
         for j in reversed(range(len(self.stages))):
-            (ps, names, shapes), (h, out, cache) = self._bound[j], trail[j]
-            g, *dps = self.stages[j].vjp(h, ps, out, g, cache)
-            got = [getattr(d, "shape", None) for d in dps[:len(ps)]]
-            if got != shapes:
-                got += [None] * (len(ps) - len(got))   # None: the stage returned too few
-                i = next(i for i, shape in enumerate(shapes) if got[i] != shape)
-                raise ShapeError(f"stage {self.stages[j].name}: cotangent of {names[i]!r} "
-                                 f"is {got[i]}, parameter is {shapes[i]}")
-            parts[j] = dps[:len(ps)]
-        return loss, np.concatenate([d for j in self._grad_order for d in parts[j]], axis=None)
+            (ps, grads, names), (h, out, cache) = self._bound[j], trail[j]
+            g, *dps = self.stages[j].vjp(h, ps, out, g, cache, j > 0)
+            for i, view in enumerate(grads):
+                got = getattr(dps[i], "shape", None) if i < len(dps) else None
+                if got != view.shape:
+                    raise ShapeError(f"stage {self.stages[j].name}: cotangent of "
+                                     f"{names[i]!r} is {got}, parameter is {view.shape}")
+                view[...] = dps[i]
+        return loss, self._grad.copy()
 
     def attention_matrices(self, x: Array) -> list[Array]:
         """Per-head attention matrices for one input, evaluation mode."""
@@ -462,9 +480,9 @@ class Model:
             raise ConfigError("model has attention=none; no matrices to inspect")
         trail: list = []
         self._run(numerics.as_matrix(x, "input"), False, 0, trail)
-        cache = trail[names.index("attention")][2]
-        return [_finite(head["a"], "attention matrix")
-                for head in cache.get("heads", [cache])]
+        a = trail[names.index("attention")][2]["a"]
+        heads = a if self.config.attention in attention.VARIANTS else [a]
+        return [_finite(m, "attention matrix") for m in heads]
 
 
 def loss_op(model: Model, x: Array, label: int, training: bool = False,

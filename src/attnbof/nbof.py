@@ -96,9 +96,10 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     return e
 
 
-def quantize_vjp(inputs, output, upstream, cache: dict):
+def quantize_vjp(inputs, output, upstream, cache: dict, need_dx: bool = True):
     """Cotangents of (x, v, w_raw) of the ``quantize_raw`` call that filled
-    ``cache``; those of v and w_raw sum over a stack.
+    ``cache``; those of v and w_raw sum over a stack.  Without ``need_dx``,
+    x's is None and not computed.
 
     With ``coef = ds / dist`` (one masked divide: zero at the apex, where
     the distance is not differentiable), every cotangent is a contraction of
@@ -112,8 +113,10 @@ def quantize_vjp(inputs, output, upstream, cache: dict):
     dim = v.shape[1]
     ds = numerics.softmax_rows_vjp(output, upstream, axis=-2)   # per column
     coef = np.divide(ds, dist, out=np.zeros(dist.shape), where=dist > 0.0)
-    both = cache["w2_w2v"] @ coef                                    # (..., 2D, N)
-    dx = both[..., dim:, :] - x * both[..., :dim, :]
+    dx = None
+    if need_dx:
+        both = cache["w2_w2v"] @ coef                                # (..., 2D, N)
+        dx = both[..., dim:, :] - x * both[..., :dim, :]
     # concatenate keeps the memory order of an F-ordered x (input-mode 2da hands
     # the quantizer a transposed view), and the GEMM's rounding depends on it
     xs = np.concatenate([x, cache["x2"], np.ones(x.shape[:-2] + (1, x.shape[-1]))], axis=-2)

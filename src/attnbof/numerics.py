@@ -27,9 +27,12 @@ Array = np.ndarray
 # may hold; far above any shipped config.
 MAX_VALUES = 2 ** 27
 # The most self-attention heads a model may have; far above any shipped
-# config.  Each head costs Python work in every layer call whatever its size,
-# which MAX_VALUES does not bound: Model.build at this many heads (tsa,
-# K = d = 1) takes ~30 ms on a 2-vCPU Xeon VM, ~28 µs a head.
+# config.  The layers run the heads as one array axis, but each head still
+# costs Python work whatever its size, which MAX_VALUES does not bound:
+# Model.build names and draws every head's parameters, and every call takes
+# each head's alpha and, in training, draws each (item, head) dropout mask.
+# At this many heads (tsa, K = d = 1) Model.build takes ~24 ms on a 2-vCPU
+# Xeon VM, ~24 µs a head, and a training loss_and_grad of one N=30 item ~14 ms.
 MAX_HEADS = 2 ** 10
 
 
@@ -96,11 +99,12 @@ def col_sums(m: Array) -> Array:
     return (ones(m.shape[-2]) @ m)[..., None, :]
 
 
-def softmax_rows(m: Array, axis: int = -1) -> Array:
-    """Softmax along ``axis``, the rows by default."""
+def softmax_rows(m: Array, axis: int = -1, out: Array | None = None) -> Array:
+    """Softmax along ``axis``, the rows by default, into ``out`` if given
+    (which may be ``m``)."""
     m = np.asarray(m, dtype=float)
     # max subtraction keeps exp in range for entries anywhere in [-700, 700]
-    e = m - m.max(axis=axis, keepdims=True)
+    e = np.subtract(m, m.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     if axis == -2:
         # each sum holds an exp(0) = 1, so its reciprocal is finite
@@ -123,8 +127,11 @@ def sigmoid(m: Array) -> Array:
     m = np.asarray(m, dtype=float)
     # 1/(1+exp(-m)) is value-correct for the whole double range; the overflow
     # in exp for very negative m lands harmlessly on inf -> 0
+    e = np.negative(m)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-m))
+        np.exp(e, out=e)
+    e += 1.0
+    return np.reciprocal(e, out=e)
 
 
 def affine(w: Array, y: Array, b: Array) -> Array:

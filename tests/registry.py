@@ -45,7 +45,8 @@ def stage_op(name: str, stage_name: str, sample, training: bool = False, seed: i
     def vjp(inputs, output, upstream):
         h, *ps = inputs
         cache: dict = {}
-        return stage.vjp(h, ps, stage.fwd(h, ps, cache, training, seed), upstream, cache)
+        return stage.vjp(h, ps, stage.fwd(h, ps, cache, training, seed), upstream, cache,
+                         True)
 
     return Entry(DiffOp(name, lambda h, *ps: stage.fwd(h, ps, {}, training, seed), vjp),
                  sample, stage_key(cfg, stage_name, training))
@@ -70,10 +71,11 @@ def sample_conv(rng) -> list:
 
 def self_attention_op(variant: str, heads: int, training: bool = False,
                       dropout_rate: float = 0.0, seed: int = 0) -> Entry:
-    """(phi, wq_0, wk_0, alpha_raw_0, wq_1, ...) with K=4, N=6, d=3."""
+    """(phi, wq, wk, alpha_raw), the weights stacked over the heads, with K=4,
+    N=6, d=3."""
     q_cols, k_cols = projection_widths(variant, 4, 6)
-    shapes = [(4, 6)] + [(3, q_cols), (3, k_cols), (1, 1)] * heads
-    sample = normal(*shapes, fan_in={i for i in range(1, len(shapes)) if i % 3})
+    sample = normal((4, 6), (heads, 3, q_cols), (heads, 3, k_cols), (heads, 1, 1),
+                    fan_in={1, 2})
     return stage_op(f"att_{variant}_h{heads}{'_train' if training else ''}", "attention",
                     sample, training, seed, codewords=4, seq_len=6, attention=variant,
                     heads=heads, latent_dim=3, dropout_rate=dropout_rate)

@@ -80,6 +80,12 @@ def test_criterion_2_simplex_invariant():
            f"min entry {min_entry:.2e}")
 
 
+def stack_heads(flat):
+    """Self-attention parameters from a (wq, wk, alpha_raw)-per-head list:
+    each stacked over the heads."""
+    return [np.stack(flat[j::3]) for j in range(3)]
+
+
 def test_criterion_3_oracle_equivalence():
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -109,8 +115,8 @@ def test_criterion_3_oracle_equivalence():
         h = int(rng.integers(1, 5))
         for variant in ("ctsa", "csa", "tsa"):
             heads = rand_heads(variant, k, n, d, h)
-            ps = [arr for wq, wk, a in heads
-                  for arr in (wq, wk, np.array([[math.log(a / (1 - a))]]))]
+            ps = stack_heads([arr for wq, wk, a in heads
+                              for arr in (wq, wk, np.array([[math.log(a / (1 - a))]]))])
             got = fwds[variant](phi, ps)
             want = loops[variant](phi, heads, d)
             assert got.shape == (h * k, n)
@@ -129,17 +135,17 @@ def test_criterion_4_equivariance_suite():
         phi = rng.random((k, n)) + 0.05
         d = int(rng.integers(1, 5))
 
-        p_tsa = [arr for _ in range(2)
-                 for arr in (rng.standard_normal((d, k)) / math.sqrt(k),
-                             rng.standard_normal((d, k)) / math.sqrt(k),
-                             rng.standard_normal((1, 1)))]
+        p_tsa = stack_heads([arr for _ in range(2)
+                             for arr in (rng.standard_normal((d, k)) / math.sqrt(k),
+                                         rng.standard_normal((d, k)) / math.sqrt(k),
+                                         rng.standard_normal((1, 1)))])
         perm = rng.permutation(n)
         diff = np.abs(att_tsa(phi[:, perm], p_tsa) - att_tsa(phi, p_tsa)[:, perm])
         worst = max(worst, float(diff.max()))
 
-        p_csa = [rng.standard_normal((d, n)) / math.sqrt(n),
-                 rng.standard_normal((d, n)) / math.sqrt(n),
-                 rng.standard_normal((1, 1))]
+        p_csa = stack_heads([rng.standard_normal((d, n)) / math.sqrt(n),
+                             rng.standard_normal((d, n)) / math.sqrt(n),
+                             rng.standard_normal((1, 1))])
         rperm = rng.permutation(k)
         diff = np.abs(att_csa(phi[rperm], p_csa) - att_csa(phi, p_csa)[rperm])
         worst = max(worst, float(diff.max()))
@@ -201,10 +207,10 @@ def test_criterion_7_alpha_reductions_exact():
     for variant, fwd in (("ctsa", att_ctsa), ("csa", att_csa), ("tsa", att_tsa)):
         q_cols = {"ctsa": 6, "csa": 6, "tsa": 4}[variant]
         k_cols = {"ctsa": 4, "csa": 6, "tsa": 4}[variant]
-        ps = [arr for _ in range(2)
-              for arr in (rng.standard_normal((3, q_cols)),
-                          rng.standard_normal((3, k_cols)),
-                          np.array([[INF]]))]  # logistic(+inf) = 1 exactly
+        ps = stack_heads([arr for _ in range(2)
+                          for arr in (rng.standard_normal((3, q_cols)),
+                                      rng.standard_normal((3, k_cols)),
+                                      np.array([[INF]]))])  # logistic(+inf) = 1 exactly
         out = fwd(phi, ps)
         exact = exact and np.array_equal(out, np.concatenate([phi, phi], axis=0))
 

@@ -8,6 +8,7 @@ from attnbof.attention import (MODES, VARIANTS, _dropout_mask, att_2da, att_csa,
                                att_tsa, projection_widths, self_attention,
                                self_attention_vjp)
 from attnbof.errors import ShapeError
+from attnbof.model import ModelConfig
 from attnbof.nbof import aggregate
 
 from .oracles import (dense_self_attention_vjp, loop_2da, loop_csa, loop_ctsa,
@@ -21,17 +22,18 @@ def alpha_raw(value):
 
 
 def make_heads(rng, variant, k, n, d, heads, araw=0.0):
-    """The layers' parameter list: (wq, wk, alpha_raw) per head, flat."""
+    """The layers' parameters: (wq, wk, alpha_raw), each stacked over the
+    heads, drawn head by head."""
     q_cols, k_cols = projection_widths(variant, k, n)
-    return [a for _ in range(heads)
-            for a in (rng.standard_normal((d, q_cols)) / math.sqrt(q_cols),
-                      rng.standard_normal((d, k_cols)) / math.sqrt(k_cols),
-                      alpha_raw(araw))]
+    per_head = [(rng.standard_normal((d, q_cols)) / math.sqrt(q_cols),
+                 rng.standard_normal((d, k_cols)) / math.sqrt(k_cols),
+                 alpha_raw(araw)) for _ in range(heads)]
+    return [np.stack(arrays) for arrays in zip(*per_head)]
 
 
 def oracle_heads(ps, alpha):
     """(wq, wk, alpha) per head, the loop oracles' form."""
-    return [(wq, wk, alpha) for wq, wk in zip(ps[0::3], ps[1::3])]
+    return [(wq, wk, alpha) for wq, wk in zip(ps[0], ps[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +148,9 @@ def test_ctsa_mask_entries_strictly_inside_unit_interval():
     ps = make_heads(rng, "ctsa", 5, 7, 4, 3)
     cache = {}
     att_ctsa(phi, ps, cache=cache)
-    for a in [head["a"] for head in cache["heads"]]:
-        assert a.shape == (5, 7)
-        assert np.all((a > 0.0) & (a < 1.0))
+    a = cache["a"]
+    assert a.shape == (3, 5, 7)
+    assert np.all((a > 0.0) & (a < 1.0))
 
 
 def test_ctsa_flat_softmax_variant_normalizes_whole_matrix():
@@ -170,21 +172,23 @@ def test_ctsa_shape_error():
 
 def test_self_attention_rejects_zero_latent_dim():
     ps = make_heads(np.random.default_rng(9), "csa", 4, 6, 3, 1)
-    ps[0:2] = [np.zeros((0, 6)), np.zeros((0, 6))]   # a zero-row wq and wk
+    ps[0:2] = [np.zeros((1, 0, 6)), np.zeros((1, 0, 6))]   # a zero-row wq and wk
     with pytest.raises(ShapeError):
         self_attention("csa", np.ones((4, 6)), ps)
 
 
 @pytest.mark.parametrize("case", ["no-arrays", "four-arrays", "two-latent-dims",
-                                  "column-alpha-raw"])
+                                  "two-head-counts", "column-alpha-raw", "per-head-list"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_self_attention_rejects_misshapen_params(variant, case):
     rng = np.random.default_rng(25)
     phi = rng.random((4, 6))
     ps = make_heads(rng, variant, 4, 6, 3, 2)
-    other_d = make_heads(rng, variant, 4, 6, 2, 1)
-    bad = {"no-arrays": [], "four-arrays": ps[:4], "two-latent-dims": ps[:3] + other_d,
-           "column-alpha-raw": ps[:2] + [np.zeros((2, 1))]}[case]
+    bad = {"no-arrays": [], "four-arrays": ps + ps[2:],
+           "two-latent-dims": [ps[0], ps[1][:, :2], ps[2]],
+           "two-head-counts": [ps[0], ps[1][:1], ps[2]],
+           "column-alpha-raw": ps[:2] + [np.zeros((2, 2, 1))],
+           "per-head-list": [p[i] for i in range(2) for p in ps]}[case]
     with pytest.raises(ShapeError):
         self_attention(variant, phi, bad)
     with pytest.raises(ShapeError):
@@ -224,9 +228,9 @@ def test_csa_mask_rows_sum_to_one():
     ps = make_heads(rng, "csa", 5, 7, 4, 2)
     cache = {}
     att_csa(phi, ps, cache=cache)
-    for a in [head["a"] for head in cache["heads"]]:
-        assert a.shape == (5, 5)
-        assert np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    a = cache["a"]
+    assert a.shape == (2, 5, 5)
+    assert np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_csa_codeword_permutation_equivariance():
@@ -275,9 +279,9 @@ def test_tsa_mask_rows_sum_to_one():
     ps = make_heads(rng, "tsa", 4, 6, 3, 2)
     cache = {}
     att_tsa(phi, ps, cache=cache)
-    for a in [head["a"] for head in cache["heads"]]:
-        assert a.shape == (6, 6)
-        assert np.allclose(a.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    a = cache["a"]
+    assert a.shape == (2, 6, 6)
+    assert np.allclose(a.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_tsa_temporal_permutation_equivariance():
@@ -311,43 +315,46 @@ def test_pooled_stage_is_the_mean_of_the_matrix_form(variant, heads, batch):
         got = self_attention(variant, phi, ps, 0.25, training, seed, cache)
         assert got.shape == want.shape == phi.shape[:-2] + (heads * k,)
         assert np.max(np.abs(got - want)) <= 1e-12
-        assert len(cache["heads"]) == len(want_cache["heads"]) == heads
-        for c, w in zip(cache["heads"], want_cache["heads"]):
-            assert np.array_equal(c["a"], w["a"])
+        assert cache["a"].shape[-3] == heads
+        assert np.array_equal(cache["a"], want_cache["a"])
 
 
+@pytest.mark.parametrize("d", [3, 9], ids=["d3", "d9"])   # d=9 is over K=5 and N=7
 @pytest.mark.parametrize("batch", [None, 3], ids=["B1", "B3"])
-@pytest.mark.parametrize("rate", [0.0, 0.25])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("heads", [1, 2, 3])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_vjp_matches_the_dense_reference(variant, rate, batch):
-    # the rank-one VJP against dP broadcast to full size and the dense
-    # softmax/sigmoid VJP, in training mode with and without dropout
+def test_vjp_matches_the_dense_reference(variant, heads, rate, batch, d):
+    # the head-stacked rank-one VJP against the per-head dense reference (dP
+    # broadcast to full size and the dense softmax/sigmoid VJP), in training
+    # mode with and without dropout
     rng = np.random.default_rng(31)
-    k, n, d = 5, 7, 3
+    k, n = 5, 7
     phi = rng.random((k, n) if batch is None else (batch, k, n))
     seed = 11 if batch is None else rng.integers(2 ** 31, size=batch)
-    ps = make_heads(rng, variant, k, n, d, 2, araw=0.3)
-    ps[5] = alpha_raw(-1.1)   # head 1's
+    ps = make_heads(rng, variant, k, n, d, heads, araw=0.3)
+    ps[2][-1] = -1.1   # the last head's alpha_raw
     cache = {}
     upstream = rng.standard_normal(
         self_attention(variant, phi, ps, rate, True, seed, cache).shape)
     got = self_attention_vjp(variant, phi, ps, upstream, cache)
     side = {"ctsa": (k, n), "csa": (k, k), "tsa": (n, n)}[variant]
     masks = [_dropout_mask(phi.shape[:-2] + side, rate, np.asarray(seed) + i)
-             for i in range(2)]
-    want = dense_self_attention_vjp(variant, phi, list(zip(ps[0::3], ps[1::3], ps[2::3])),
-                                    d, masks, upstream)
-    assert len(got) == len(want) == 1 + len(ps)
+             for i in range(heads)]
+    dense = dense_self_attention_vjp(variant, phi, list(zip(*ps)), d, masks, upstream)
+    want = [dense[0], *(np.stack(dense[1 + j::3]) for j in range(3))]
+    assert len(got) == len(want) == 4
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_vjp_frees_each_heads_temporaries_before_the_next_head(variant):
-    # at B=16, K=16, N=30, d=8 two more heads may add their weight
-    # cotangents to the VJP's peak, not a second head's (B, N, N) or
-    # (B, K, K) score cotangent and projection cotangents
+def test_vjp_temporaries_grow_linearly_in_the_heads(variant):
+    # at B=16, K=16, N=30, d=8 every VJP step runs once over all heads, so
+    # three heads' peak is at most three times one head's (no step keeps a
+    # per-head copy besides its head-stacked array), and each peak stays
+    # within a few stacks of the stage bound, which counts every head
     rng = np.random.default_rng(5)
     phi = rng.random((16, 16, 30))
     peaks = []
@@ -362,8 +369,10 @@ def test_vjp_frees_each_heads_temporaries_before_the_next_head(variant):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    weights = ps[0].nbytes + ps[1].nbytes
-    assert peaks[1] - peaks[0] <= 2 * weights + 4096
+        cfg = ModelConfig(feature_dim=8, classes=3, codewords=16, attention=variant,
+                          latent_dim=8, heads=heads, seq_len=30)
+        assert peaks[-1] <= 8 * 16 * cfg.stage_values(30) * 8
+    assert peaks[1] <= 3 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

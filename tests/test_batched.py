@@ -95,7 +95,7 @@ def test_item_b_head_i_uses_seed_b_plus_i(fwd):
     out = fwd(phi, ps, 0.5, training=True, seed=seeds)
     for b in range(3):
         for i in range(3):
-            one = ps[3 * i:3 * i + 3]
+            one = [p[i:i + 1] for p in ps]
             want = fwd(phi[b], one, 0.5, training=True, seed=int(seeds[b]) + i)
             assert np.array_equal(out[b, 6 * i:6 * (i + 1)], want)
 

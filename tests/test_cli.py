@@ -255,7 +255,7 @@ def test_train_exits_one_when_gradients_are_not_finite(tmp_path, order_file, cap
                                                        monkeypatch):
     conf = write(tmp_path / "train.conf", TRAIN_CONF)
 
-    def inf_vjp(phi, w, alpha_raw, mode, upstream, cache):
+    def inf_vjp(phi, w, alpha_raw, mode, upstream, cache, need_dphi):
         return np.full(phi.shape, np.inf), np.zeros_like(w), np.zeros((1, 1))
 
     monkeypatch.setattr(attention, "att_2da_vjp", inf_vjp)

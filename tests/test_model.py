@@ -360,6 +360,51 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(loaded.forward(x), net.forward(x))
 
 
+# written by the per-head code before the heads became an array axis (33eb519):
+# a DESK-shaped tsa model with 3 heads after 2 epochs of ``fit``
+PER_HEAD_CHECKPOINT = Path(__file__).parent / "data" / "per-head-tsa-h3.ckpt"
+
+
+def test_a_per_head_checkpoint_loads_and_resaves_byte_identical(tmp_path):
+    net = load_checkpoint(str(PER_HEAD_CHECKPOINT))
+    assert net.config == ModelConfig(**DESK, attention="tsa", heads=3, seed=5)
+    path = tmp_path / "again.nbaf"
+    save_checkpoint(net, str(path))
+    assert path.read_bytes() == PER_HEAD_CHECKPOINT.read_bytes()
+    # the stage reads each head's block through one strided view per name
+    (wq, wk, alpha_raw), *_ = net._bound[[s.name for s in net.stages].index("attention")]
+    for i in range(3):
+        assert np.shares_memory(wq, net.flat)
+        assert np.array_equal(wq[i], net.params[f"att.head{i}.wq"])
+        assert np.array_equal(wk[i], net.params[f"att.head{i}.wk"])
+        assert np.array_equal(alpha_raw[i], net.params[f"att.head{i}.alpha_raw"])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_head_cotangents_land_in_their_registry_slots(variant):
+    # the stage's cotangents, (h, rows, cols) each, against the gradient's
+    # per-name views: head i's block of every name, and every other slot
+    # as the other stages' VJPs give it
+    net = desk_model(attention=variant, heads=3, dropout_rate=0.3)
+    x = np.random.default_rng(8).standard_normal((2, 4, 8))
+    labels, seeds = np.array([2, 0]), np.array([3, 9])
+    _, grad = net.loss_and_grad(x, labels, training=True, seed=seeds)
+    trail: list = []
+    logits = net._run(x, True, seeds, trail)
+    g = model_mod._loss_and_dlogits(logits, labels)[1]
+    want = {}
+    for stage, (ps, _, names), (h, out, cache) in reversed(
+            list(zip(net.stages, net._bound, trail))):
+        g, *dps = stage.vjp(h, ps, out, g, cache, True)
+        for name, d in zip(names, dps):   # a repeated stage's name takes each unit's block
+            want.update({name.format(i=i): d[i] for i in range(len(d))} if "{i}" in name
+                        else {name: d})
+    got = net.views(grad)
+    assert list(got) == list(net.params) and sorted(got) == sorted(want)
+    for name, d in want.items():
+        assert np.array_equal(got[name], d), name
+
+
 def test_checkpoint_detects_corrupted_payload_byte(tmp_path):
     net = desk_model()
     path = str(tmp_path / "model.nbaf")
@@ -470,8 +515,11 @@ def test_config_validation_bounds_the_parameter_count(monkeypatch):
     (dict(attention="csa", codewords=40, latent_dim=50, seq_len=6), 6, 40 * 50),  # q or k
     (dict(attention="tsa", codewords=5, latent_dim=40), 30, 30 * 40),      # d > N
     (dict(attention="ctsa", codewords=40, latent_dim=2, seq_len=90), 90, 40 * 90),
+    (dict(attention="tsa", latent_dim=3, heads=3), 600, 3 * 600 * 600),    # every head's
+    (dict(attention="csa", codewords=40, latent_dim=2, heads=2, seq_len=90), 90,
+     2 * 40 * 90),                                    # phi's per-head cotangent parts
 ], ids=["memberships", "conv-patches", "tsa-scores", "csa-projections", "tsa-projections",
-        "ctsa-scores"])
+        "ctsa-scores", "tsa-scores-h3", "csa-dphi-parts-h2"])
 def test_stack_bound_is_the_largest_stage_array(fields, n, largest):
     cfg = ModelConfig(feature_dim=4, classes=2, **fields)
     assert cfg.stage_values(n) == largest
@@ -488,8 +536,7 @@ def test_stack_bound_holds_every_array_the_forward_caches():
         xs = np.random.default_rng(3).standard_normal((3, 4, 8))
         trail = []
         net._run(xs, True, np.arange(3), trail)
-        arrays = [a for _, out, cache in trail for a in [out, *cache.values()]
-                  + [b for head in cache.get("heads", []) for b in head.values()]]
+        arrays = [a for _, out, cache in trail for a in [out, *cache.values()]]
         assert max(np.size(a) for a in arrays if isinstance(a, np.ndarray)) \
             <= 3 * net.config.stage_values(8), kind
 

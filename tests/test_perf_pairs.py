@@ -2,7 +2,8 @@
 benchmark prints a fixed result, so the pairing, the order, the counts and the
 per-run lines can be checked; its step workload against this checkout, on
 both sides and against a checkout whose package fails to import, run in-process
-and as a script with no PYTHONPATH, and the interpreter state it leaves."""
+and as a script with no PYTHONPATH, the interpreter state it leaves, and the
+order in which a round times its figures."""
 
 import json
 import os
@@ -100,19 +101,43 @@ def run_step(parent: Path, change: Path, capsys) -> str:
 
 def test_step_workload_runs_this_checkout_against_itself(capsys):
     lines = run_step(ROOT, ROOT, capsys).splitlines()
-    assert lines[:2] == ["workload step, seeds 5..5, µs per item at B=16, step1 at B=1",
-                         "1 complete pairs of 1"]
-    names = [f"{kind}.{figure}" for kind in ("none", "2da", "ctsa", "csa", "tsa")
-             for figure in ("step", "step1", "forward")]
+    assert lines[:2] == ["workload step, seeds 5..5, µs per item at B=16, step1 at B=1, "
+                         "longseq at B=4", "1 complete pairs of 1"]
+    figures = [f"{kind}.{figure}" for kind in ("none", "2da", "ctsa", "csa", "tsa")
+               for figure in ("step", "step1", "forward")] + ["longseq.forward"]
+    names = [name + suffix for name in figures for suffix in ("", ".faults")]
     for i, name in enumerate(names):
         head, *runs = lines[2 + 3 * i:5 + 3 * i]
         assert head.startswith(f"{name} (lower is better): parent ")
+        if name.endswith(".faults"):   # a count per call, which may be 0 on both sides
+            assert all(float(line.split()[-1]) >= 0.0 for line in runs)
+            continue
         # one pair: the IQR is 0, so the gain exceeds it exactly when the change won
         assert re.search(r"change won (0/1, parent IQR 0, median gain \S+ does not exceed"
                          r"|1/1, parent IQR 0, median gain \S+ exceeds) it$", head)
         for side, line in zip(perf_pairs.SIDES, runs):
             assert line.startswith(f"  {side} runs: ") and float(line.split()[-1]) > 0.0
-    assert lines[47:] == ["parent: failed/attempted 0/1", "change: failed/attempted 0/1"]
+    assert lines[2 + 3 * len(names):] == ["parent: failed/attempted 0/1",
+                                          "change: failed/attempted 0/1"]
+
+
+def test_step_rounds_time_each_figure_on_both_sides_before_the_next(capsys, monkeypatch):
+    log = []
+
+    def logged_figures(pkg, seed):
+        side = pkg.__name__.split("_")[-1]
+        return {name: (1, lambda name=name: log.append((name, side)))
+                for name in perf_pairs.FIGURES}
+
+    monkeypatch.setattr(perf_pairs, "figures", logged_figures)
+    assert perf_pairs.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload",
+                            "step", "--pairs", "2", "--seed-base", "5"]) == 0
+    calls = perf_pairs.CALLS + 1   # and the warm-up
+    want = []
+    for order in (perf_pairs.SIDES, perf_pairs.SIDES[::-1]):
+        want += [(name, side) for name in perf_pairs.FIGURES for side in order
+                 for _ in range(calls)]
+    assert log == want
 
 
 def test_step_workload_counts_a_checkout_that_fails_to_import(tmp_path, capsys):
@@ -141,13 +166,12 @@ def test_step_workload_leaves_the_interpreter_as_it_found_it(tmp_path, capsys, m
     parent = broken_checkout(tmp_path) if broken_parent else ROOT
     seen = {}
 
-    def fake_measure(pkg, seed):
+    def fake_figures(pkg, seed):
         seen[pkg.__name__] = pkg
         assert sys.modules[pkg.__name__] is pkg
-        return {"attempted": 1, "failed": 0, "metrics": {
-            m["name"]: {"value": 1.0, "unit": "µs/item"} for m in perf_pairs.STEP_METRICS}}
+        return {name: (1, lambda: None) for name in perf_pairs.FIGURES}
 
-    monkeypatch.setattr(perf_pairs, "measure", fake_measure)
+    monkeypatch.setattr(perf_pairs, "figures", fake_figures)
     before = sys.modules["attnbof"]
     out = run_step(parent, ROOT, capsys)
     assert sys.modules["attnbof"] is before is attnbof

@@ -22,7 +22,7 @@ def test_the_wide_probes_are_bounded_by_a_projection():
         cfg = ModelConfig(**reference.SHAPES[name])
         q_len, _ = projection_widths(cfg.attention, cfg.seq_len, cfg.codewords)
         assert cfg.latent_dim > max(cfg.codewords, cfg.seq_len)
-        assert cfg.stage_values(cfg.seq_len) == cfg.latent_dim * q_len, name
+        assert cfg.stage_values(cfg.seq_len) == cfg.heads * cfg.latent_dim * q_len, name
 
 
 def test_relative_drift_is_relative_to_the_reference_field():
