@@ -19,13 +19,15 @@ with ``<figure>.faults``, the minor page faults per call, lower is better.
 
 For every metric the report gives each side's median and quartiles, the
 median over complete pairs of the ratio change/parent, the pairs the change
-won (by the metric's direction), the parent's IQR and whether the median gain
-(the change's median minus the parent's, in the metric's better direction)
-exceeds that IQR, then every run's value in pair order.  The two runs of a
-pair are adjacent in time, so host drift that spans several pairs cancels in
-the ratio.  A run that exits non-zero or prints no result, and each round of
-a checkout whose package fails to import, counts as one failed, attempted
-run, and the pairs go on.
+won, tied and lost (by the metric's direction), the parent's IQR and whether
+the median gain (the change's median minus the parent's, in the metric's
+better direction) exceeds that IQR, then every run's value in pair order.  A
+metric whose parent median is 0 (a page-fault count, say) is reported by the
+absolute difference of the medians and the median pair difference instead.
+The two runs of a pair are adjacent in time, so host drift that spans several
+pairs cancels in the ratio.  A run that exits non-zero or prints no result,
+and each round of a checkout whose package fails to import, counts as one
+failed, attempted run, and the pairs go on.
 """
 
 import argparse
@@ -163,18 +165,24 @@ def summarize(metrics: list[dict], runs: dict[str, list[dict | None]]) -> list[s
             lines.append(f"{name}: no values")
         else:
             (p1, p2, p3), (c1, c2, c3) = quartiles(done["parent"]), quartiles(done["change"])
-            won = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
-                      for p, c in pairs)
-            rel = (c2 - p2) / p2 if p2 else float("nan")
-            ratios = [c["metrics"][name]["value"] / p["metrics"][name]["value"]
-                      for p, c in pairs if p["metrics"][name]["value"]]
-            ratio = statistics.median(ratios) if ratios else float("nan")
-            gain, iqr = sign * (c2 - p2), p3 - p1
+            pair_vals = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                         for p, c in pairs]
+            signed = [sign * (c - p) for p, c in pair_vals]
+            won, tied = sum(d > 0 for d in signed), sum(d == 0 for d in signed)
+            if p2:
+                ratios = [c / p for p, c in pair_vals if p]
+                ratio = statistics.median(ratios) if ratios else float("nan")
+                change = (f"{(c2 - p2) / p2:+.1%}, median pair ratio {ratio:.6g} "
+                          f"({ratio - 1:+.1%})")
+            else:   # no change is relative to 0: the absolute ones
+                diffs = [c - p for p, c in pair_vals]
+                diff = statistics.median(diffs) if diffs else float("nan")
+                change = f"{c2 - p2:+.6g} absolute, median pair difference {diff:+.6g}"
+            gain, iqr = sign * (c2 - p2) + 0.0, p3 - p1     # + 0.0 turns -0.0 into 0
             lines.append(f"{name} ({m['better']} is better): parent {p2:.6g} [{p1:.6g}, "
-                         f"{p3:.6g}] -> change {c2:.6g} [{c1:.6g}, {c3:.6g}], {rel:+.1%}, "
-                         f"median pair ratio {ratio:.6g} ({ratio - 1:+.1%}), "
-                         f"change won {won}/{len(pairs)}, parent IQR {iqr:.6g}, "
-                         f"median gain {gain:.6g} "
+                         f"{p3:.6g}] -> change {c2:.6g} [{c1:.6g}, {c3:.6g}], {change}, "
+                         f"change won/tied/lost {won}/{tied}/{len(pairs) - won - tied}, "
+                         f"parent IQR {iqr:.6g}, median gain {gain:.6g} "
                          f"{'exceeds' if gain > iqr else 'does not exceed'} it")
         for side in SIDES:
             lines.append(f"  {side} runs: " + " ".join(

@@ -2,19 +2,20 @@
 
 Input is a K x N membership matrix ``phi`` (codewords by timestamps), or a
 (B, K, N) stack of them.  Four re-weighting schemes are provided, each
-returning a matrix that downstream averaging turns into a histogram:
+returning a matrix whose temporal mean is a histogram:
 
-* ``att_2da`` -- a directly learned mask: ``A = softmax_rows(M @ W)`` with the
-  diagonal of ``W`` pinned at 1/n, mixed as ``alpha * (M * A) + (1-alpha) * M``.
-  ``M`` is ``phi`` itself (temporal mode) or its transpose (codeword mode;
-  input mode applies the same computation to the raw feature matrix).
+* ``att_2da`` -- a directly learned mask: A is the row softmax of ``M @ W``
+  with the diagonal of ``W`` pinned at 1/n, mixed as
+  ``alpha * (M * A) + (1-alpha) * M``.  ``M`` is ``phi`` itself (temporal
+  mode) or its transpose (codeword mode; input mode applies the same
+  computation to the raw feature matrix).
 * ``att_ctsa`` -- a joint codeword-by-timestamp mask from the scaled dot
   product of a codeword-side projection ``q = phi @ Wq^T`` and a temporal-side
   projection ``k = phi^T @ Wk^T``, squashed through a sigmoid and applied
   elementwise.
 * ``att_csa`` -- codeword-to-codeword attention: both projections act on the
-  temporal axis, ``A = softmax_rows(q k^T / sqrt(d))`` is K x K and is applied
-  by matrix product to promote competition between codewords.
+  temporal axis, A, the row softmax of ``q k^T / sqrt(d)``, is K x K and is
+  applied by matrix product to promote competition between codewords.
 * ``att_tsa`` -- timestamp-to-timestamp attention: the same construction on
   ``phi^T``, giving an N x N mask over timestamps.
 
@@ -25,9 +26,12 @@ yield an (h*K) x N result; every step runs once over all heads.  The model
 runs ``self_attention``, which returns its temporal mean without forming P;
 ``att_ctsa``/``att_csa``/``att_tsa`` return the matrix.  The cotangent of a
 pooled head's P is rank one, so ``self_attention_vjp`` contracts it with one
-GEMV instead of a dense softmax VJP.  Dropout on a head's attention matrix is
-training-only and inverted (survivors scaled by 1/(1-rate)), so evaluation
-is a pure identity.  Every VJP reads the cache its forward filled.
+GEMV instead of a dense softmax VJP.  2da pools in the layer too, with
+``pooled=True`` (temporal and codeword modes).  Every scheme computes its
+scores transposed, so every softmax normalizes along axis -2.  Dropout on a
+head's attention matrix is training-only and inverted (survivors scaled by
+1/(1-rate)), so evaluation is a pure identity.  Every VJP reads the cache
+its forward filled.
 
 Layers take the model's parameter arrays: ``att_2da`` takes ``w`` and
 ``alpha_raw`` (alpha = logistic(alpha_raw)); self-attention takes
@@ -70,10 +74,18 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, seed) -> Array:
 #
 # Every layer below takes one K x N matrix or a (B, K, N) stack.  A forward
 # called with a ``cache`` dict fills it with what its VJP needs.
+#
+# 2da's scores are transposed, Wᵀ Mᵀ, so its softmax runs along axis -2.  In
+# temporal mode a stack's Mᵀ = phiᵀ lie side by side as one (1, N, B·K)
+# operand: one GEMM, and every max and sum runs over the long B·K axis.
+# Otherwise Mᵀ is phi, each item's GEMM contracts over its row axis, and an
+# item's output is the same alone or stacked (input mode draws its codebook
+# from single items).  Pooled, the output is alpha (M * A) r + (1-alpha) phi r.
 
 
-def _2da_orient(phi: Array, mode: str) -> Array:
-    return phi if mode == "temporal" else swap(phi)
+def _2da_layout(x: Array, temporal: bool) -> Array:
+    """Mᵀ of a (B, rows, cols) stack in the scores' layout."""
+    return np.ascontiguousarray(swap(x.reshape(1, -1, x.shape[-1]))) if temporal else x
 
 
 def _2da_pinned(w: Array, n: int) -> Array:
@@ -85,44 +97,72 @@ def _2da_pinned(w: Array, n: int) -> Array:
 
 
 def att_2da(phi: Array, w: Array, alpha_raw: Array, mode: str = "temporal",
-            cache: dict | None = None) -> Array:
-    """Mask-and-mix: ``alpha * (M * softmax_rows(M @ W)) + (1-alpha) * M``.
-
-    Returns a matrix of the same shape and orientation as ``phi``.  ``w`` is
-    (n, n) for an operand M of n columns; its diagonal is treated as the
-    constant 1/n regardless of the stored values, so those entries are not
-    free parameters.
+            cache: dict | None = None, pooled: bool = False) -> Array:
+    """Mask-and-mix: ``alpha * (M * A) + (1-alpha) * M``, A the row softmax of
+    ``M @ W``, in phi's shape and orientation; with ``pooled``, its column
+    mean, a histogram of phi's rows.  ``w`` is (n, n) for an operand M of n
+    columns; its diagonal is treated as the constant 1/n regardless of the
+    stored values, so those entries are not free parameters.
     """
     if mode not in MODES:
         raise ValueError(f"2da mode must be one of {MODES}, got {mode!r}")
     phi = numerics.as_stack(phi, "2da input")
-    m = _2da_orient(phi, mode)
-    pinned = _2da_pinned(w, m.shape[-1])
-    a = numerics.softmax_rows(m @ pinned)
+    x = phi.reshape((-1,) + phi.shape[-2:])
+    temporal = mode == "temporal"
+    mt = _2da_layout(x, temporal)
+    pinned = _2da_pinned(w, mt.shape[-2])
+    at = pinned.T @ mt
+    numerics.softmax_cols(at, out=at)
     alpha = logistic_scalar(np.asarray(alpha_raw).reshape(()))
-    out = alpha * (m * a) + (1.0 - alpha) * m
+    masked = mt * at
+    mixed = phi_r = None
+    if pooled:
+        r = numerics.ones(x.shape[-1]) * (1.0 / x.shape[-1])
+        mixed = (r @ masked).reshape(x.shape[:-1]) if temporal else masked @ r
+        phi_r = x @ r
+        out = (alpha * mixed + (1.0 - alpha) * phi_r).reshape(phi.shape[:-1])
+    else:
+        out = masked * alpha
+        out += (1.0 - alpha) * mt
+        out = (swap(out) if temporal else out).reshape(phi.shape)
     if cache is not None:
-        cache.update(w=pinned, a=a, alpha=alpha)
-    return _2da_orient(out, mode)
+        cache.update(w=pinned, mt=mt, at=at, alpha=alpha, mixed=mixed, phi_r=phi_r,
+                     a=swap(at).reshape(phi.shape[:-2] + (-1, at.shape[-2])))
+    return out
 
 
 def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Array,
                 cache: dict, need_dphi: bool = True) -> tuple[Array | None, Array, Array]:
     """Cotangents of (phi, w, alpha_raw) of the ``att_2da`` call that filled
     ``cache``; those of w and alpha_raw sum over a stack.  Without
-    ``need_dphi``, phi's is None and not computed."""
-    pinned, a, alpha = cache["w"], cache["a"], cache["alpha"]
-    m = _2da_orient(phi, mode)
-    g = _2da_orient(upstream, mode)
-
-    dalpha = float(np.sum(g * (m * a - m)))
-    dz = numerics.softmax_rows_vjp(a, alpha * g * m)
-    dw = numerics.sum_tn(m, dz)
+    ``need_dphi``, phi's is None and not computed.  A pooled call's
+    cotangent u stands for the matrix's ``u rᵀ``: u/N broadcast along phi's
+    columns, so no (B, K, N) cotangent is formed."""
+    pinned, mt, at, alpha = (cache[key] for key in ("w", "mt", "at", "alpha"))
+    x = phi.reshape((-1,) + phi.shape[-2:])
+    temporal, pooled = mode == "temporal", cache["mixed"] is not None
+    if pooled:
+        g = upstream.reshape(x.shape[:-1]) * (1.0 / x.shape[-1])
+        g = g.reshape(1, 1, -1) if temporal else g[..., None]
+    else:
+        g = _2da_layout(upstream.reshape(x.shape), temporal)
+    gm = g * mt                    # G * M: the mask's cotangent, over alpha
+    dalpha = float(np.vdot(upstream, cache["mixed"] - cache["phi_r"]) if pooled
+                   else np.vdot(gm, at) - gm.sum())
+    gm *= alpha
+    dz = numerics.softmax_cols_vjp(at, gm)
+    del gm                         # with dz's buffer reused below, 2 phi-sized temporaries
+    dw = numerics.sum_tn(swap(mt), swap(dz))
     np.fill_diagonal(dw, 0.0)  # the diagonal is a constant, not a parameter
-    dm = None
+    dphi = None
     if need_dphi:
-        dm = _2da_orient(alpha * g * a + (1.0 - alpha) * g + dz @ pinned.T, mode)
-    return dm, dw, np.array([[dalpha * alpha * (1.0 - alpha)]])
+        dphi = pinned @ dz
+        direct = np.multiply(at, alpha, out=dz)   # G * (alpha A + 1 - alpha)
+        direct += 1.0 - alpha
+        direct *= g
+        dphi += direct
+        dphi = (swap(dphi) if temporal else dphi).reshape(phi.shape)
+    return dphi, dw, np.array([[dalpha * alpha * (1.0 - alpha)]])
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +179,8 @@ def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Arr
 #
 #   variant  q     k     a                     P
 #   ctsa     rows  cols  sigmoid, K x N        alpha + (1-alpha) a
-#   csa      rows  rows  softmax_rows, K x K   alpha I + (1-alpha) a
-#   tsa      cols  cols  softmax_rows, N x N   alpha I + (1-alpha) a
+#   csa      rows  rows  row softmax, K x K    alpha I + (1-alpha) a
+#   tsa      cols  cols  row softmax, N x N    alpha I + (1-alpha) a
 #
 # A head's output times r is computed without forming P, kappa = 1 - alpha:
 #
@@ -151,9 +191,9 @@ def att_2da_vjp(phi: Array, w: Array, alpha_raw: Array, mode: str, upstream: Arr
 # r = 1/N (N x 1) gives the head's histogram without forming its K x N
 # output; r = I gives that output, exactly.  a is a_used, the dropped-out a,
 # in training.  csa and tsa compute the transposed scores k qᵀ, so their
-# softmax normalizes along axis -2 (the cache's row-stochastic ``a`` is a
-# view).  Head i fills rows i*K..(i+1)*K of the output and draws item b's
-# dropout mask from seed_b + i.  The VJP takes dq and dk, each in its
+# softmax (``softmax_cols``) normalizes along axis -2 (the cache's
+# row-stochastic ``a`` is a view).  Head i fills rows i*K..(i+1)*K of the
+# output and draws item b's dropout mask from seed_b + i.  The VJP takes dq and dk, each in its
 # projection's layout, from the scores' cotangent, then ``_project_vjp``.
 
 _PROJECTS_ROWS = {"ctsa": (True, False), "csa": (True, True), "tsa": (False, False)}
@@ -207,7 +247,7 @@ def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training:
         s = numerics.sigmoid(q @ swap(k))
     else:
         s = k @ swap(q)
-        numerics.softmax_rows(s, axis=-2, out=s)
+        numerics.softmax_cols(s, out=s)
     # converts between the scores' layout and the row-stochastic a, both ways
     layout = (lambda m: m) if variant == "ctsa" else swap
     used, mask = s, None

@@ -89,7 +89,8 @@ class ModelConfig:
         length ``n``: the conv patches, the quantizer's memberships and its VJP's
         ``[x; x^2; 1]`` operand and codeword sums, or the self-attention stage's
         head-stacked arrays: every head's (L, d) projections (each projection
-        one array), its scores and its (K, N) part of phi's cotangent."""
+        one array), its scores and its (K, N) part of phi's cotangent.  2da's
+        arrays are the size of its input."""
         k, dq = self.codewords, self.feature_dim
         sizes = [k * n]
         if self.frontend == "conv":
@@ -216,7 +217,9 @@ def _loss_and_dlogits(logits: Array, label) -> tuple[float | Array, Array]:
     classes = logits.shape[-1]
     if label.dtype.kind not in "iu":
         raise ValueError(f"cross_entropy: labels must be integers, got {label.dtype}")
-    if label.min() < 0 or label.max() >= classes:
+    # one label is compared as a Python int: a 0-d min and max cost more than the loss
+    if not (0 <= label.item() < classes if label.ndim == 0
+            else label.min() >= 0 and label.max() < classes):
         raise ValueError(
             f"cross_entropy: label {label} out of range [0, {classes})")
     m = logits.max(axis=-1, keepdims=True)
@@ -273,7 +276,9 @@ def _head_vjp(h, ps, out, upstream, cache, need_dh):
 def build_stages(cfg: ModelConfig) -> list[Stage]:
     """The pipeline in execution order; the one place that dispatches on the
     frontend and the attention kind.  Input-mode 2da runs before the
-    quantizer.  Layers are looked up through their module at call time, so a
+    quantizer.  Self-attention and temporal- and codeword-mode 2da return
+    histograms, so the aggregate stage follows only ``none`` and input-mode
+    2da.  Layers are looked up through their module at call time, so a
     patched or traced layer is the one that runs."""
     stages, k, dq, width = [], cfg.codewords, cfg.feature_dim, cfg.codewords
     if cfg.frontend == "conv":
@@ -287,11 +292,13 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
         "quantize", {"codebook.v": (k, dq), "codebook.w_raw": (k, dq)},
         lambda h, ps, c, *_: nbof.quantize_raw(h, *ps, cache=c),
         lambda h, ps, out, g, c, need: nbof.quantize_vjp((h, *ps), out, g, c, need)))
+    # self-attention and 2da on phi return histograms: no aggregate stage
+    pooled = cfg.attention in attention.VARIANTS or cfg.attention == "2da" and cfg.mode != "input"
     if cfg.attention == "2da":
         side = {"temporal": cfg.seq_len, "codeword": k, "input": dq}[cfg.mode]
-        stages.insert(-1 if cfg.mode == "input" else len(stages), Stage(
+        stages.insert(len(stages) if pooled else -1, Stage(
             "attention", {"att.w": (side, side), "att.alpha_raw": (1, 1)},
-            lambda h, ps, c, *_: attention.att_2da(h, *ps, cfg.mode, cache=c),
+            lambda h, ps, c, *_: attention.att_2da(h, *ps, cfg.mode, cache=c, pooled=pooled),
             lambda h, ps, out, g, c, need: attention.att_2da_vjp(h, *ps, cfg.mode, g, c,
                                                                  need)))
     elif cfg.attention in attention.VARIANTS:
@@ -305,7 +312,7 @@ def build_stages(cfg: ModelConfig) -> list[Stage]:
                 cfg.attention, h, ps, cfg.dropout_rate, training, seed, c),
             lambda h, ps, out, g, c, _: attention.self_attention_vjp(
                 cfg.attention, h, ps, g, c), repeat=cfg.heads))
-    if cfg.attention not in attention.VARIANTS:  # self-attention pools itself
+    if not pooled:
         stages.append(Stage("aggregate", {}, lambda h, ps, c, *_: nbof.aggregate(h),
                             lambda h, ps, out, g, c, _: nbof.aggregate_vjp((h,), out, g)))
     return stages + [
@@ -474,7 +481,8 @@ class Model:
         return loss, self._grad.copy()
 
     def attention_matrices(self, x: Array) -> list[Array]:
-        """Per-head attention matrices for one input, evaluation mode."""
+        """Per-head attention matrices for one input, evaluation mode: views
+        of the cached, row-stochastic ``a``."""
         names = [stage.name for stage in self.stages]
         if "attention" not in names:
             raise ConfigError("model has attention=none; no matrices to inspect")

@@ -111,7 +111,7 @@ def quantize_vjp(inputs, output, upstream, cache: dict, need_dx: bool = True):
     x, v, w_raw = inputs
     dist, w, w2 = cache["dist"], cache["w"], cache["w2"]
     dim = v.shape[1]
-    ds = numerics.softmax_rows_vjp(output, upstream, axis=-2)   # per column
+    ds = numerics.softmax_cols_vjp(output, upstream)
     coef = np.divide(ds, dist, out=np.zeros(dist.shape), where=dist > 0.0)
     dx = None
     if need_dx:

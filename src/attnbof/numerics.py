@@ -99,26 +99,22 @@ def col_sums(m: Array) -> Array:
     return (ones(m.shape[-2]) @ m)[..., None, :]
 
 
-def softmax_rows(m: Array, axis: int = -1, out: Array | None = None) -> Array:
-    """Softmax along ``axis``, the rows by default, into ``out`` if given
+def softmax_cols(m: Array, out: Array | None = None) -> Array:
+    """Softmax down every column (along axis -2), into ``out`` if given
     (which may be ``m``)."""
     m = np.asarray(m, dtype=float)
     # max subtraction keeps exp in range for entries anywhere in [-700, 700]
-    e = np.subtract(m, m.max(axis=axis, keepdims=True), out=out)
+    e = np.subtract(m, m.max(axis=-2, keepdims=True), out=out)
     np.exp(e, out=e)
-    if axis == -2:
-        # each sum holds an exp(0) = 1, so its reciprocal is finite
-        e *= 1.0 / col_sums(e)
-    else:
-        e /= e.sum(axis=axis, keepdims=True)
+    # each sum holds an exp(0) = 1, so its reciprocal is finite
+    e *= 1.0 / col_sums(e)
     return e
 
 
-def softmax_rows_vjp(s: Array, upstream: Array, axis: int = -1) -> Array:
-    """Cotangent of the input of ``softmax_rows`` with output ``s``."""
+def softmax_cols_vjp(s: Array, upstream: Array) -> Array:
+    """Cotangent of the input of ``softmax_cols`` with output ``s``."""
     us = upstream * s
-    sums = col_sums(us) if axis == -2 else us.sum(axis=axis, keepdims=True)
-    np.subtract(upstream, sums, out=us)
+    np.subtract(upstream, col_sums(us), out=us)
     us *= s
     return us
 

@@ -2,8 +2,9 @@
 
 Everything here shares no code path with the library.  The forward
 references are written with explicit Python loops and scalar math;
-``dense_self_attention_vjp`` is the dense matrix form of the self-attention
-VJP, against which the library's rank-one form is pinned, and
+``dense_self_attention_vjp`` and ``dense_2da_vjp`` are the dense matrix
+forms of the self-attention and 2da VJPs, against which the library's
+rank-one and transposed-layout forms are pinned, and
 ``padded_window_patches`` the zero-pad-and-copy construction of the conv
 patches that the library's direct fill replaced.
 """
@@ -226,6 +227,31 @@ def dense_self_attention_vjp(variant, phi, heads, d, masks, upstream):
             grads.append((swap(dproj) @ src).reshape(-1, *w.shape).sum(axis=0))
         grads.append(np.array([[dalpha * alpha * (1.0 - alpha)]]))
     return (dphi, *grads)
+
+
+def dense_2da_vjp(phi, w, alpha, mode, upstream):
+    """Cotangents (phi, w, alpha) of the 2da output matrix
+    ``alpha (M * A) + (1-alpha) M`` given its cotangent ``upstream``, in M's
+    orientation: A is the row softmax of ``M W`` with diag(W) = 1/n, M is phi
+    (temporal mode) or its transpose.  ``phi`` is (K, N) or (B, K, N); the
+    cotangents of w and alpha sum over a stack, and alpha's is taken with
+    respect to alpha itself."""
+    swap = partial(np.swapaxes, axis1=-1, axis2=-2)
+    m = phi if mode == "temporal" else swap(phi)
+    g = upstream if mode == "temporal" else swap(upstream)
+    n = m.shape[-1]
+    wp = w.copy()
+    np.fill_diagonal(wp, 1.0 / n)
+    z = m @ wp
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    da = alpha * g * m
+    dz = a * (da - (da * a).sum(axis=-1, keepdims=True))
+    dw = (swap(m) @ dz).reshape(-1, n, n).sum(axis=0)
+    np.fill_diagonal(dw, 0.0)
+    dm = alpha * g * a + (1.0 - alpha) * g + dz @ wp.T
+    dalpha = float(np.sum(g * (m * a - m)))
+    return (dm if mode == "temporal" else swap(dm)), dw, dalpha
 
 
 def loop_conv1d_relu(x, k3, bias):

@@ -82,8 +82,8 @@ def self_attention_op(variant: str, heads: int, training: bool = False,
 
 
 OPS = {entry.op.name: entry for entry in [
-    Entry(DiffOp("softmax_rows", numerics.softmax_rows,
-                 lambda inputs, out, g: (numerics.softmax_rows_vjp(out, g),)),
+    Entry(DiffOp("softmax_rows", lambda m: numerics.softmax_cols(m.T).T,
+                 lambda inputs, out, g: (numerics.softmax_cols_vjp(out.T, g.T).T,)),
           normal((4, 6))),
     Entry(DiffOp("affine", numerics.affine,
                  lambda inputs, out, g: numerics.affine_vjp(*inputs[:2], g)),

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attnbof.attention import (MODES, VARIANTS, _dropout_mask, att_2da, att_csa, att_ctsa,
-                               att_tsa, projection_widths, self_attention,
+from attnbof.attention import (MODES, VARIANTS, _dropout_mask, att_2da, att_2da_vjp, att_csa,
+                               att_ctsa, att_tsa, projection_widths, self_attention,
                                self_attention_vjp)
 from attnbof.errors import ShapeError
 from attnbof.model import ModelConfig
 from attnbof.nbof import aggregate
 
-from .oracles import (dense_self_attention_vjp, loop_2da, loop_csa, loop_ctsa,
-                      loop_flat_softmax, loop_tsa)
+from .oracles import (dense_2da_vjp, dense_self_attention_vjp, loop_2da, loop_csa,
+                      loop_ctsa, loop_flat_softmax, loop_tsa)
 
 INF = float("inf")
 
@@ -109,6 +109,48 @@ def test_2da_position_sensitivity_counterexample():
     lhs = att_2da(COUNTER_PHI[:, COUNTER_PERM], COUNTER_W, alpha_raw(0.0), "temporal")
     rhs = att_2da(COUNTER_PHI, COUNTER_W, alpha_raw(0.0), "temporal")[:, COUNTER_PERM]
     assert np.abs(lhs - rhs).max() >= 1e-3
+
+
+def within(got, want, rel=1e-12):
+    """``got`` is ``want``'s shape and within ``rel`` of its largest entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("raw", [0.4, -INF], ids=["alpha-interior", "alpha-0"])
+@pytest.mark.parametrize("batch", [None, 3], ids=["item", "stack"])
+@pytest.mark.parametrize("mode, pooled", [("temporal", True), ("codeword", True),
+                                          *((mode, False) for mode in MODES)],
+                         ids=["temporal-pooled", "codeword-pooled",
+                              *(f"{mode}-matrix" for mode in MODES)])
+def test_2da_against_the_dense_chain(mode, pooled, batch, raw):
+    # pooled (the model's temporal and codeword stage): the histogram and its
+    # VJP against the mean of the matrix form and the dense VJP of the
+    # broadcast cotangent u rᵀ; the matrix form against the dense VJP
+    rng = np.random.default_rng(41)
+    k, n = 5, 7
+    phi = rng.random((k, n) if batch is None else (batch, k, n))
+    side = n if mode == "temporal" else k
+    w = rng.standard_normal((side, side)) / math.sqrt(side)
+    alpha = 1.0 / (1.0 + math.exp(-raw))
+    matrix = att_2da(phi, w, alpha_raw(raw), mode)
+    cache = {}
+    got = att_2da(phi, w, alpha_raw(raw), mode, cache=cache, pooled=pooled)
+    assert within(got, aggregate(matrix) if pooled else matrix)
+    upstream = rng.standard_normal(got.shape)
+    dense = upstream[..., None] / n * np.ones(n) if pooled else upstream
+    want_phi, want_w, want_alpha = dense_2da_vjp(phi, w, alpha, mode, dense)
+    dphi, dw, dalpha = att_2da_vjp(phi, w, alpha_raw(raw), mode, upstream, cache)
+    assert within(dphi, want_phi)
+    if raw == -INF:   # alpha = 0: the mask has no cotangent
+        assert not dw.any() and not dalpha.any()
+    else:
+        assert within(dw, want_w)
+        assert within(dalpha, [[want_alpha * alpha * (1.0 - alpha)]])
+    # the cache's row-stochastic a is M's orientation
+    rows, cols = (k, n) if mode == "temporal" else (n, k)
+    assert cache["a"].shape == phi.shape[:-2] + (rows, cols)
+    assert np.allclose(cache["a"].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,8 @@ def two_pass_loss_and_vjp(logits, label):
     lse = m + np.log(np.exp(logits - m[..., None]).sum(axis=-1))
     rows = logits.reshape(-1, logits.shape[-1])
     loss = lse - rows[np.arange(len(rows)), np.reshape(label, -1)].reshape(np.shape(label))
-    p = numerics.softmax_rows(logits)
+    p = np.exp(logits - m[..., None])
+    p /= p.sum(axis=-1, keepdims=True)
     p -= np.arange(logits.shape[-1]) == np.asarray(label)[..., None]
     return loss, p
 
@@ -216,6 +217,19 @@ def test_temporal_mask_model_is_position_sensitive():
         perm = rng.permutation(8)
         worst = max(worst, float(np.abs(net.forward(x) - net.forward(x[:, perm])).max()))
     assert worst > 1e-9
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_2da_attention_matrix_keeps_its_orientation(mode):
+    # one row-stochastic mask in M's orientation (temporal (K, N), codeword
+    # (N, K), input (N, D)), a view of the layer's transposed scores; the
+    # temporal and codeword stages pool in the layer, so no aggregate follows
+    net = desk_model(attention="2da", mode=mode)
+    (m,) = net.attention_matrices(np.random.default_rng(57).standard_normal((4, 8)))
+    assert m.shape == {"temporal": (6, 8), "codeword": (8, 6), "input": (8, 4)}[mode]
+    assert not m.flags.owndata
+    assert np.allclose(m.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert ("aggregate" in [stage.name for stage in net.stages]) == (mode == "input")
 
 
 def test_eval_forward_is_bitwise_deterministic():

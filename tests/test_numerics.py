@@ -12,7 +12,7 @@ from attnbof.attention import MODES
 from attnbof.model import (ATTENTION_KINDS, FRONTENDS, ModelConfig, build_stages,
                            frontend_conv)
 from attnbof.nbof import aggregate
-from attnbof.numerics import affine, grad_check, sigmoid, softmax_rows
+from attnbof.numerics import affine, grad_check, sigmoid, softmax_cols
 
 from .oracles import loop_matmul, loop_mean_cols, loop_softmax_rows
 from .registry import OPS, stage_key
@@ -31,32 +31,32 @@ def test_matmul_matches_loop_oracle():
 
 
 def test_softmax_uniform_row():
-    assert np.allclose(softmax_rows(np.zeros((1, 3))), 1.0 / 3.0, rtol=0, atol=1e-15)
+    assert np.allclose(softmax_cols(np.zeros((3, 1))), 1.0 / 3.0, rtol=0, atol=1e-15)
 
 
 def test_softmax_single_column_is_ones():
-    out = softmax_rows(np.array([[4.2], [-1.0], [900.0]]))
-    assert np.array_equal(out, np.ones((3, 1)))
+    out = softmax_cols(np.array([[4.2, -1.0, 900.0]]))
+    assert np.array_equal(out, np.ones((1, 3)))
 
 
 def test_softmax_hand_value():
     # exp-and-normalize of [1, 2] evaluated by hand
-    out = softmax_rows(np.array([[1.0, 2.0]]))
-    assert np.allclose(out, [[0.2689414213699951, 0.7310585786300049]], atol=1e-6)
+    out = softmax_cols(np.array([[1.0], [2.0]]))
+    assert np.allclose(out.T, [[0.2689414213699951, 0.7310585786300049]], atol=1e-6)
 
 
 def test_softmax_matches_loop_oracle():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((6, 5)) * 3.0
-    assert np.allclose(softmax_rows(m), loop_softmax_rows(m), atol=1e-14)
+    assert np.allclose(softmax_cols(m.T).T, loop_softmax_rows(m), atol=1e-14)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
               elements=st.floats(-700.0, 700.0)))
 def test_softmax_rows_sum_to_one(m):
-    out = softmax_rows(m)
+    out = softmax_cols(m.T)
     assert np.all(out >= 0.0)
-    assert np.allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(out.sum(axis=0), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sigmoid_at_zero():

@@ -62,13 +62,14 @@ def test_pairs_alternate_and_count_wins_and_failures(tmp_path, capsys):
     # the pair ratios, 150/100 and 151/101, leave out the pair whose change run failed
     assert ("items_per_s (higher is better): parent 100 [100, 100.5] -> "
             "change 150.5 [150.25, 150.75], +50.5%, median pair ratio 1.49752 (+49.8%), "
-            "change won 2/2, parent IQR 0.5, median gain 50.5 exceeds it\n") in out
+            "change won/tied/lost 2/0/0, parent IQR 0.5, median gain 50.5 exceeds it\n") in out
     assert ("latency_ms_p50 (lower is better): parent 10 [9.9505, 10] -> change 6.64459 "
             "[6.63355, 6.65563], -33.6%, median pair ratio 0.66777 (-33.2%), "
-            "change won 2/2, parent IQR 0.049505, median gain 3.35541 exceeds it\n") in out
+            "change won/tied/lost 2/0/0, parent IQR 0.049505, median gain 3.35541 "
+            "exceeds it\n") in out
     # every pair won, yet the medians differ by less than the parent's IQR
     assert ("setup_s (lower is better): parent 11 [10.5, 11.5] -> change 10.25 [10, 10.5], "
-            "-6.8%, median pair ratio 0.976136 (-2.4%), change won 2/2, parent IQR 1, "
+            "-6.8%, median pair ratio 0.976136 (-2.4%), change won/tied/lost 2/0/0, parent IQR 1, "
             "median gain 0.75 does not exceed it\n") in out
     assert ("  parent runs: 100 101 100\n  change runs: 150 151 failed\n"
             "latency_ms_p50") in out
@@ -93,6 +94,27 @@ def test_a_run_that_exits_0_without_a_result_counts_as_failed(tmp_path, capsys, 
     assert "seed 10 exited 0, no result" in captured.err
 
 
+def test_a_zero_parent_median_reads_as_an_absolute_difference():
+    # a page-fault count is 0 in most rounds: there is no ratio to 0, and
+    # equal pairs are ties, not losses
+    def run(value):
+        return {"attempted": 1, "failed": 0, "metrics": {"x.faults": {"value": value}}}
+
+    parent = [run(v) for v in (0.0, 0.0, 0.05, 0.0, 0.0)]
+    metric = [{"name": "x.faults", "better": "lower"}]
+    lines = perf_pairs.summarize(metric, {"parent": parent, "change": [
+        run(v) for v in (0.0, 0.1, 0.0, 0.0, 0.0)]})
+    assert lines[1] == ("x.faults (lower is better): parent 0 [0, 0] -> change 0 [0, 0], "
+                        "+0 absolute, median pair difference +0, change won/tied/lost 1/3/1, "
+                        "parent IQR 0, median gain 0 does not exceed it")
+    lines = perf_pairs.summarize(metric, {"parent": parent, "change": [
+        run(v) for v in (0.1, 0.1, 0.0, 0.2, 0.0)]})
+    assert lines[1] == ("x.faults (lower is better): parent 0 [0, 0] -> change 0.1 [0, 0.1], "
+                        "+0.1 absolute, median pair difference +0.1, "
+                        "change won/tied/lost 1/1/3, parent IQR 0, median gain -0.1 "
+                        "does not exceed it")
+
+
 def run_step(parent: Path, change: Path, capsys) -> str:
     assert perf_pairs.main(["--parent", str(parent), "--change", str(change),
                             "--workload", "step", "--pairs", "1", "--seed-base", "5"]) == 0
@@ -113,8 +135,9 @@ def test_step_workload_runs_this_checkout_against_itself(capsys):
             assert all(float(line.split()[-1]) >= 0.0 for line in runs)
             continue
         # one pair: the IQR is 0, so the gain exceeds it exactly when the change won
-        assert re.search(r"change won (0/1, parent IQR 0, median gain \S+ does not exceed"
-                         r"|1/1, parent IQR 0, median gain \S+ exceeds) it$", head)
+        assert re.search(r"change won/tied/lost (0/[01]/[01], parent IQR 0, median gain \S+ "
+                         r"does not exceed|1/0/0, parent IQR 0, median gain \S+ exceeds) it$",
+                         head)
         for side, line in zip(perf_pairs.SIDES, runs):
             assert line.startswith(f"  {side} runs: ") and float(line.split()[-1]) > 0.0
     assert lines[2 + 3 * len(names):] == ["parent: failed/attempted 0/1",
