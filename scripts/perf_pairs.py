@@ -14,8 +14,9 @@ of the change's BENCHMARK.json, with the end-to-end metrics declared there.
 into this process, and a pair is one round: each side builds the models of
 :func:`figures`, then every figure is timed on both sides before the next
 one, so the two timings of a figure are milliseconds apart.  Its metrics are
-``<kind>.{step,step1,forward}`` and ``longseq.forward`` in µs per item, each
-with ``<figure>.faults``, the minor page faults per call, lower is better.
+``<kind>.{step,step1,forward}`` and ``longseq.{forward,forward1}`` in µs per
+item, each with ``<figure>.faults``, the minor page faults per call, lower is
+better.
 
 For every metric the report gives each side's median and quartiles, the
 median over complete pairs of the ratio change/parent, the pairs the change
@@ -49,7 +50,7 @@ SIDES = ("parent", "change")
 KINDS = ("none", "2da", "ctsa", "csa", "tsa")
 BATCH, LONG_BATCH, CALLS = 16, 4, 20
 FIGURES = [f"{kind}.{figure}" for kind in KINDS
-           for figure in ("step", "step1", "forward")] + ["longseq.forward"]
+           for figure in ("step", "step1", "forward")] + ["longseq.forward", "longseq.forward1"]
 STEP_METRICS = [{"name": name + suffix, "better": "lower"}
                 for name in FIGURES for suffix in ("", ".faults")]
 
@@ -63,7 +64,9 @@ def figures(pkg, seed: int) -> dict:
     call denoise-train times for its latency.  ``longseq.forward`` is the
     forward of longseq-eval's conv + csa model (K=64, N=256), its codebook
     drawn from the conv features, on a stack of LONG_BATCH items, the
-    smallest stack its ``evaluate`` runs."""
+    smallest stack its ``evaluate`` runs; ``longseq.forward1`` is that
+    model's ``predict`` of one item, the call longseq-eval times for its
+    latency."""
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     exp = EXPERIMENTS["denoising"]
     gen, conf = (cli.parse_config(str(CONFIGS / f)) for f in (exp.gen_conf, exp.train_conf))
@@ -86,6 +89,7 @@ def figures(pkg, seed: int) -> dict:
     long_xs = np.stack([x for x, _ in long.items])
     net.set_codebook(pkg.nbof.init_codebook(list(net.quantizer_input(long_xs)), 64, seed))
     calls["longseq.forward"] = (LONG_BATCH, lambda: net.forward(long_xs))
+    calls["longseq.forward1"] = (1, lambda: net.predict(long_xs[0]))
     return calls
 
 
@@ -207,7 +211,8 @@ def main(argv=None) -> int:
     step = args.workload == "step"
     if step:
         metrics = STEP_METRICS
-        unit = f"µs per item at B={BATCH}, step1 at B=1, longseq at B={LONG_BATCH}"
+        unit = (f"µs per item at B={BATCH}, step1 at B=1, longseq.forward at "
+                f"B={LONG_BATCH}, longseq.forward1 at B=1")
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text())
         metrics, seconds = spec["end_to_end"], spec["run_seconds"]

@@ -1,9 +1,10 @@
 """The frozen numerics reference: this checkout against ``tests/data/reference.npz``.
 
-    python scripts/reference.py            # compare; exit 1 on drift over 1e-12
-    python scripts/reference.py --write    # rewrite the reference from this checkout
+    python scripts/reference.py               # compare; exit 1 on drift over 1e-12
+    python scripts/reference.py --write       # rewrite the reference from this checkout
+    python scripts/reference.py --against DIR # compare with DIR's checkout, on this host
 
-``probe`` is the one definition of what is pinned: for each configuration
+``probe(pkg)`` is the one definition of what is pinned: for each configuration
 of ``CONFIGS``, trained by ``fit`` for 3 epochs on a 48-item noisy set, its
 parameters before and after, loss trace, a training ``loss_and_grad``,
 logits, attention matrices and checkpoint (header bytes, float64 payload);
@@ -16,6 +17,10 @@ and an evaluation ``loss_and_grad`` of its first item; for the long-sequence
 model of ``LONGSEQ``, the logits of one item and of a 4-item stack.  A
 float64 field passes within ``TOLERANCE`` of the reference, relative to the
 field's largest reference magnitude; a byte field passes only when equal.
+BLAS picks its kernels by host too, so the archive is bitwise only on a
+host like the one that wrote it; ``--against`` probes ``DIR/src/attnbof``,
+imported as ``scripts/perf_pairs.py`` imports a checkout, in this process,
+and compares it with this checkout field by field.
 """
 
 from __future__ import annotations
@@ -28,10 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from attnbof.data import gen_noisy_timestamps, gen_order_task, load_features, save_features
-from attnbof.model import Model, ModelConfig, save_checkpoint
-from attnbof.nbof import init_codebook
-from attnbof.train import TrainConfig, fit, holdout_split, kfold
+import attnbof
+from perf_pairs import load
 
 REFERENCE = Path(__file__).resolve().parents[1] / "tests" / "data" / "reference.npz"
 TOLERANCE = 1e-12
@@ -72,22 +75,23 @@ DATASETS = {f"{generator}-seed{seed}": (generator, seed)
             for generator in ("order", "noisy") for seed in (3, 4)}
 
 
-def _noisy(seed: int):
-    return gen_noisy_timestamps(classes=3, feature_dim=4, length=LENGTH,
-                                signal_fraction=0.25, snr=2.0, count=48, seed=seed)
+def _noisy(pkg, seed: int):
+    return pkg.gen_noisy_timestamps(classes=3, feature_dim=4, length=LENGTH,
+                                    signal_fraction=0.25, snr=2.0, count=48, seed=seed)
 
 
-def _shape_model(extra: dict) -> tuple[Model, np.ndarray, np.ndarray]:
-    """The model of ``extra``, built with seed 11, its codebook drawn from its
-    data's quantizer inputs as ``fit`` draws it, and that data: 16 stacked
-    items and their labels."""
-    cfg = ModelConfig(seed=11, **extra)
-    data = gen_noisy_timestamps(classes=cfg.classes, feature_dim=cfg.feature_dim,
-                                length=cfg.seq_len, signal_fraction=0.1, snr=2.0,
-                                count=16, seed=7)
+def _shape_model(pkg, extra: dict) -> tuple:
+    """``pkg``'s model of ``extra``, built with seed 11, its codebook drawn
+    from its data's quantizer inputs as ``fit`` draws it, and that data: 16
+    stacked items and their labels."""
+    cfg = pkg.ModelConfig(seed=11, **extra)
+    data = pkg.gen_noisy_timestamps(classes=cfg.classes, feature_dim=cfg.feature_dim,
+                                    length=cfg.seq_len, signal_fraction=0.1, snr=2.0,
+                                    count=16, seed=7)
     xs = np.stack([x for x, _ in data.items])
-    net = Model.build(cfg)
-    net.set_codebook(init_codebook([net.quantizer_input(x) for x in xs], cfg.codewords, 7))
+    net = pkg.Model.build(cfg)
+    net.set_codebook(pkg.init_codebook([net.quantizer_input(x) for x in xs],
+                                       cfg.codewords, 7))
     return net, xs, data.labels()
 
 
@@ -95,23 +99,24 @@ def _bytes(data: bytes | str) -> list[np.ndarray]:
     return [np.frombuffer(data.encode() if isinstance(data, str) else data, np.uint8)]
 
 
-def probe() -> dict[str, list[np.ndarray]]:
-    """Field key -> its arrays: numeric values, or one uint8 array of bytes."""
-    data = _noisy(5)
+def probe(pkg=attnbof) -> dict[str, list[np.ndarray]]:
+    """Field key -> its arrays, numeric values or one uint8 array of bytes,
+    as the ``attnbof`` package ``pkg`` computes them."""
+    data = _noisy(pkg, 5)
     xs = np.stack([x for x, _ in data.items])
     labels = data.labels()
     fields: dict[str, list[np.ndarray]] = {}
     for name, extra in CONFIGS.items():
-        net = Model.build(ModelConfig(feature_dim=4, classes=3, codewords=8, latent_dim=4,
-                                      seq_len=LENGTH, seed=11, **extra))
+        net = pkg.Model.build(pkg.ModelConfig(feature_dim=4, classes=3, codewords=8,
+                                              latent_dim=4, seq_len=LENGTH, seed=11, **extra))
         initial = [a.copy() for a in net.params.values()]
-        trace = fit(net, data, TrainConfig(epochs=3, batch_size=16, learning_rate=0.01,
-                                           seed=3))
+        trace = pkg.train.fit(net, data, pkg.TrainConfig(epochs=3, batch_size=16,
+                                                         learning_rate=0.01, seed=3))
         losses, grad = net.loss_and_grad(xs, labels, training=True,
                                          seed=np.arange(len(xs)) + 1000)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "model.nbaf")
-            save_checkpoint(net, path)
+            pkg.save_checkpoint(net, path)
             blob = Path(path).read_bytes()
         # magic, version, header length, JSON header | payload | CRC32 of the payload
         end = 12 + int.from_bytes(blob[8:12], "little")
@@ -126,26 +131,27 @@ def probe() -> dict[str, list[np.ndarray]]:
             f"{name}.checkpoint_header": _bytes(blob[:end]),
             f"{name}.checkpoint_payload": [np.frombuffer(blob[end:-4], dtype="<f8")]})
     for name, (generator, seed) in DATASETS.items():
-        dataset = (gen_order_task(feature_dim=4, length=LENGTH, count=48, seed=seed)
-                   if generator == "order" else _noisy(seed))
+        dataset = (pkg.gen_order_task(feature_dim=4, length=LENGTH, count=48, seed=seed)
+                   if generator == "order" else _noisy(pkg, seed))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.fseq")
-            save_features(dataset, path)
+            pkg.save_features(dataset, path)
             fields[f"{name}.fseq"] = _bytes(Path(path).read_bytes())
-            loaded = load_features(path)
+            loaded = pkg.load_features(path)
         fields[f"{name}.loaded"] = [x for x, _ in loaded.items] + [loaded.labels()]
-        for side, part in zip(("train", "test"), holdout_split(dataset, 0.2, seed)):
+        halves = pkg.train.holdout_split(dataset, 0.2, seed)
+        for side, part in zip(("train", "test"), halves):
             fields[f"{name}.holdout_{side}"] = _bytes(part.checksum())
-        for f, (train, val) in enumerate(kfold(dataset, 5, seed)):
+        for f, (train, val) in enumerate(pkg.kfold(dataset, 5, seed)):
             fields[f"{name}.fold{f}"] = _bytes(f"{train.checksum()} {val.checksum()}")
     for name, extra in SHAPES.items():
-        net, xs, labels = _shape_model(extra)
+        net, xs, labels = _shape_model(pkg, extra)
         losses, grad = net.loss_and_grad(xs, labels, training=True,
                                          seed=np.arange(len(xs)) + 2000)
         loss, grad_one = net.loss_and_grad(xs[0], int(labels[0]))
         fields[f"{name}.loss_and_grad"] = [losses, *net.views(grad).values()]
         fields[f"{name}.loss_and_grad_one"] = [np.array(loss), *net.views(grad_one).values()]
-    net, xs, _ = _shape_model(LONGSEQ)
+    net, xs, _ = _shape_model(pkg, LONGSEQ)
     fields["longseq-conv-csa.logits_one"] = [net.forward(xs[0])]
     fields["longseq-conv-csa.logits_stack"] = [net.forward(xs[:4])]
     return fields
@@ -175,12 +181,17 @@ def relative_drift(reference: np.ndarray, current: np.ndarray) -> float:
 
 
 def drifts(path: Path) -> tuple[dict[str, float], int]:
-    """The ``relative_drift`` of every field of this checkout that is not
-    bitwise equal to the reference at ``path``, and the number of fields;
-    a field on one side only, or whose shapes differ, drifts by inf."""
-    current = archived(probe())
+    """``compare`` of the reference at ``path`` with this checkout."""
     with np.load(path) as archive:
-        reference = {key: archive[key] for key in archive.files}
+        return compare({key: archive[key] for key in archive.files}, archived(probe()))
+
+
+def compare(reference: dict[str, np.ndarray],
+            current: dict[str, np.ndarray]) -> tuple[dict[str, float], int]:
+    """The ``relative_drift`` of every ``current`` field that is not bitwise
+    equal to its ``reference`` field, both in ``archived`` form, and the
+    number of fields; a field on one side only, or whose shapes differ,
+    drifts by inf."""
     keys = [key for key in {**reference, **current} if not key.endswith(":shapes")]
     out = {}
     for key in keys:
@@ -197,18 +208,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--write", action="store_true",
                         help="rewrite the reference from this checkout")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare with the checkout at DIR instead of the reference")
     args = parser.parse_args(argv)
     if args.write:
         fields = probe()
         np.savez_compressed(REFERENCE, **archived(fields))
         print(f"wrote {len(fields)} fields to {REFERENCE}")
         return 0
-    moved, total = drifts(REFERENCE)
+    if args.against is None:
+        moved, total = drifts(REFERENCE)
+    else:
+        try:
+            pkg = load("against", args.against)
+            if pkg is None:   # the traceback is on stderr
+                return 2
+            moved, total = compare(archived(probe(pkg)), archived(probe()))
+        finally:   # the package and its submodules leave the interpreter
+            for name in [n for n in sys.modules if n.split(".")[0] == "attnbof_against"]:
+                del sys.modules[name]
     for key, drift in moved.items():
         print(f"{key:40s} max |change - reference| / max |reference| = {drift:.3e}")
     over = sum(not drift <= TOLERANCE for drift in moved.values())   # NaN is over
-    print(f"{total - len(moved)} of {total} fields bitwise equal, "
-          f"{over} over {TOLERANCE:g}")
+    largest = max(moved.values(), default=0.0)
+    print(f"{total - len(moved)} of {total} fields bitwise equal, {over} over {TOLERANCE:g}"
+          + ("" if args.against is None else f", largest drift {largest:.3e}"))
     return 1 if over else 0
 
 

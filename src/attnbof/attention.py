@@ -88,12 +88,19 @@ def _2da_layout(x: Array, temporal: bool) -> Array:
     return np.ascontiguousarray(swap(x.reshape(1, -1, x.shape[-1]))) if temporal else x
 
 
-def _2da_pinned(w: Array, n: int) -> Array:
-    if w.shape != (n, n):
-        raise ShapeError(f"2da: weight is {w.shape}, operand needs ({n}, {n})")
+@numerics.memo
+def _2da_constants(w: Array, alpha_raw: Array) -> tuple[Array, float]:
+    """W with its diagonal pinned at 1/n, and alpha."""
     pinned = np.array(w, dtype=float)
-    np.fill_diagonal(pinned, 1.0 / n)
-    return pinned
+    np.fill_diagonal(pinned, 1.0 / len(w))
+    return pinned, logistic_scalar(alpha_raw.reshape(()))
+
+
+@numerics.memo
+def _head_alphas(alpha_raw: Array) -> tuple[Array, Array]:
+    """Every head's alpha and kappa = 1 - alpha, shaped like ``alpha_raw``."""
+    alpha = np.array([logistic_scalar(z) for z in alpha_raw.flat]).reshape(alpha_raw.shape)
+    return alpha, 1.0 - alpha
 
 
 def att_2da(phi: Array, w: Array, alpha_raw: Array, mode: str = "temporal",
@@ -110,14 +117,16 @@ def att_2da(phi: Array, w: Array, alpha_raw: Array, mode: str = "temporal",
     x = phi.reshape((-1,) + phi.shape[-2:])
     temporal = mode == "temporal"
     mt = _2da_layout(x, temporal)
-    pinned = _2da_pinned(w, mt.shape[-2])
+    n = mt.shape[-2]
+    if w.shape != (n, n):
+        raise ShapeError(f"2da: weight is {w.shape}, operand needs ({n}, {n})")
+    pinned, alpha = _2da_constants(w, np.asarray(alpha_raw))
     at = pinned.T @ mt
     numerics.softmax_cols(at, out=at)
-    alpha = logistic_scalar(np.asarray(alpha_raw).reshape(()))
     masked = mt * at
     mixed = phi_r = None
     if pooled:
-        r = numerics.ones(x.shape[-1]) * (1.0 / x.shape[-1])
+        r = numerics.mean_column(x.shape[-1])[:, 0]
         mixed = (r @ masked).reshape(x.shape[:-1]) if temporal else masked @ r
         phi_r = x @ r
         out = (alpha * mixed + (1.0 - alpha) * phi_r).reshape(phi.shape[:-1])
@@ -256,12 +265,11 @@ def _self_attention(variant: str, phi: Array, ps, dropout_rate: float, training:
         seeds = np.asarray(seed)[..., None] + np.arange(heads)
         mask = layout(_dropout_mask(s.shape, dropout_rate, seeds))
         used = s * mask
-    alpha = np.array([logistic_scalar(z) for z in ps[2].flat]).reshape(ps[2].shape)
-    kappa = 1.0 - alpha
-    r = numerics.ones(n)[:, None] * (1.0 / n) if pooled else np.eye(n)
+    alpha, kappa = _head_alphas(ps[2])
+    r = numerics.mean_column(n) if pooled else np.eye(n)
     phi_r = (phi @ r if pooled else phi)[..., None, :, :]
     c = {"q": q, "k": k, "s": s, "a": layout(s), "used": used, "mask": mask,
-         "alpha": alpha, "phi_r": phi_r}
+         "alpha": alpha, "kappa": kappa, "phi_r": phi_r}
     if variant == "tsa":
         c["right"] = right = kappa * (used @ r)      # Pᵀ r
         right += alpha * r
@@ -305,9 +313,8 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
     dk, and each projection's VJP runs on the side that projection took."""
     heads, d = ps[0].shape[:2]
     kdim, n = phi.shape[-2:]
-    q, k, s, used, alpha, phi_r = (cache[key] for key in
-                                   ("q", "k", "s", "used", "alpha", "phi_r"))
-    kappa = 1.0 - alpha
+    q, k, s, used, alpha, kappa, phi_r = (cache[key] for key in
+                                          ("q", "k", "s", "used", "alpha", "kappa", "phi_r"))
     u = upstream.reshape(upstream.shape[:-1] + (heads, kdim, 1))
     if variant == "ctsa":
         un = u / n
@@ -350,7 +357,7 @@ def self_attention_vjp(variant: str, phi: Array, ps, upstream: Array,
     dphi += direct
     if dalpha.ndim == 4:                # the stack's items
         dalpha = dalpha.sum(axis=0)
-    return dphi, dwq, dwk, dalpha * alpha * (1.0 - alpha)
+    return dphi, dwq, dwk, dalpha * alpha * kappa
 
 
 def att_ctsa(phi: Array, ps, dropout_rate: float = 0.0, training: bool = False,

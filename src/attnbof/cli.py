@@ -88,20 +88,22 @@ def model_config(conf: dict, dataset: data_mod.LabeledSequenceSet | None
         cfg.seq_len = n
     cfg.validate()
     if dataset is not None:
-        _check_fits(cfg, dataset)
+        _check_fits(cfg, dataset, training=True)
     return cfg
 
 
-def _check_fits(cfg: model_mod.ModelConfig, dataset: data_mod.LabeledSequenceSet) -> None:
+def _check_fits(cfg: model_mod.ModelConfig, dataset: data_mod.LabeledSequenceSet,
+                training: bool) -> None:
     """Reject a model config that does not fit the data, before anything is
-    sized by it; each message names the config key."""
+    sized by it; each message names the config key.  Only training needs at
+    least as many items as classes."""
     top = max((label for _, label in dataset.items), default=0)
     lengths = sorted({x.shape[1] for x, _ in dataset.items})
     for key, misfit, data_has in (
             ("feature_dim", cfg.feature_dim != dataset.feature_dim,
              f"{dataset.feature_dim} feature rows"),
             ("classes", top >= cfg.classes, f"label {top}"),
-            ("classes", cfg.classes > len(dataset), f"only {len(dataset)} items"),
+            ("classes", training and cfg.classes > len(dataset), f"only {len(dataset)} items"),
             ("seq_len", cfg.needs_seq_len and lengths != [cfg.seq_len],
              f"sequence lengths {lengths}")):
         if misfit:
@@ -133,6 +135,14 @@ def _check_out(args) -> None:
         raise ConfigError(f"--out {exc}") from None
 
 
+def _load_data(path: str) -> data_mod.LabeledSequenceSet:
+    """The feature file at ``path``, which must hold at least one item."""
+    dataset = data_mod.load_features(path)
+    if len(dataset) == 0:
+        raise ConfigError(f"{path} holds no items")
+    return dataset
+
+
 def _read_config(args) -> dict:
     """The ``--config`` file's keys; ``--seed``, when given, is its ``seed``."""
     conf = parse_config(args.config)
@@ -148,7 +158,7 @@ def _read_config(args) -> dict:
 def cmd_train(args) -> int:
     _check_out(args)
     conf = _read_config(args)
-    dataset = data_mod.load_features(args.data)
+    dataset = _load_data(args.data)
     model_cfg = model_config(conf, dataset)
     train_cfg = train_config(conf)
     net = model_mod.Model.build(model_cfg)
@@ -163,7 +173,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = model_mod.load_checkpoint(args.checkpoint)
-    dataset = data_mod.load_features(args.data)
+    dataset = _load_data(args.data)
+    _check_fits(net.config, dataset, training=False)
     acc, f1 = train_mod.evaluate(net, dataset)
     print(json.dumps({"items": len(dataset), "accuracy": acc, "macro_f1": f1},
                      indent=2))
@@ -217,7 +228,7 @@ def _pgm(m: np.ndarray) -> bytes:
 
 def cmd_inspect_attention(args) -> int:
     net = model_mod.load_checkpoint(args.checkpoint)
-    dataset = data_mod.load_features(args.data)
+    dataset = _load_data(args.data)
     if not 0 <= args.item < len(dataset):
         raise ConfigError(f"item {args.item} out of range [0, {len(dataset)})")
     x, _ = dataset.items[args.item]

@@ -29,10 +29,22 @@ W_RAW_UNIT = float(np.log(np.e - 1.0))
 _NEAR_ZERO = 1e-3
 
 
-def _weighted_distances(x: Array, v: Array, w: Array, w2: Array, w2v: Array,
+@numerics.memo
+def _codebook_constants(v: Array, w_raw: Array) -> tuple[Array, ...]:
+    """What quantization derives from the codebook alone: ``w``, ``w^2``,
+    ``sum_d w^2 v^2``, ``2 w^2 v``, ``w^2 v`` and softplus' = logistic(w_raw);
+    computed once per parameter state."""
+    w = softplus(w_raw)
+    w2 = w * w
+    w2v = w2 * v
+    return (w, w2, (w2v * v).sum(axis=1, keepdims=True), 2.0 * w2v, w2v,
+            numerics.sigmoid(w_raw))
+
+
+def _weighted_distances(x: Array, v: Array, consts: tuple[Array, ...],
                         x2: Array | None = None) -> Array:
     """||(x_n - v_k) * w_k||_2 for every codeword and column: (..., K, N),
-    given ``w2 = w^2``, ``w2v = w^2 v`` and, when the caller keeps it,
+    given the codebook's ``consts`` and, when the caller keeps it,
     ``x2 = x^2``.
 
     GEMM expansion ``d^2 = (w^2).x^2 - 2 (w^2 v).x + sum_d w^2 v^2``, with no
@@ -42,9 +54,10 @@ def _weighted_distances(x: Array, v: Array, w: Array, w2: Array, w2v: Array,
     exactly 0.  They are recomputed in chunks whose (chunk, D) difference is
     no larger than the distances themselves; ordinary data takes one chunk.
     """
+    w, w2, sum_w2v2, two_w2v = consts[:4]
     scale = w2 @ (x * x if x2 is None else x2)
-    scale += (w2v * v).sum(axis=1, keepdims=True)
-    d2 = (2.0 * w2v) @ x
+    scale += sum_w2v2
+    d2 = two_w2v @ x
     np.subtract(scale, d2, out=d2)
     scale *= _NEAR_ZERO
     near = d2 <= scale
@@ -68,9 +81,9 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     per-column minimum distance is subtracted before exponentiation, which is
     exact (softmax shift invariance) and prevents underflow when all
     distances are large.  A ``cache`` dict is filled with what
-    :func:`quantize_vjp` reuses: the distances, ``w``, ``w^2``, ``x^2`` and
-    the stacked ``[w^2ᵀ; (w^2 v)ᵀ]``.  Without one, the memberships are
-    computed in the distance buffer, bitwise as with one.
+    :func:`quantize_vjp` reuses: the distances, ``x^2`` and the codebook's
+    constants.  Without one, the memberships are computed in the distance
+    buffer, bitwise as with one.
     """
     x = numerics.as_stack(x, "quantize input")
     v = numerics.as_matrix(v, "codewords")
@@ -79,11 +92,9 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
         raise ShapeError(
             f"quantize: input {x.shape}, codewords {v.shape}, weights {w_raw.shape} "
             "do not conform")
-    w = softplus(w_raw)
-    w2 = w * w
-    w2v = w2 * v
+    consts = _codebook_constants(v, w_raw)
     x2 = None if cache is None else x * x
-    dist = _weighted_distances(x, v, w, w2, w2v, x2)
+    dist = _weighted_distances(x, v, consts, x2)
     shift = dist.min(axis=-2, keepdims=True)
     if cache is None:   # the distances are not kept: the memberships overwrite them
         e = np.subtract(shift, dist, out=dist)
@@ -92,7 +103,7 @@ def quantize_raw(x: Array, v: Array, w_raw: Array, cache: dict | None = None) ->
     np.exp(e, out=e)
     e *= 1.0 / numerics.col_sums(e)               # each sum >= exp(0) = 1
     if cache is not None:
-        cache.update(dist=dist, w=w, w2=w2, x2=x2, w2_w2v=np.concatenate((w2.T, w2v.T)))
+        cache.update(dist=dist, x2=x2, consts=consts)
     return e
 
 
@@ -108,14 +119,15 @@ def quantize_vjp(inputs, output, upstream, cache: dict, need_dx: bool = True):
     ``coef``; the per-codeword sums of ``coef`` times x, x^2 and 1 that dv
     and dw need take one batched GEMM of ``coef`` against ``[x; x^2; 1]``.
     """
-    x, v, w_raw = inputs
-    dist, w, w2 = cache["dist"], cache["w"], cache["w2"]
+    x, v, _ = inputs
+    dist = cache["dist"]
+    w, w2, _, _, w2v, logistic = cache["consts"]
     dim = v.shape[1]
     ds = numerics.softmax_cols_vjp(output, upstream)
     coef = np.divide(ds, dist, out=np.zeros(dist.shape), where=dist > 0.0)
     dx = None
     if need_dx:
-        both = cache["w2_w2v"] @ coef                                # (..., 2D, N)
+        both = np.concatenate((w2.T, w2v.T)) @ coef                  # (..., 2D, N)
         dx = both[..., dim:, :] - x * both[..., :dim, :]
     # concatenate keeps the memory order of an F-ordered x (input-mode 2da hands
     # the quantizer a transposed view), and the GEMM's rounding depends on it
@@ -126,8 +138,7 @@ def quantize_vjp(inputs, output, upstream, cache: dict, need_dx: bool = True):
     cx, cxx, csum = sums[:, :dim], sums[:, dim:2 * dim], sums[:, 2 * dim:]
     dv = w2 * (cx - v * csum)
     dw = w * (2.0 * v * cx - cxx - v * v * csum)
-    dw_raw = dw * numerics.sigmoid(w_raw)        # softplus' = logistic
-    return dx, dv, dw_raw
+    return dx, dv, dw * logistic                 # softplus' = logistic
 
 
 def aggregate(phi: Array) -> Array:
@@ -136,8 +147,7 @@ def aggregate(phi: Array) -> Array:
     phi = numerics.as_stack(phi, "aggregate input")
     if phi.shape[-1] == 0:
         raise ShapeError("aggregate: empty sequence (N=0)")
-    n = phi.shape[-1]
-    return phi @ (numerics.ones(n) * (1.0 / n))   # one GEMV pass over phi
+    return phi @ numerics.mean_column(phi.shape[-1])[:, 0]   # one GEMV pass over phi
 
 
 def aggregate_vjp(inputs, output, upstream):

@@ -93,6 +93,38 @@ def ones(n: int) -> Array:
     return v
 
 
+@functools.lru_cache(maxsize=64)
+def mean_column(n: int) -> Array:
+    """A read-only (n, 1) column of 1/n, the averaging vector of a length-n
+    sequence, shared like ``ones``; ``[:, 0]`` is its vector form."""
+    r = np.full((n, 1), 1.0 / n)
+    r.flags.writeable = False
+    return r
+
+
+def memo(fn: Callable) -> Callable:
+    """``fn`` of arrays, remembered for its last call: called again with
+    arguments of the same bytes, dtype, shape and strides (so 0.0 and -0.0,
+    or two NaN payloads, differ), it returns the same results, its arrays
+    made read-only, without running ``fn``."""
+    entry: tuple = (None, None)
+
+    @functools.wraps(fn)
+    def remembered(*arrays: Array):
+        nonlocal entry
+        key = [(a.tobytes(), a.dtype, a.shape, a.strides) for a in arrays]
+        last, out = entry   # one read: a key and its own results
+        if key != last:
+            out = fn(*arrays)
+            for a in out:
+                if isinstance(a, np.ndarray):
+                    a.setflags(False)   # write=False, passed by position: cheaper
+            entry = key, out   # one assignment: key and results are replaced together
+        return out
+
+    return remembered
+
+
 def col_sums(m: Array) -> Array:
     """Sums along axis -2, kept as a length-1 axis: one GEMV against ones,
     which numpy runs several times faster than a reduction across rows."""

@@ -251,6 +251,50 @@ def test_train_rejects_config_that_does_not_fit_the_data(tmp_path, order_file, c
     assert not out.exists()
 
 
+# feature files that each do not fit a 2-class, 4-feature 2da-temporal
+# checkpoint of seq_len 20, and the message naming the checkpoint's key
+EVAL_MISFITS = {
+    "classes": ({"classes": 3}, "classes is 2, the data has label 2"),
+    "feature_dim": ({"feature_dim": 3}, "feature_dim is 4, the data has 3 feature rows"),
+    "seq_len": ({"length": 12}, "seq_len is 20, the data has sequence lengths [12]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_MISFITS))
+def test_eval_rejects_data_that_does_not_fit_the_checkpoint(tmp_path, capsys, case):
+    edit, message = EVAL_MISFITS[case]
+    ckpt = str(tmp_path / "m.nbaf")
+    save_checkpoint(Model.build(ModelConfig(feature_dim=4, classes=2, codewords=4,
+                                            attention="2da", seq_len=20)), ckpt)
+    data = str(tmp_path / "d.fseq")
+    save_features(gen_noisy_timestamps(**{"classes": 2, "feature_dim": 4, "length": 20,
+                                          "count": 6, "seed": 1, **edit}), data)
+    err = assert_clean_exit_two(capsys, ["eval", "--checkpoint", ckpt, "--data", data])
+    assert err == f"error: {message}\n"
+
+
+def test_eval_scores_fewer_items_than_classes(tmp_path, capsys):
+    ckpt = make_checkpoint(tmp_path)
+    one = gen_order_task(feature_dim=3, length=6, count=2, seed=2).items[:1]
+    data = str(tmp_path / "one.fseq")
+    save_features(data_mod.LabeledSequenceSet(items=one, classes=2, feature_dim=3), data)
+    assert main(["eval", "--checkpoint", ckpt, "--data", data]) == 0
+    assert json.loads(capsys.readouterr().out)["items"] == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-attention"])
+def test_a_feature_file_with_no_items_exits_two_saying_so(tmp_path, capsys, command):
+    data = str(tmp_path / "empty.fseq")
+    save_features(data_mod.LabeledSequenceSet(items=[], classes=2, feature_dim=3), data)
+    args = {"train": ["--config", write(tmp_path / "train.conf", TRAIN_CONF),
+                      "--out", str(tmp_path / "out.nbaf")],
+            "eval": ["--checkpoint", make_checkpoint(tmp_path)],
+            "inspect-attention": ["--checkpoint", make_checkpoint(tmp_path, attention="tsa"),
+                                  "--out", str(tmp_path / "mats")]}[command]
+    err = assert_clean_exit_two(capsys, [command, "--data", data, *args])
+    assert err == f"error: {data} holds no items\n"
+
+
 def test_train_exits_one_when_gradients_are_not_finite(tmp_path, order_file, capsys,
                                                        monkeypatch):
     conf = write(tmp_path / "train.conf", TRAIN_CONF)

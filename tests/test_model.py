@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnbof import attention, nbof, numerics
 from attnbof import model as model_mod
-from attnbof import nbof, numerics
 from attnbof.attention import MODES, VARIANTS
 from attnbof.data import gen_noisy_timestamps
 from attnbof.errors import (ChecksumError, ConfigError, DataFormatError,
@@ -15,8 +15,8 @@ from attnbof.errors import (ChecksumError, ConfigError, DataFormatError,
 from attnbof.model import (FRONTENDS, Model, ModelConfig, cross_entropy, frontend_conv,
                            load_checkpoint, loss_op, param_shapes,
                            save_checkpoint)
-from attnbof.numerics import grad_check, softplus
-from attnbof.train import TrainConfig, fit
+from attnbof.numerics import DiffOp, grad_check, softplus
+from attnbof.train import TrainConfig, adam_step, fit, init_adam
 
 from .oracles import loop_conv1d_relu, loop_cross_entropy, padded_window_patches
 
@@ -694,3 +694,120 @@ def test_misshapen_stage_cotangent_raises_shape_error(monkeypatch, cotangents, n
     x = np.random.default_rng(3).standard_normal((4, 8))
     with pytest.raises(ShapeError, match=f"stage quantize: cotangent of '{name}'"):
         net.loss_and_grad(x, 1)
+
+
+# ---------------------------------------------------------------------------
+# constants derived from the parameters, remembered per parameter state
+
+def forget_constants():
+    """Replace what each remembered function holds by a throwaway entry."""
+    nbof._codebook_constants(np.ones((1, 1)), np.ones((1, 1)))
+    attention._2da_constants(np.ones((1, 1)), np.ones((1, 1)))
+    attention._head_alphas(np.ones((1, 1, 1)))
+
+
+# one model per remembered function and the stages that read it
+MEMO_KINDS = {
+    "none-conv": dict(frontend="conv"),
+    "2da-temporal": dict(attention="2da"),
+    "2da-input": dict(attention="2da", mode="input"),
+    "ctsa-dropout": dict(attention="ctsa", heads=2, dropout_rate=0.25),
+    "csa": dict(attention="csa", heads=2),
+    "tsa": dict(attention="tsa", heads=3),
+}
+
+
+def desk_stack(seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, DESK["feature_dim"], DESK["seq_len"])), np.array([0, 1, 2])
+
+
+def outputs(net, xs, labels) -> list[bytes]:
+    """The bytes of a stack's logits, training losses and gradient."""
+    loss, grad = net.loss_and_grad(xs, labels, training=True, seed=np.arange(len(xs)) + 9)
+    return [a.tobytes() for a in (net.forward(xs), loss, grad, net.forward(xs[0]))]
+
+
+def fresh_outputs(net, xs, labels) -> list[bytes]:
+    """``outputs`` of a model built afresh from ``net``'s parameters, with
+    every remembered constant forgotten first."""
+    forget_constants()
+    return outputs(Model(net.config, net.flat.copy()), xs, labels)
+
+
+def assert_fresh(net, xs, labels):
+    got = outputs(net, xs, labels)   # first, against whatever is remembered
+    assert got == fresh_outputs(net, xs, labels)
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_KINDS))
+def test_remembered_constants_follow_every_in_place_parameter_write(kind):
+    net = desk_model(**MEMO_KINDS[kind])
+    xs, labels = desk_stack()
+    rng = np.random.default_rng(1)
+    assert_fresh(net, xs, labels)
+    for p in net.params.values():        # through each name's view
+        p += 0.125 * rng.standard_normal(p.shape)
+        assert_fresh(net, xs, labels)
+    net.flat *= 1.01                     # through the whole vector
+    assert_fresh(net, xs, labels)
+    state, cfg = init_adam(net.flat), TrainConfig(learning_rate=0.05)
+    for _ in range(2):
+        _, grad = net.loss_and_grad(xs, labels)
+        adam_step(net.flat, grad, state, cfg)
+        assert_fresh(net, xs, labels)
+    net.set_codebook(rng.standard_normal(net.params["codebook.v"].shape))
+    assert_fresh(net, xs, labels)
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_KINDS))
+def test_loss_op_and_grad_check_never_read_stale_constants(kind):
+    net = desk_model(**MEMO_KINDS[kind])
+    xs, labels = desk_stack()
+    op = loss_op(net, xs[0], int(labels[0]), training=True, seed=4)
+    seen = []
+
+    def recorded(*arrays):
+        out = op.forward(*arrays)
+        seen.append((np.concatenate([np.ravel(a) for a in arrays]), out.tobytes()))
+        return out
+
+    report = grad_check(DiffOp(op.name, recorded, op.vjp), list(net.params.values()))
+    assert report.finite and report.max_rel_err < 1e-4
+    for flat, out in seen[::7]:          # perturbed one entry at a time
+        forget_constants()
+        fresh = Model(net.config, flat)
+        assert np.asarray(cross_entropy(fresh.forward(xs[0], True, 4),
+                                        int(labels[0]))).tobytes() == out
+    arrays = [p + 0.5 for p in net.params.values()]
+    upstream = np.array(1.0)
+    got = op.vjp(arrays, op.forward(*arrays), upstream)
+    forget_constants()
+    fresh = Model(net.config, np.concatenate([a.ravel() for a in arrays]))
+    _, grad = fresh.loss_and_grad(xs[0], int(labels[0]), training=True, seed=4)
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in fresh.views(grad).values()]
+
+
+def test_two_models_called_alternately_each_read_their_own_constants():
+    xs, labels = desk_stack()
+    nets = [desk_model(attention=kind, heads=2, seed=seed)
+            for kind in ("csa", "2da") for seed in (1, 2)]
+    want = [fresh_outputs(net, xs, labels) for net in nets]
+    for order in ([0, 1, 2, 3], [1, 0, 0, 1], [3, 1, 2, 0]):
+        for i in order:
+            assert outputs(nets[i], xs, labels) == want[i]
+
+
+def test_remembered_constants_are_read_only():
+    net = desk_model(attention="tsa", heads=2)
+    xs, _ = desk_stack()
+    cache = {}
+    nbof.quantize_raw(xs, net.params["codebook.v"], net.params["codebook.w_raw"], cache)
+    ps = net._bound[[s.name for s in net.stages].index("attention")][0]
+    w2da = np.eye(DESK["seq_len"])
+    constants = [*cache["consts"], *attention._head_alphas(ps[2]),
+                 attention._2da_constants(w2da, np.zeros((1, 1)))[0],
+                 numerics.mean_column(DESK["seq_len"])]
+    for c in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            c[...] = 0.0

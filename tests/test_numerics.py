@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -154,3 +157,75 @@ def test_every_stage_has_a_gradient_check():
         missing = {stage_key(cfg, stage.name, training)
                    for stage in build_stages(cfg)} - covered
         assert not missing, f"no gradient check in tests/registry.py for {missing}"
+
+
+def test_memo_keys_each_argument_bitwise_and_returns_read_only_results():
+    calls = []
+
+    @numerics.memo
+    def doubled(a, b):
+        calls.append(1)
+        return a * 2.0, float(b.sum())
+
+    a, b = np.zeros(3), np.ones(2)
+    out = doubled(a, b)
+    assert doubled(a, b) is out and doubled(np.zeros(3), b.copy()) is out
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        out[0][0] = 1.0
+    nan = np.array([np.nan, 0.0, 0.0])
+    payload = (nan.view(np.uint64) ^ np.array([1, 0, 0], np.uint64)).view(float)
+    assert np.isnan(payload[0])
+    # each first argument differs from the one before it only in its bits
+    # (-0.0, a NaN payload), dtype, memory order or shape; a value written in
+    # place is a new key
+    a[1] = -0.0
+    for first in [a, np.zeros(3), np.zeros(3, np.int64), np.zeros((3, 2), np.int64)[:, 0],
+                  np.zeros((3, 1), np.int64), nan, payload, nan]:
+        before = len(calls)
+        doubled(first, b)
+        doubled(first, b)
+        assert len(calls) == before + 1, first
+    a[1] = 1.0
+    assert doubled(a, b)[0][1] == 2.0
+    assert len(calls) == 10
+
+
+def test_memo_shared_by_threads_returns_each_caller_its_own_results():
+    # a torn entry (one call's key with another's results) would hand a
+    # thread the doubles of another thread's array; sleep(0) lets the other
+    # threads run while a call computes
+    def doubled(a):
+        time.sleep(0)
+        return (a * 2.0,)
+
+    doubled = numerics.memo(doubled)
+    bad, done = [], []
+
+    def hammer(i):
+        a = np.full(64, float(i % 2))   # two threads per key, so some calls hit
+        for _ in range(2000):
+            if not np.array_equal(doubled(a)[0], a * 2.0):
+                bad.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and not bad
+
+
+def test_mean_column_is_one_shared_read_only_column():
+    r = numerics.mean_column(7)
+    assert r.shape == (7, 1) and r is numerics.mean_column(7)
+    assert r.tobytes() == (numerics.ones(7)[:, None] * (1.0 / 7)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        r[0, 0] = 0.0

@@ -124,9 +124,11 @@ def run_step(parent: Path, change: Path, capsys) -> str:
 def test_step_workload_runs_this_checkout_against_itself(capsys):
     lines = run_step(ROOT, ROOT, capsys).splitlines()
     assert lines[:2] == ["workload step, seeds 5..5, µs per item at B=16, step1 at B=1, "
-                         "longseq at B=4", "1 complete pairs of 1"]
+                         "longseq.forward at B=4, longseq.forward1 at B=1",
+                         "1 complete pairs of 1"]
     figures = [f"{kind}.{figure}" for kind in ("none", "2da", "ctsa", "csa", "tsa")
-               for figure in ("step", "step1", "forward")] + ["longseq.forward"]
+               for figure in ("step", "step1", "forward")] + ["longseq.forward",
+                                                              "longseq.forward1"]
     names = [name + suffix for name in figures for suffix in ("", ".faults")]
     for i, name in enumerate(names):
         head, *runs = lines[2 + 3 * i:5 + 3 * i]

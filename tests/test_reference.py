@@ -2,6 +2,7 @@
 ``tests/data/reference.npz``, and the drift measure that gate reads."""
 
 import math
+import sys
 
 import numpy as np
 import reference
@@ -15,6 +16,14 @@ def test_this_checkout_is_within_tolerance_of_the_committed_reference():
     assert total == 134
     over = {key: drift for key, drift in moved.items() if not drift <= reference.TOLERANCE}
     assert not over, f"{len(over)} fields over {reference.TOLERANCE:g}: {over}"
+
+
+def test_against_this_checkout_every_field_is_bitwise_equal(capsys):
+    root = reference.REFERENCE.parents[2]
+    assert reference.main(["--against", str(root)]) == 0
+    assert capsys.readouterr().out == ("134 of 134 fields bitwise equal, 0 over 1e-12, "
+                                       "largest drift 0.000e+00\n")
+    assert not [name for name in sys.modules if name.startswith("attnbof_against")]
 
 
 def test_the_wide_probes_are_bounded_by_a_projection():
